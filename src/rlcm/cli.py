@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -40,68 +39,28 @@ EXIT_INPUT_ERROR = 1
 EXIT_INCOMPLETE = 2
 EXIT_NOT_COVERED = 3
 
-# input-path argument names per subcommand, validated before any computation
-_INPUT_ARGS = {
-    "check": ("q", "theta", "params"),
-    "counterexample": ("q", "theta", "params", "p", "extra_q"),
-    "verify-pair": ("pair",),
-    "tmatrix": ("q", "theta", "params", "p"),
-    "simulate": ("q", "theta", "params", "p"),
-    "fit": ("q", "data"),
-    "experiment": ("q", "params", "p"),
-    "verify-transform": (),
-}
+
+def _read_params(path, n_attributes: int) -> list:
+    params, declared = fileio.read_item_params_json(path)
+    if declared != n_attributes:
+        raise ValueError(f"item parameters declare K={declared}, expected K={n_attributes}")
+    return params
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: paths checked, seed and tolerances pinned."""
-
-    subcommand: str
-    inputs: Tuple[Path, ...]
-    output: Optional[Path]
-    seed: int
-    tol: float
-    display_order: str
-
-    def __post_init__(self):
-        for path in self.inputs:
-            if not path.is_file():
-                raise FileNotFoundError(f"input file not found: {path}")
-
-
-def _build_config(args) -> RunConfig:
-    inputs = []
-    for name in _INPUT_ARGS[args.subcommand]:
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            inputs.append(Path(value))
-    return RunConfig(
-        subcommand=args.subcommand,
-        inputs=tuple(inputs),
-        output=Path(args.out) if getattr(args, "out", None) else None,
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        tol=getattr(args, "tol", 1e-7),
-        display_order=getattr(args, "display_order", "binary"),
-    )
-
-
-def _load_theta(args, q: QMatrix) -> ThetaMatrix:
-    if getattr(args, "theta", None):
+def _load_theta(args, q: Optional[QMatrix] = None) -> ThetaMatrix:
+    """Theta from --theta (checked against ``q`` when given), else from
+    --params on ``q``, or on the Q-matrix read from --q."""
+    if args.theta:
         theta = fileio.read_theta_json(args.theta)
-    elif getattr(args, "params", None):
-        params, n_attributes = fileio.read_item_params_json(args.params)
-        if n_attributes != q.n_attributes:
-            raise ValueError(
-                f"item parameters declare K={n_attributes}, Q-matrix has "
-                f"K={q.n_attributes}"
-            )
-        theta = theta_from_params(q, params)
-    else:
-        raise ValueError("provide --theta or --params")
-    if theta.n_items != q.n_items or theta.n_attributes != q.n_attributes:
-        raise ValueError("theta dimensions do not match the Q-matrix")
-    return theta
+        if q is not None and (theta.n_items != q.n_items
+                              or theta.n_attributes != q.n_attributes):
+            raise ValueError("theta dimensions do not match the Q-matrix")
+        return theta
+    if not args.params or (q is None and not args.q):
+        raise ValueError("provide --theta, or --q together with --params")
+    if q is None:
+        q = fileio.read_qmatrix_csv(args.q)
+    return theta_from_params(q, _read_params(args.params, q.n_attributes))
 
 
 def _parse_families(spec: str, n_items: int) -> Tuple[str, ...]:
@@ -113,21 +72,22 @@ def _parse_families(spec: str, n_items: int) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def _write_or_print(payload: dict, out: Optional[Path]) -> None:
-    text = json.dumps(payload, indent=2)
+def _write_or_print(text: str, out: Optional[str]) -> None:
     if out is not None:
-        out.write_text(text + "\n")
+        Path(out).write_text(text)
     else:
-        print(text)
+        print(text, end="")
 
 
-def _cmd_check(args, config: RunConfig) -> int:
+def _emit_json(payload: dict, out: Optional[str]) -> None:
+    _write_or_print(json.dumps(payload, indent=2) + "\n", out)
+
+
+def _cmd_check(args) -> int:
     q = fileio.read_qmatrix_csv(args.q)
-    theta = None
-    if args.theta or args.params:
-        theta = _load_theta(args, q)
+    theta = _load_theta(args, q) if args.theta or args.params else None
     report = verdict(q, theta)
-    _write_or_print(report.to_dict(), config.output)
+    _emit_json(report.to_dict(), args.out)
     if report.verdict is Verdict.IDENTIFIABLE:
         return EXIT_OK
     if report.verdict is Verdict.INCOMPLETE:
@@ -135,17 +95,17 @@ def _cmd_check(args, config: RunConfig) -> int:
     return EXIT_NOT_COVERED
 
 
-def _emit_pair(pair: NonIdentifiablePair, config: RunConfig) -> int:
+def _emit_pair(pair: NonIdentifiablePair, out: Optional[str]) -> int:
     # re-verify with the exhaustive oracle before anything is written
     gap = distributions_equal(pair.first, pair.second)
     doc = fileio.pair_to_dict(pair)
     doc["verified_gap"] = gap
-    _write_or_print(doc, config.output)
+    _emit_json(doc, out)
     print(f"verified distribution gap: {gap:.3e}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_counterexample(args, config: RunConfig) -> int:
+def _cmd_counterexample(args) -> int:
     if args.mode == "incomplete":
         if not args.q:
             raise ValueError("--mode incomplete requires --q")
@@ -155,7 +115,7 @@ def _cmd_counterexample(args, config: RunConfig) -> int:
             raise ValueError("--mode incomplete requires --p")
         p = fileio.read_proportion_json(args.p)
         pair = incomplete_counterexample(q, theta, p)
-        return _emit_pair(pair, config)
+        return _emit_pair(pair, args.out)
 
     if args.k is None or not args.params or args.anchors is None:
         raise ValueError("--mode c1-only requires --k, --params and --anchors")
@@ -163,24 +123,22 @@ def _cmd_counterexample(args, config: RunConfig) -> int:
         extra = fileio.read_qmatrix_csv(args.extra_q).entries
     else:
         extra = np.zeros((0, args.k - 1), dtype=np.int64)
-    params, n_attributes = fileio.read_item_params_json(args.params)
-    if n_attributes != args.k:
-        raise ValueError(f"item parameters declare K={n_attributes}, --k is {args.k}")
+    params = _read_params(args.params, args.k)
     if not all(isinstance(p, DinaParams) for p in params):
         raise ValueError("the c1-only construction needs DINA item parameters")
     anchors = tuple(float(a) for a in args.anchors.split(","))
     if len(anchors) != 2:
         raise ValueError("--anchors must hold two comma-separated reals")
     pair = c1_only_counterexample(args.k, extra, params, args.rho, anchors)
-    return _emit_pair(pair, config)
+    return _emit_pair(pair, args.out)
 
 
-def _cmd_verify_pair(args, config: RunConfig) -> int:
+def _cmd_verify_pair(args) -> int:
     # read_pair_json re-runs the enumeration oracle via build()
     pair = fileio.read_pair_json(args.pair)
     gap = distributions_equal(pair.first, pair.second)
-    _write_or_print({"max_distribution_gap": gap,
-                     "parameter_distance": pair.parameter_distance}, config.output)
+    _emit_json({"max_distribution_gap": gap,
+                "parameter_distance": pair.parameter_distance}, args.out)
     return EXIT_OK
 
 
@@ -190,20 +148,14 @@ def _display_perm(n_bits: int, order: str) -> np.ndarray:
     return np.arange(1 << n_bits)
 
 
-def _cmd_tmatrix(args, config: RunConfig) -> int:
-    q = fileio.read_qmatrix_csv(args.q) if args.q else None
-    if args.theta:
-        theta = fileio.read_theta_json(args.theta)
-    else:
-        if q is None:
-            raise ValueError("provide --theta, or --q together with --params")
-        theta = _load_theta(args, q)
+def _cmd_tmatrix(args) -> int:
+    theta = _load_theta(args)
     t = build_tmatrix(theta)
-    row_perm = _display_perm(theta.n_items, config.display_order)
-    col_perm = _display_perm(theta.n_attributes, config.display_order)
+    row_perm = _display_perm(theta.n_items, args.display_order)
+    col_perm = _display_perm(theta.n_attributes, args.display_order)
     lines = [
         "# marginal table; rows = response patterns, columns = attribute profiles",
-        f"# encoding: {fileio.CANONICAL_ORDER}; display order: {config.display_order}",
+        f"# encoding: {fileio.CANONICAL_ORDER}; display order: {args.display_order}",
         "# columns: " + ",".join(str(int(c)) for c in col_perm),
     ]
     for r in row_perm:
@@ -216,68 +168,55 @@ def _cmd_tmatrix(args, config: RunConfig) -> int:
         lines.append("# pattern,probability,dominance_probability")
         for r in row_perm:
             lines.append(f"{int(r)},{float(dist[r])!r},{float(dominance[r])!r}")
-    text = "\n".join(lines) + "\n"
-    if config.output is not None:
-        config.output.write_text(text)
-    else:
-        print(text, end="")
+    _write_or_print("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _cmd_simulate(args, config: RunConfig) -> int:
-    q = fileio.read_qmatrix_csv(args.q) if args.q else None
-    if args.theta:
-        theta = fileio.read_theta_json(args.theta)
-    else:
-        if q is None:
-            raise ValueError("provide --theta, or --q together with --params")
-        theta = _load_theta(args, q)
+def _cmd_simulate(args) -> int:
+    theta = _load_theta(args)
     p = fileio.read_proportion_json(args.p)
-    data = simulate(theta, p, args.n, config.seed)
-    if config.output is None:
+    data = simulate(theta, p, args.n, args.seed)
+    if args.out is None:
         raise ValueError("simulate requires --out")
-    fileio.write_response_csv(config.output, data)
+    fileio.write_response_csv(args.out, data)
     print(f"wrote {data.n_subjects} subjects x {data.n_items} items to "
-          f"{config.output}", file=sys.stderr)
+          f"{args.out}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_fit(args, config: RunConfig) -> int:
+def _cmd_fit(args) -> int:
     q = fileio.read_qmatrix_csv(args.q)
     data = fileio.read_response_csv(args.data)
     families = _parse_families(args.families, q.n_items)
-    em = EmConfig(max_iters=args.max_iters, tol=config.tol,
-                  restarts=args.restarts, seed=config.seed)
+    em = EmConfig(max_iters=args.max_iters, tol=args.tol,
+                  restarts=args.restarts, seed=args.seed)
     fit = em_fit(data, q, families, em)
-    if config.output is not None:
-        fileio.write_fit_json(config.output, fit, q.n_attributes)
+    if args.out is not None:
+        fileio.write_fit_json(args.out, fit, q.n_attributes)
     else:
-        fileio_doc = {
+        _emit_json({
             "item_params": [fileio._params_to_dict(p) for p in fit.item_params_hat],
             "p": fit.p_hat.probs.tolist(),
             "loglik": fit.loglik_trace[-1],
             "converged": fit.converged,
-        }
-        print(json.dumps(fileio_doc, indent=2))
+        }, None)
     print(f"loglik {fit.loglik_trace[-1]:.4f} after {len(fit.loglik_trace) - 1} "
           f"iterations, converged={fit.converged}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_experiment(args, config: RunConfig) -> int:
+def _cmd_experiment(args) -> int:
     q = fileio.read_qmatrix_csv(args.q)
-    params, n_attributes = fileio.read_item_params_json(args.params)
-    if n_attributes != q.n_attributes:
-        raise ValueError("item parameters and Q-matrix disagree on K")
+    params = _read_params(args.params, q.n_attributes)
     p = fileio.read_proportion_json(args.p)
     families = _parse_families(args.families, q.n_items)
     n_grid = [int(n) for n in args.n_grid.split(",")]
-    em = EmConfig(max_iters=args.max_iters, tol=config.tol,
-                  restarts=args.restarts, seed=config.seed)
+    em = EmConfig(max_iters=args.max_iters, tol=args.tol,
+                  restarts=args.restarts, seed=args.seed)
     table = consistency_experiment(q, families, params, p, n_grid,
-                                   args.replications, config.seed, em)
-    if config.output is not None:
-        fileio.write_experiment_json(config.output, table)
+                                   args.replications, args.seed, em)
+    if args.out is not None:
+        fileio.write_experiment_json(args.out, table)
     else:
         print(json.dumps(table.to_dict(), indent=2))
     for n, err in table.medians().items():
@@ -285,15 +224,15 @@ def _cmd_experiment(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_transform(args, config: RunConfig) -> int:
-    rng = np.random.default_rng(config.seed)
+def _cmd_verify_transform(args) -> int:
+    rng = np.random.default_rng(args.seed)
     theta = ThetaMatrix(rng.uniform(size=(args.j, 1 << args.k)))
     shift = rng.uniform(-1.0, 1.0, size=args.j)
     transform = build_transform(shift)
     lhs = transform.values @ build_tmatrix(theta).values
     rhs = build_tmatrix(apply_shift(theta, shift)).values
     residual = float(np.abs(lhs - rhs).max())
-    print(json.dumps({"J": args.j, "K": args.k, "seed": config.seed,
+    print(json.dumps({"J": args.j, "K": args.k, "seed": args.seed,
                       "max_abs_residual": residual}))
     return EXIT_OK if residual <= 1e-12 else EXIT_INPUT_ERROR
 
@@ -416,8 +355,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        config = _build_config(args)
-        return _HANDLERS[args.subcommand](args, config)
+        return _HANDLERS[args.subcommand](args)
     except (ValueError, FileNotFoundError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

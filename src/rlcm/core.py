@@ -84,6 +84,25 @@ def bit_matrix(codes, length: int) -> NDArray[np.int8]:
     return ((codes[:, None] >> np.arange(length)) & 1).astype(np.int8)
 
 
+def zeta_transform(values, superset: bool = False,
+                   inverse: bool = False) -> NDArray[np.float64]:
+    """Entry m: sum of ``values`` over the masks inside m (containing m when
+    ``superset`` is set), or with ``inverse`` the Moebius inversion of that.
+
+    One in-place butterfly pass per bit on a copy of the input.
+    """
+    out = np.array(values, dtype=np.float64)
+    n_bits = int(out.size).bit_length() - 1
+    if out.size != 1 << n_bits:
+        raise DimensionError(f"length {out.size} is not a power of two")
+    src, dst = (1, 0) if superset else (0, 1)
+    combine = np.subtract if inverse else np.add
+    for i in range(n_bits):
+        grid = out.reshape(-1, 2, 1 << i)
+        combine(grid[:, dst, :], grid[:, src, :], out=grid[:, dst, :])
+    return out
+
+
 def weight_graded_order(length: int) -> NDArray[np.int64]:
     """Display permutation: encodings ordered by popcount, then by index set.
 

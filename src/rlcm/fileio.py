@@ -9,6 +9,8 @@ indices appearing in JSON are 0-based.
 from __future__ import annotations
 
 import json
+import math
+from functools import partial
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -17,14 +19,7 @@ import numpy as np
 from .core import ProportionVector, QMatrix, ThetaMatrix
 from .identifiability import NonIdentifiablePair
 from .inference import ExperimentTable, FitResult, ResponseData
-from .models import (
-    DinaParams,
-    DinoParams,
-    GdinaParams,
-    ItemParams,
-    LlmParams,
-    RrumParams,
-)
+from .models import FAMILY, ItemParams
 
 CANONICAL_ORDER = "binary-counter, bit0=attr1"
 
@@ -46,26 +41,26 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _expect_format(doc: dict, path, expected: str) -> None:
-    found = doc.get("format")
-    if found != expected:
-        raise FileFormatError(
-            f"{path}: expected format {expected!r}, found {found!r}"
-        )
+def _expect(doc: dict, path, key: str, expected: str) -> None:
+    if doc.get(key) != expected:
+        raise FileFormatError(f"{path}: expected {key} {expected!r}, found {doc.get(key)!r}")
 
 
-def _expect_order(doc: dict, path, key: str) -> None:
-    if doc.get(key) != CANONICAL_ORDER:
-        raise FileFormatError(
-            f"{path}: {key} must declare {CANONICAL_ORDER!r}, found {doc.get(key)!r}"
-        )
+def _field(doc, key: str, convert, where):
+    """``convert(doc[key])``; a missing or ill-typed field is a FileFormatError."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise FileFormatError(f"{where}: missing field {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise FileFormatError(f"{where}: field {key!r}: {exc}") from exc
 
 
-def read_qmatrix_csv(path) -> QMatrix:
-    """Parse a Q-matrix: one line per item, comma-separated 0/1 entries.
+_floats = partial(np.asarray, dtype=np.float64)
 
-    Lines starting with '#' are comments.
-    """
+
+def _read_bits_csv(path, what: str) -> np.ndarray:
+    """Comma-separated 0/1 rows, one per line; '#' lines are comments."""
     rows: List[List[int]] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -87,21 +82,33 @@ def read_qmatrix_csv(path) -> QMatrix:
             )
         rows.append(row)
     if not rows:
-        raise FileFormatError(f"{path}: no Q-matrix rows found")
-    return QMatrix(np.array(rows))
+        raise FileFormatError(f"{path}: no {what} rows found")
+    return np.array(rows, dtype=np.int8)
+
+
+def _write_bits_csv(path, header: str, matrix) -> None:
+    lines = ["# " + header] + [",".join(map(str, row)) for row in matrix.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_qmatrix_csv(path) -> QMatrix:
+    """Parse a Q-matrix: one line per item, comma-separated 0/1 entries.
+
+    Lines starting with '#' are comments.
+    """
+    return QMatrix(_read_bits_csv(path, "Q-matrix"))
 
 
 def write_qmatrix_csv(path, q: QMatrix) -> None:
-    lines = ["# Q-matrix: one line per item, columns are attributes 1..K"]
-    lines += [",".join(str(int(v)) for v in row) for row in q.entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_bits_csv(path, "Q-matrix: one line per item, columns are attributes 1..K",
+                    q.entries)
 
 
 def read_theta_json(path) -> ThetaMatrix:
     doc = _load_json(path)
-    _expect_format(doc, path, "theta-matrix")
-    _expect_order(doc, path, "column_order")
-    values = np.asarray(doc["values"], dtype=np.float64)
+    _expect(doc, path, "format", "theta-matrix")
+    _expect(doc, path, "column_order", CANONICAL_ORDER)
+    values = _field(doc, "values", _floats, path)
     theta = ThetaMatrix(values, is_probability=bool(doc.get("is_probability", True)))
     if theta.n_items != doc.get("J") or theta.n_attributes != doc.get("K"):
         raise FileFormatError(
@@ -125,9 +132,9 @@ def write_theta_json(path, theta: ThetaMatrix) -> None:
 
 def read_proportion_json(path) -> ProportionVector:
     doc = _load_json(path)
-    _expect_format(doc, path, "proportion-vector")
-    _expect_order(doc, path, "order")
-    probs = np.asarray(doc["probs"], dtype=np.float64)
+    _expect(doc, path, "format", "proportion-vector")
+    _expect(doc, path, "order", CANONICAL_ORDER)
+    probs = _field(doc, "probs", _floats, path)
     p = ProportionVector(probs)
     if p.n_attributes != doc.get("K"):
         raise FileFormatError(
@@ -147,54 +154,22 @@ def write_proportion_json(path, p: ProportionVector) -> None:
 
 
 def _params_to_dict(params: ItemParams) -> dict:
-    if isinstance(params, (DinaParams, DinoParams)):
-        return {"family": params.family, "s": params.s, "g": params.g}
-    if isinstance(params, GdinaParams):
-        beta = {
-            ",".join(str(a) for a in sorted(key)): value
-            for key, value in params.beta.items()
-        }
-        return {"family": "GDINA", "beta": beta}
-    if isinstance(params, LlmParams):
-        return {"family": "LLM", "beta0": params.beta0, "beta": list(params.beta)}
-    if isinstance(params, RrumParams):
-        return {"family": "RRUM", "pi": params.pi, "r": list(params.r)}
-    raise TypeError(f"unknown parameter type {type(params).__name__}")
+    return FAMILY[params.family].to_dict(params)
 
 
-def _params_from_dict(item: dict, index: int, path) -> ItemParams:
-    family = item.get("family")
-    try:
-        if family == "DINA":
-            return DinaParams(s=float(item["s"]), g=float(item["g"]))
-        if family == "DINO":
-            return DinoParams(s=float(item["s"]), g=float(item["g"]))
-        if family == "GDINA":
-            beta = {}
-            for key, value in item["beta"].items():
-                subset = frozenset(int(a) for a in key.split(",") if a != "")
-                beta[subset] = float(value)
-            return GdinaParams(beta)
-        if family == "LLM":
-            return LlmParams(beta0=float(item["beta0"]),
-                             beta=tuple(float(b) for b in item["beta"]))
-        if family == "RRUM":
-            return RrumParams(pi=float(item["pi"]),
-                              r=tuple(float(v) for v in item["r"]))
-    except KeyError as exc:
-        raise FileFormatError(
-            f"{path}: item {index}: missing field {exc.args[0]!r} for family {family}"
-        ) from exc
-    raise FileFormatError(
-        f"{path}: item {index}: unknown family {family!r}"
-    )
+def _params_from_dict(item, index: int, path) -> ItemParams:
+    where = f"{path}: item {index}"
+    family = _field(item, "family", str, where)
+    if family not in FAMILY:
+        raise FileFormatError(f"{where}: unknown family {family!r}")
+    return FAMILY[family].from_dict(lambda key, convert: _field(item, key, convert, where))
 
 
 def read_item_params_json(path) -> Tuple[List[ItemParams], int]:
     """Read per-item parameters; returns (params, K)."""
     doc = _load_json(path)
-    _expect_format(doc, path, "item-params")
-    n_attributes = int(doc["K"])
+    _expect(doc, path, "format", "item-params")
+    n_attributes = _field(doc, "K", int, path)
     items = doc.get("items")
     if not isinstance(items, list) or not items:
         raise FileFormatError(f"{path}: 'items' must be a non-empty list")
@@ -212,35 +187,12 @@ def write_item_params_json(path, params: Sequence[ItemParams], n_attributes: int
 
 def read_response_csv(path) -> ResponseData:
     """Parse response data: one line per subject, comma-separated 0/1."""
-    rows: List[List[int]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        row = []
-        for col, cell in enumerate(cells, start=1):
-            if cell not in ("0", "1"):
-                raise FileFormatError(
-                    f"{path}: line {lineno}, column {col}: expected 0 or 1, "
-                    f"got {cell!r}"
-                )
-            row.append(int(cell))
-        if rows and len(row) != len(rows[0]):
-            raise FileFormatError(
-                f"{path}: line {lineno}: expected {len(rows[0])} columns, "
-                f"got {len(row)}"
-            )
-        rows.append(row)
-    if not rows:
-        raise FileFormatError(f"{path}: no response rows found")
-    return ResponseData.from_matrix(np.array(rows))
+    return ResponseData.from_matrix(_read_bits_csv(path, "response"))
 
 
 def write_response_csv(path, data: ResponseData) -> None:
-    lines = ["# responses: one line per subject, columns are items 1..J"]
-    lines += [",".join(str(int(v)) for v in row) for row in data.to_matrix()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_bits_csv(path, "responses: one line per subject, columns are items 1..J",
+                    data.to_matrix())
 
 
 def pair_to_dict(pair: NonIdentifiablePair) -> dict:
@@ -264,13 +216,13 @@ def write_pair_json(path, pair: NonIdentifiablePair) -> None:
 
 def read_pair_json(path) -> NonIdentifiablePair:
     doc = _load_json(path)
-    _expect_format(doc, path, "nonidentifiable-pair")
-    _expect_order(doc, path, "order")
+    _expect(doc, path, "format", "nonidentifiable-pair")
+    _expect(doc, path, "order", CANONICAL_ORDER)
 
     def member(key: str):
-        part = doc[key]
-        return (ThetaMatrix(np.asarray(part["theta"], dtype=np.float64)),
-                ProportionVector(np.asarray(part["p"], dtype=np.float64)))
+        part, where = doc.get(key), f"{path}: {key}"
+        return (ThetaMatrix(_field(part, "theta", _floats, where)),
+                ProportionVector(_field(part, "p", _floats, where)))
 
     # build() re-verifies the invariants instead of trusting stored numbers
     return NonIdentifiablePair.build(member("first"), member("second"))
@@ -286,7 +238,8 @@ def write_fit_json(path, fit: FitResult, n_attributes: int) -> None:
         "loglik_trace": list(fit.loglik_trace),
         "converged": fit.converged,
         "restarts_used": fit.restarts_used,
-        "restart_logliks": list(fit.restart_logliks),
+        # a failed restart is NaN, which strict JSON cannot hold
+        "restart_logliks": [None if math.isnan(v) else v for v in fit.restart_logliks],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 

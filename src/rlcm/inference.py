@@ -24,23 +24,12 @@ from .core import (
     QMatrix,
     ThetaMatrix,
     bit_matrix,
-    enumerate_profiles,
     _freeze,
 )
 from .identifiability import Verdict, verdict
-from .models import (
-    FAMILIES,
-    DinaParams,
-    DinoParams,
-    GdinaParams,
-    ItemParams,
-    LlmParams,
-    RrumParams,
-    theta_from_params,
-)
+from .models import FAMILIES, FAMILY, THETA_CLAMP, ItemDesign, ItemParams, theta_from_params
 from .tmatrix import superset_sums
 
-THETA_CLAMP = 1e-12   # keeps logs finite during fitting
 P_FLOOR = 1e-10       # keeps every latent class alive
 TRACE_TOL = 1e-8      # trace may decrease by at most this per step
 
@@ -144,9 +133,9 @@ def loglik(data: ResponseData, theta: ThetaMatrix, p: ProportionVector) -> float
 class EmConfig:
     """Knobs for one fitting run.
 
-    ``init_params``/``init_p`` replace the first restart's random
-    initialization when given, which is how a fit is deliberately seeded
-    at a known parameter point.
+    ``init_params`` and ``init_p`` each replace the first restart's random
+    item parameters or class proportions when given, which is how a fit
+    is deliberately seeded at a known parameter point.
     """
 
     max_iters: int = 2000
@@ -167,6 +156,9 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Best restart of a fit; ``restarts_used`` counts the restarts that
+    finished, and a failed one is NaN in ``restart_logliks``."""
+
     theta_hat: ThetaMatrix
     p_hat: ProportionVector
     item_params_hat: Tuple[ItemParams, ...]
@@ -182,276 +174,11 @@ class FitResult:
             raise EmError(f"log-likelihood trace decreased by {-worst:.3g}")
 
 
-class _ItemDesign:
-    """Per-item structure shared by all M-steps: capability masks and
-    the grouping of profiles by their required-attribute sub-pattern."""
-
-    def __init__(self, q: QMatrix, item: int):
-        profiles = enumerate_profiles(q.n_attributes)
-        code = int(q.row_codes[item])
-        self.required = [int(k) for k in np.flatnonzero(q.entries[item])]
-        self.capable = (profiles & code) == code
-        self.touched = (profiles & code) != 0
-        m = len(self.required)
-        self.n_groups = 1 << m
-        group_ids = np.zeros(profiles.size, dtype=np.int64)
-        for i, attr in enumerate(self.required):
-            group_ids |= ((profiles >> attr) & 1) << i
-        self.group_ids = group_ids
-        gbits = bit_matrix(np.arange(self.n_groups), m).astype(np.float64)
-        self.logit_design = np.hstack([np.ones((self.n_groups, 1)), gbits])
-        self.loglink_design = np.hstack([np.ones((self.n_groups, 1)), 1.0 - gbits])
-
-    def group_sums(self, pos: NDArray, tot: NDArray):
-        gpos = np.bincount(self.group_ids, weights=pos, minlength=self.n_groups)
-        gtot = np.bincount(self.group_ids, weights=tot, minlength=self.n_groups)
-        return gpos, gtot
-
-
-def _two_rate_update(pos: NDArray, tot: NDArray, mask: NDArray,
-                     current: Tuple[float, float]) -> Tuple[float, float]:
-    """Weighted rates for the two capability groups, high kept above low.
-
-    With the masks fixed this is plain counting; if the unconstrained
-    rates invert, both groups collapse to the pooled rate, the boundary
-    of the constrained region.
-    """
-    high, low = current
-    pos1, tot1 = float(pos[mask].sum()), float(tot[mask].sum())
-    pos0, tot0 = float(pos[~mask].sum()), float(tot[~mask].sum())
-    if tot1 > 0:
-        high = pos1 / tot1
-    if tot0 > 0:
-        low = pos0 / tot0
-    if high <= low:
-        pooled = (pos1 + pos0) / (tot1 + tot0)
-        high = low = pooled
-    return high, low
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    ex = np.exp(x[~positive])
-    out[~positive] = ex / (1.0 + ex)
-    return out
-
-
-def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
-    """Maximize by Newton steps, halving until the objective improves.
-
-    Only improving candidates are accepted, so the caller's objective
-    never decreases; at most ``max_steps`` candidate evaluations run.
-    """
-    current = value(coef)
-    used = 0
-    while used < max_steps:
-        grad, neghess = grad_neghess(coef)
-        try:
-            step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        accepted = False
-        while used < max_steps:
-            used += 1
-            candidate = coef + scale * step
-            if project is not None:
-                candidate = project(candidate)
-            val = value(candidate)
-            if np.isfinite(val) and val > current + 1e-12:
-                coef, current = candidate, val
-                accepted = True
-                break
-            scale *= 0.5
-            if scale < 1e-8:
-                break
-        if not accepted:
-            break
-    return coef
-
-
-def _logit_fit(gpos, gtot, design, coef):
-    def value(c):
-        mu = np.clip(_sigmoid(design @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
-        return float(gpos @ np.log(mu) + (gtot - gpos) @ np.log1p(-mu))
-
-    def grad_neghess(c):
-        mu = _sigmoid(design @ c)
-        grad = design.T @ (gpos - gtot * mu)
-        weight = gtot * mu * (1.0 - mu)
-        return grad, (design.T * weight) @ design
-
-    return _damped_newton(value, grad_neghess, coef)
-
-
-def _loglink_fit(gpos, gtot, design, coef):
-    # coef holds logs: intercept = log(baseline prob), slopes = log(penalties)
-    bound = np.full(coef.size, -1e-9)
-    bound[0] = 0.0
-
-    def project(c):
-        return np.minimum(c, bound)
-
-    def value(c):
-        mu = np.clip(np.exp(design @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
-        return float(gpos @ np.log(mu) + (gtot - gpos) @ np.log1p(-mu))
-
-    def grad_neghess(c):
-        mu = np.clip(np.exp(design @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
-        ratio = mu / (1.0 - mu)
-        grad = design.T @ (gpos - (gtot - gpos) * ratio)
-        weight = (gtot - gpos) * ratio / (1.0 - mu)
-        return grad, (design.T * weight) @ design
-
-    return _damped_newton(value, grad_neghess, project(coef), project=project)
-
-
-class _ItemState:
-    """Current family-specific parameters of one item during fitting."""
-
-    def __init__(self, family: str, design: _ItemDesign, values):
-        self.family = family
-        self.design = design
-        self.values = values  # family-specific: rates, means or coefficients
-
-    def theta_row(self) -> NDArray[np.float64]:
-        d = self.design
-        if self.family == "DINA":
-            high, low = self.values
-            return np.where(d.capable, high, low)
-        if self.family == "DINO":
-            high, low = self.values
-            return np.where(d.touched, high, low)
-        if self.family == "GDINA":
-            return self.values[d.group_ids]
-        if self.family == "LLM":
-            return _sigmoid(d.logit_design @ self.values)[d.group_ids]
-        # RRUM
-        return np.exp(d.loglink_design @ self.values)[d.group_ids]
-
-    def update(self, pos: NDArray, tot: NDArray) -> None:
-        d = self.design
-        if self.family == "DINA":
-            self.values = _two_rate_update(pos, tot, d.capable, self.values)
-            return
-        if self.family == "DINO":
-            self.values = _two_rate_update(pos, tot, d.touched, self.values)
-            return
-        gpos, gtot = d.group_sums(pos, tot)
-        if self.family == "GDINA":
-            means = self.values.copy()
-            nonzero = gtot > 0
-            means[nonzero] = gpos[nonzero] / gtot[nonzero]
-            self.values = means
-        elif self.family == "LLM":
-            self.values = _logit_fit(gpos, gtot, d.logit_design, self.values)
-        else:
-            self.values = _loglink_fit(gpos, gtot, d.loglink_design, self.values)
-
-    def package(self, n_attributes: int) -> ItemParams:
-        d = self.design
-        if self.family in ("DINA", "DINO"):
-            high, low = self.values
-            if high - low < 1e-9:
-                mid = (high + low) / 2.0
-                high, low = mid + 5e-10, mid - 5e-10
-            high = min(max(high, 2e-12), 1.0 - 1e-12)
-            low = min(max(low, 1e-12), high - 1e-12)
-            cls = DinaParams if self.family == "DINA" else DinoParams
-            return cls(s=1.0 - high, g=low)
-        if self.family == "GDINA":
-            coeffs = np.clip(self.values, 0.0, 1.0).copy()
-            for i in range(len(d.required)):
-                grid = coeffs.reshape(-1, 2, 1 << i)
-                grid[:, 1, :] -= grid[:, 0, :]
-            beta = {}
-            for mask in range(d.n_groups):
-                subset = frozenset(d.required[i] for i in range(len(d.required))
-                                   if mask >> i & 1)
-                beta[subset] = float(coeffs[mask])
-            return GdinaParams(beta)
-        if self.family == "LLM":
-            slopes = np.zeros(n_attributes)
-            slopes[d.required] = self.values[1:]
-            return LlmParams(beta0=float(self.values[0]), beta=tuple(slopes))
-        penalties = np.full(n_attributes, 0.5)
-        penalties[d.required] = np.exp(self.values[1:])
-        return RrumParams(pi=float(np.exp(self.values[0])), r=tuple(penalties))
-
-
-def _initial_state(q: QMatrix, families: Sequence[str], designs, rng,
-                   init_params=None) -> list:
-    states = []
-    for j, family in enumerate(families):
-        d = designs[j]
-        if init_params is not None:
-            states.append(_state_from_params(family, d, init_params[j], q))
-            continue
-        if family in ("DINA", "DINO"):
-            s, g = rng.uniform(0.05, 0.3, size=2)
-            states.append(_ItemState(family, d, (1.0 - s, g)))
-        elif family == "GDINA":
-            lo, hi = rng.uniform(0.05, 0.3), rng.uniform(0.7, 0.95)
-            size = np.array([bin(m).count("1") for m in range(d.n_groups)])
-            frac = size / max(len(d.required), 1)
-            means = lo + (hi - lo) * frac + rng.uniform(-0.02, 0.02, d.n_groups)
-            states.append(_ItemState(family, d, np.clip(means, 0.01, 0.99)))
-        elif family == "LLM":
-            coef = np.concatenate([
-                rng.uniform(-0.35, 0.35, 1),
-                rng.uniform(0.05, 0.5, len(d.required)),
-            ])
-            states.append(_ItemState(family, d, coef))
-        elif family == "RRUM":
-            coef = np.concatenate([
-                np.log(rng.uniform(0.75, 0.95, 1)),
-                np.log(rng.uniform(0.55, 0.9, len(d.required))),
-            ])
-            states.append(_ItemState(family, d, coef))
-        else:
-            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return states
-
-
-def _state_from_params(family: str, design: _ItemDesign, params: ItemParams,
-                       q: QMatrix) -> _ItemState:
-    if family in ("DINA", "DINO"):
-        if not isinstance(params, (DinaParams, DinoParams)):
-            raise ValueError(f"initialization for a {family} item must carry s and g")
-        return _ItemState(family, design, (1.0 - params.s, params.g))
-    if family == "GDINA":
-        if not isinstance(params, GdinaParams):
-            raise ValueError("initialization for a GDINA item must carry beta")
-        sums = params.partial_sums()
-        pos = {a: i for i, a in enumerate(sorted(params.attributes))}
-        means = np.empty(design.n_groups)
-        for mask in range(design.n_groups):
-            compact = sum(
-                1 << pos[attr]
-                for i, attr in enumerate(design.required)
-                if mask >> i & 1 and attr in pos
-            )
-            means[mask] = sums[compact]
-        return _ItemState(family, design, means)
-    if family == "LLM":
-        if not isinstance(params, LlmParams):
-            raise ValueError("initialization for an LLM item must carry beta0/beta")
-        coef = np.concatenate([[params.beta0],
-                               np.asarray(params.beta)[design.required]])
-        return _ItemState(family, design, coef)
-    if not isinstance(params, RrumParams):
-        raise ValueError("initialization for an RRUM item must carry pi/r")
-    coef = np.concatenate([[np.log(params.pi)],
-                           np.log(np.asarray(params.r)[design.required])])
-    return _ItemState("RRUM", design, np.minimum(coef, 0.0))
-
-
-def _run_em(counts, bits, states, p, n_subjects, max_iters, tol):
+def _run_em(counts, bits, items, coefs, p, n_subjects, max_iters, tol):
+    """EM from one start; ``items`` pairs each item's family with its design."""
     trace = []
     converged = False
-    theta_vals = np.vstack([s.theta_row() for s in states])
+    theta_vals = np.vstack([fam.row(d, c) for (fam, d), c in zip(items, coefs)])
     for iteration in range(max_iters + 1):
         like = _likelihood_matrix(bits, theta_vals)
         mixture = like @ p
@@ -469,10 +196,10 @@ def _run_em(counts, bits, states, p, n_subjects, max_iters, tol):
         tot = weights.sum(axis=0)        # expected class sizes
         p = np.maximum(tot / n_subjects, P_FLOOR)
         p = p / p.sum()
-        for j, state in enumerate(states):
-            state.update(pos[:, j], tot)
-        theta_vals = np.vstack([s.theta_row() for s in states])
-    return trace, converged, states, p
+        coefs = [fam.update(design, c, pos[:, j], tot)
+                 for j, ((fam, design), c) in enumerate(zip(items, coefs))]
+        theta_vals = np.vstack([fam.row(d, c) for (fam, d), c in zip(items, coefs)])
+    return trace, converged, coefs, p
 
 
 def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
@@ -507,29 +234,34 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
     for fam in families:
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}; expected one of {FAMILIES}")
-    if config.init_params is not None and len(config.init_params) != q.n_items:
-        raise DimensionError("explicit initialization has the wrong item count")
+    if config.init_params is not None:
+        if len(config.init_params) != q.n_items:
+            raise DimensionError("explicit initialization has the wrong item count")
+        for j, (params, fam) in enumerate(zip(config.init_params, families)):
+            if getattr(params, "family", None) != fam:
+                raise ValueError(f"item {j} initialization is not a {fam} parameter set")
 
     counts, bits = _pattern_stats(data)
-    designs = [_ItemDesign(q, j) for j in range(q.n_items)]
-    n_classes = 1 << q.n_attributes
-
+    items = [(FAMILY[fam], ItemDesign(q.entries[j])) for j, fam in enumerate(families)]
     best = None
     failures = []
     restart_logliks = []
     for index, seed_seq in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
         rng = np.random.default_rng(seed_seq)
-        explicit = config.init_params if index == 0 else None
-        if explicit is not None and config.init_p is not None:
+        if index == 0 and config.init_p is not None:
             p0 = config.init_p.probs.copy()
         else:
-            p0 = rng.dirichlet(np.full(n_classes, 10.0))
+            p0 = rng.dirichlet(np.full(1 << q.n_attributes, 10.0))
             p0 = np.maximum(p0, P_FLOOR)
             p0 = p0 / p0.sum()
+        if index == 0 and config.init_params is not None:
+            coefs = [fam.coef(params, design, j) for j, ((fam, design), params)
+                     in enumerate(zip(items, config.init_params))]
+        else:
+            coefs = [fam.init(design, rng) for fam, design in items]
         try:
-            states = _initial_state(q, families, designs, rng, explicit)
-            trace, converged, states, p_fit = _run_em(
-                counts, bits, states, p0, data.n_subjects,
+            trace, converged, coefs, p_fit = _run_em(
+                counts, bits, items, coefs, p0, data.n_subjects,
                 config.max_iters, config.tol)
         except EmError as exc:
             failures.append(f"restart {index}: {exc}")
@@ -537,19 +269,19 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
             continue
         restart_logliks.append(trace[-1])
         if best is None or trace[-1] > best[0][-1]:
-            best = (trace, converged, states, p_fit)
+            best = (trace, converged, coefs, p_fit)
     if best is None:
         raise EmError("all restarts failed: " + "; ".join(failures))
 
-    trace, converged, states, p_fit = best
-    params = tuple(state.package(q.n_attributes) for state in states)
+    trace, converged, coefs, p_fit = best
+    params = tuple(fam.params(design, c) for (fam, design), c in zip(items, coefs))
     return FitResult(
         theta_hat=theta_from_params(q, list(params)),
         p_hat=ProportionVector(p_fit),
         item_params_hat=params,
         loglik_trace=tuple(trace),
         converged=converged,
-        restarts_used=config.restarts,
+        restarts_used=config.restarts - len(failures),
         restart_logliks=tuple(restart_logliks),
     )
 

@@ -5,13 +5,20 @@ RUM (log link) parameters; families may be mixed within a test.  The only
 structure the downstream theory needs from a parameterization is the
 monotonicity of the resulting response-probability table, which
 ``check_monotonicity`` verifies numerically.
+
+Under the Q-restriction an item's response probability depends on a
+profile only through its sub-pattern on the required attributes
+(``ItemDesign``), so the families differ only in how a coefficient vector
+maps onto those groups.  Each family is one class in ``FAMILY``: params
+<-> coefficients, theta row, EM M-step and random start, and JSON form.
+A new family is its parameter dataclass, one such class and one entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,11 +29,13 @@ from .core import (
     ThetaMatrix,
     bit_matrix,
     bits_to_int,
-    dominates,
     enumerate_profiles,
+    profile_geq,
+    zeta_transform,
 )
 
 EQ_TOL = 1e-10  # equality within this, strictness means margin beyond it
+THETA_CLAMP = 1e-12   # keeps logs finite during fitting
 
 
 class InvalidParameterError(ValueError):
@@ -107,16 +116,7 @@ class GdinaParams:
         contained in the subset encoded by bit mask m (bits follow the
         sorted order of ``self.attributes``).
         """
-        attrs = sorted(self.attributes)
-        pos = {a: i for i, a in enumerate(attrs)}
-        sums = np.zeros(1 << len(attrs))
-        for key, value in self.beta.items():
-            sums[sum(1 << pos[a] for a in key)] += value
-        # subset-sum (zeta) transform over the compact attribute mask
-        for i in range(len(attrs)):
-            grid = sums.reshape(-1, 2, 1 << i)
-            grid[:, 1, :] += grid[:, 0, :]
-        return sums
+        return _subset_sums(self.beta, sorted(self.attributes))
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,10 @@ class RrumParams:
 
 ItemParams = Union[DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams]
 
-FAMILIES = ("DINA", "DINO", "GDINA", "LLM", "RRUM")
-
 
 def ideal_response_dina(q_row, alpha) -> int:
     """1 iff the profile possesses every attribute the item requires."""
-    return int(profile_dominates(alpha, q_row))
+    return int(profile_geq(alpha, q_row))
 
 
 def ideal_response_dino(q_row, alpha) -> int:
@@ -182,12 +180,7 @@ def ideal_response_dino(q_row, alpha) -> int:
     return int((bits_to_int(alpha.tolist()) & bits_to_int(q_row.tolist())) != 0)
 
 
-def profile_dominates(alpha, q_row) -> bool:
-    q_row = np.asarray(q_row)
-    alpha = np.asarray(alpha)
-    if q_row.shape != alpha.shape:
-        raise DimensionError(f"length mismatch: {alpha.shape} vs {q_row.shape}")
-    return dominates(bits_to_int(alpha.tolist()), bits_to_int(q_row.tolist()))
+profile_dominates = profile_geq  # same check with (alpha, q_row) arguments
 
 
 def _sigmoid(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -199,51 +192,310 @@ def _sigmoid(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
-def _theta_row(q_code: int, q_bits: NDArray, params: ItemParams, item: int,
-               profiles: NDArray, alpha_bits: NDArray) -> NDArray[np.float64]:
-    if isinstance(params, DinaParams):
-        capable = (profiles & q_code) == q_code
-        return np.where(capable, 1.0 - params.s, params.g)
-    if isinstance(params, DinoParams):
-        touched = (profiles & q_code) != 0
-        return np.where(touched, 1.0 - params.s, params.g)
-    if isinstance(params, GdinaParams):
-        required = [int(k) for k in np.flatnonzero(q_bits)]
-        if not params.attributes <= set(required):
-            extra = sorted(params.attributes - set(required))
+def _subset_sums(beta: Mapping[frozenset, float], attrs) -> NDArray[np.float64]:
+    """Entry m: sum of beta over stored subsets inside the subset that bit
+    mask m encodes, bit i standing for ``attrs[i]``."""
+    pos = {a: i for i, a in enumerate(attrs)}
+    sums = np.zeros(1 << len(attrs))
+    for key, value in beta.items():
+        sums[sum(1 << pos[a] for a in key)] += value
+    return zeta_transform(sums)
+
+
+class ItemDesign:
+    """The 2**K profiles of one item in 2**|q_j| groups: profile a is in group
+    m when the item's required attributes, in increasing order, read as bit
+    mask m in a.  Built from the item's Q-matrix row alone."""
+
+    def __init__(self, q_row):
+        q_row = np.asarray(q_row)
+        self.n_attributes = q_row.size
+        self.required = [int(k) for k in np.flatnonzero(q_row)]
+        m = len(self.required)
+        self.n_groups = 1 << m
+        profiles = enumerate_profiles(self.n_attributes)
+        group_ids = np.zeros(profiles.size, dtype=np.int64)
+        for i, attr in enumerate(self.required):
+            group_ids |= ((profiles >> attr) & 1) << i
+        self.group_ids = group_ids
+        self.capable = group_ids == self.n_groups - 1
+        self.touched = group_ids != 0
+        gbits = bit_matrix(np.arange(self.n_groups), m).astype(np.float64)
+        self.logit_design = np.hstack([np.ones((self.n_groups, 1)), gbits])
+        self.loglink_design = np.hstack([np.ones((self.n_groups, 1)), 1.0 - gbits])
+
+    def group_sums(self, pos: NDArray, tot: NDArray):
+        gpos = np.bincount(self.group_ids, weights=pos, minlength=self.n_groups)
+        gtot = np.bincount(self.group_ids, weights=tot, minlength=self.n_groups)
+        return gpos, gtot
+
+
+def _two_rate_update(pos: NDArray, tot: NDArray, mask: NDArray,
+                     current: Tuple[float, float]) -> Tuple[float, float]:
+    """Weighted rates for the two capability groups, high kept above low.
+
+    With the masks fixed this is plain counting; if the unconstrained
+    rates invert, both groups collapse to the pooled rate, the boundary
+    of the constrained region.
+    """
+    high, low = current
+    pos1, tot1 = float(pos[mask].sum()), float(tot[mask].sum())
+    pos0, tot0 = float(pos[~mask].sum()), float(tot[~mask].sum())
+    if tot1 > 0:
+        high = pos1 / tot1
+    if tot0 > 0:
+        low = pos0 / tot0
+    if high <= low:
+        pooled = (pos1 + pos0) / (tot1 + tot0)
+        high = low = pooled
+    return high, low
+
+
+def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
+    """Maximize by Newton steps, halving until the objective improves.
+
+    Only improving candidates are accepted, so the caller's objective
+    never decreases; at most ``max_steps`` candidate evaluations run.
+    """
+    current = value(coef)
+    used = 0
+    while used < max_steps:
+        grad, neghess = grad_neghess(coef)
+        try:
+            step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
+        except np.linalg.LinAlgError:
+            break
+        scale = 1.0
+        accepted = False
+        while used < max_steps:
+            used += 1
+            candidate = coef + scale * step
+            if project is not None:
+                candidate = project(candidate)
+            val = value(candidate)
+            if np.isfinite(val) and val > current + 1e-12:
+                coef, current = candidate, val
+                accepted = True
+                break
+            scale *= 0.5
+            if scale < 1e-8:
+                break
+        if not accepted:
+            break
+    return coef
+
+
+def _float_tuple(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+class TwoRateFamily:
+    """DINA and DINO: rate 1 - s on the ``mask`` profiles, g off them; the mask
+    is ``capable`` (every required attribute) for DINA and ``touched`` (at
+    least one) for DINO.  Coefficients: (1 - s, g)."""
+
+    def __init__(self, params_type, mask: str):
+        self.name = params_type.family
+        self.params_type = params_type
+        self.mask = mask
+
+    def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
+        return np.array([1.0 - params.s, params.g])
+
+    def row(self, design: ItemDesign, coef) -> NDArray[np.float64]:
+        return np.where(getattr(design, self.mask), coef[0], coef[1])
+
+    def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
+        return np.array(_two_rate_update(pos, tot, getattr(design, self.mask), coef))
+
+    def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
+        s, g = rng.uniform(0.05, 0.3, size=2)
+        return np.array([1.0 - s, g])
+
+    def params(self, design: ItemDesign, coef):
+        high, low = (float(c) for c in coef)
+        if high - low < 1e-9:
+            mid = (high + low) / 2.0
+            high, low = mid + 5e-10, mid - 5e-10
+        high = min(max(high, 2e-12), 1.0 - 1e-12)
+        low = min(max(low, 1e-12), high - 1e-12)
+        return self.params_type(s=1.0 - high, g=low)
+
+    def to_dict(self, params) -> dict:
+        return {"family": self.name, "s": params.s, "g": params.g}
+
+    def from_dict(self, get):
+        return self.params_type(s=get("s", float), g=get("g", float))
+
+
+class GdinaFamily:
+    """G-DINA: one free response probability per group, the coefficients."""
+
+    name = "GDINA"
+
+    def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
+        if not params.attributes <= set(design.required):
+            extra = sorted(params.attributes - set(design.required))
             raise InvalidParameterError(
                 f"GDINA: item {item} beta references attributes {extra} "
                 f"not required by its Q-matrix row"
             )
-        pos = {a: i for i, a in enumerate(sorted(params.attributes))}
-        compact = np.zeros(profiles.size, dtype=np.int64)
-        for a, i in pos.items():
-            compact |= ((profiles >> a) & 1) << i
-        row = params.partial_sums()[compact]
-        bad = np.flatnonzero((row < -1e-12) | (row > 1 + 1e-12))
-        if bad.size:
-            raise InvalidParameterError(
-                f"GDINA: item {item} probability {row[bad[0]]:.6g} outside "
-                f"[0, 1] at profile {bad[0]}"
-            )
-        return np.clip(row, 0.0, 1.0)
-    if isinstance(params, LlmParams):
-        if len(params.beta) != q_bits.size:
+        # every partial sum is already checked against [0, 1] +- 1e-12
+        return np.clip(_subset_sums(params.beta, design.required), 0.0, 1.0)
+
+    def row(self, design: ItemDesign, coef) -> NDArray[np.float64]:
+        return coef[design.group_ids]
+
+    def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
+        gpos, gtot = design.group_sums(pos, tot)
+        means = coef.copy()
+        nonzero = gtot > 0
+        means[nonzero] = gpos[nonzero] / gtot[nonzero]
+        return means
+
+    def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
+        lo, hi = rng.uniform(0.05, 0.3), rng.uniform(0.7, 0.95)
+        size = np.array([bin(m).count("1") for m in range(design.n_groups)])
+        frac = size / max(len(design.required), 1)
+        means = lo + (hi - lo) * frac + rng.uniform(-0.02, 0.02, design.n_groups)
+        return np.clip(means, 0.01, 0.99)
+
+    def params(self, design: ItemDesign, coef):
+        beta = zeta_transform(np.clip(coef, 0.0, 1.0), inverse=True)
+        return GdinaParams({
+            frozenset(a for i, a in enumerate(design.required) if mask >> i & 1): float(b)
+            for mask, b in enumerate(beta)
+        })
+
+    def to_dict(self, params) -> dict:
+        beta = {",".join(str(a) for a in sorted(key)): value
+                for key, value in params.beta.items()}
+        return {"family": self.name, "beta": beta}
+
+    def from_dict(self, get):
+        def subsets(beta):
+            return {frozenset(int(a) for a in key.split(",") if a != ""): float(value)
+                    for key, value in beta.items()}
+        return GdinaParams(get("beta", subsets))
+
+
+class LlmFamily:
+    """Logit link; coefficients: intercept, then the required slopes."""
+
+    name = "LLM"
+
+    def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
+        if len(params.beta) != design.n_attributes:
             raise DimensionError(
                 f"LLM: item {item} has {len(params.beta)} slopes for "
-                f"{q_bits.size} attributes"
+                f"{design.n_attributes} attributes"
             )
-        slope = np.asarray(params.beta) * q_bits
-        return _sigmoid(params.beta0 + alpha_bits @ slope)
-    if isinstance(params, RrumParams):
-        if len(params.r) != q_bits.size:
+        return np.concatenate([[params.beta0], np.asarray(params.beta)[design.required]])
+
+    def row(self, design: ItemDesign, coef) -> NDArray[np.float64]:
+        return _sigmoid(design.logit_design @ coef)[design.group_ids]
+
+    def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
+        gpos, gtot = design.group_sums(pos, tot)
+        x = design.logit_design
+
+        def value(c):
+            mu = np.clip(_sigmoid(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
+            return float(gpos @ np.log(mu) + (gtot - gpos) @ np.log1p(-mu))
+
+        def grad_neghess(c):
+            mu = _sigmoid(x @ c)
+            grad = x.T @ (gpos - gtot * mu)
+            weight = gtot * mu * (1.0 - mu)
+            return grad, (x.T * weight) @ x
+
+        return _damped_newton(value, grad_neghess, coef)
+
+    def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
+        return np.concatenate([
+            rng.uniform(-0.35, 0.35, 1),
+            rng.uniform(0.05, 0.5, len(design.required)),
+        ])
+
+    def params(self, design: ItemDesign, coef):
+        slopes = np.zeros(design.n_attributes)
+        slopes[design.required] = coef[1:]
+        return LlmParams(beta0=float(coef[0]), beta=tuple(slopes))
+
+    def to_dict(self, params) -> dict:
+        return {"family": self.name, "beta0": params.beta0, "beta": list(params.beta)}
+
+    def from_dict(self, get):
+        return LlmParams(beta0=get("beta0", float), beta=get("beta", _float_tuple))
+
+
+class RrumFamily:
+    """Log link; coefficients: log pi, then the logs of the required penalties."""
+
+    name = "RRUM"
+
+    def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
+        if len(params.r) != design.n_attributes:
             raise DimensionError(
                 f"RRUM: item {item} has {len(params.r)} penalties for "
-                f"{q_bits.size} attributes"
+                f"{design.n_attributes} attributes"
             )
-        log_pen = np.log(np.asarray(params.r)) * q_bits
-        return params.pi * np.exp((1 - alpha_bits) @ log_pen)
-    raise TypeError(f"unknown item parameter type {type(params).__name__}")
+        return np.concatenate([[np.log(params.pi)],
+                               np.log(np.asarray(params.r)[design.required])])
+
+    def row(self, design: ItemDesign, coef) -> NDArray[np.float64]:
+        return np.exp(design.loglink_design @ coef)[design.group_ids]
+
+    def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
+        # coef holds logs: intercept = log(baseline prob), slopes = log(penalties)
+        gpos, gtot = design.group_sums(pos, tot)
+        x = design.loglink_design
+        bound = np.full(coef.size, -1e-9)
+        bound[0] = 0.0
+
+        def project(c):
+            return np.minimum(c, bound)
+
+        def value(c):
+            mu = np.clip(np.exp(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
+            return float(gpos @ np.log(mu) + (gtot - gpos) @ np.log1p(-mu))
+
+        def grad_neghess(c):
+            mu = np.clip(np.exp(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
+            ratio = mu / (1.0 - mu)
+            grad = x.T @ (gpos - (gtot - gpos) * ratio)
+            weight = (gtot - gpos) * ratio / (1.0 - mu)
+            return grad, (x.T * weight) @ x
+
+        return _damped_newton(value, grad_neghess, project(coef), project=project)
+
+    def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
+        return np.concatenate([
+            np.log(rng.uniform(0.75, 0.95, 1)),
+            np.log(rng.uniform(0.55, 0.9, len(design.required))),
+        ])
+
+    def params(self, design: ItemDesign, coef):
+        penalties = np.full(design.n_attributes, 0.5)
+        penalties[design.required] = np.exp(coef[1:])
+        return RrumParams(pi=float(np.exp(coef[0])), r=tuple(penalties))
+
+    def to_dict(self, params) -> dict:
+        return {"family": self.name, "pi": params.pi, "r": list(params.r)}
+
+    def from_dict(self, get):
+        return RrumParams(pi=get("pi", float), r=get("r", _float_tuple))
+
+
+FAMILY = {fam.name: fam for fam in (
+    TwoRateFamily(DinaParams, "capable"),
+    TwoRateFamily(DinoParams, "touched"),
+    GdinaFamily(),
+    LlmFamily(),
+    RrumFamily(),
+)}
+
+FAMILIES = tuple(FAMILY)
 
 
 def theta_from_params(q: QMatrix, params: Sequence[ItemParams]) -> ThetaMatrix:
@@ -271,13 +523,13 @@ def theta_from_params(q: QMatrix, params: Sequence[ItemParams]) -> ThetaMatrix:
         raise DimensionError(
             f"expected {q.n_items} item parameter sets, got {len(params)}"
         )
-    profiles = enumerate_profiles(q.n_attributes)
-    alpha_bits = bit_matrix(profiles, q.n_attributes).astype(np.float64)
-    codes = q.row_codes
-    rows = [
-        _theta_row(int(codes[j]), q.entries[j], params[j], j, profiles, alpha_bits)
-        for j in range(q.n_items)
-    ]
+    rows = []
+    for j, item in enumerate(params):
+        fam = FAMILY.get(getattr(item, "family", None))
+        if fam is None:
+            raise TypeError(f"unknown item parameter type {type(item).__name__}")
+        design = ItemDesign(q.entries[j])
+        rows.append(fam.row(design, fam.coef(item, design, j)))
     return ThetaMatrix(np.vstack(rows))
 
 
@@ -366,11 +618,10 @@ def dina_params_from_theta(q: QMatrix, theta: ThetaMatrix) -> list:
     """
     if theta.n_items != q.n_items or theta.n_attributes != q.n_attributes:
         raise DimensionError("theta does not match Q")
-    profiles = enumerate_profiles(q.n_attributes)
     out = []
     for j in range(q.n_items):
         row = theta.values[j]
-        capable = (profiles & q.row_codes[j]) == q.row_codes[j]
+        capable = ItemDesign(q.entries[j]).capable
         cap, non = row[capable], row[~capable]
         if cap.max() - cap.min() > 1e-9 or (non.size and non.max() - non.min() > 1e-9):
             raise ValueError(f"item {j} table row is not DINA-structured")

@@ -25,9 +25,8 @@ from .core import (
     bits_to_int,
     check_table_size,
     _freeze,
+    zeta_transform,
 )
-
-PROB_ATOL = 1e-12  # absolute tolerance for probability comparisons here
 
 MAX_DENSE_TRANSFORM_ITEMS = 12
 
@@ -151,26 +150,12 @@ def mobius_from_marginals(marginals: NDArray[np.float64]) -> NDArray[np.float64]
     Inverts m(r) = sum over r' >= r of f(r') by inclusion-exclusion:
     f(r) = sum over r' >= r of (-1)**popcount(r' - r) m(r').
     """
-    out = np.array(marginals, dtype=np.float64).copy()
-    n_bits = int(out.size).bit_length() - 1
-    if out.size != 1 << n_bits:
-        raise DimensionError(f"length {out.size} is not a power of two")
-    for i in range(n_bits):
-        grid = out.reshape(-1, 2, 1 << i)
-        grid[:, 0, :] -= grid[:, 1, :]
-    return out
+    return zeta_transform(marginals, superset=True, inverse=True)
 
 
 def superset_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
     """Sum over dominating patterns: out[r] = sum over r' >= r of values[r']."""
-    out = np.array(values, dtype=np.float64).copy()
-    n_bits = int(out.size).bit_length() - 1
-    if out.size != 1 << n_bits:
-        raise DimensionError(f"length {out.size} is not a power of two")
-    for i in range(n_bits):
-        grid = out.reshape(-1, 2, 1 << i)
-        grid[:, 0, :] += grid[:, 1, :]
-    return out
+    return zeta_transform(values, superset=True)
 
 
 def apply_shift(theta: ThetaMatrix, theta_star) -> ThetaMatrix:

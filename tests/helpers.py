@@ -12,9 +12,11 @@ import itertools
 import numpy as np
 
 from rlcm import (
+    DimensionError,
     DinaParams,
     DinoParams,
     GdinaParams,
+    InvalidParameterError,
     LlmParams,
     ProportionVector,
     QMatrix,
@@ -67,6 +69,66 @@ def brute_gap(first, second) -> float:
     da = brute_distribution(theta_a.values, p_a.probs)
     db = brute_distribution(theta_b.values, p_b.probs)
     return float(np.abs(da - db).max())
+
+
+def _sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_theta_row(q_code: int, q_bits, params, item: int, profiles, alpha_bits):
+    """One theta row per parameter type, written out family by family.
+
+    The library derives every row from a family's coefficients on the
+    item's attribute groups; this closed form per type is its oracle.
+    """
+    if isinstance(params, DinaParams):
+        capable = (profiles & q_code) == q_code
+        return np.where(capable, 1.0 - params.s, params.g)
+    if isinstance(params, DinoParams):
+        touched = (profiles & q_code) != 0
+        return np.where(touched, 1.0 - params.s, params.g)
+    if isinstance(params, GdinaParams):
+        required = [int(k) for k in np.flatnonzero(q_bits)]
+        if not params.attributes <= set(required):
+            extra = sorted(params.attributes - set(required))
+            raise InvalidParameterError(
+                f"GDINA: item {item} beta references attributes {extra} "
+                f"not required by its Q-matrix row"
+            )
+        pos = {a: i for i, a in enumerate(sorted(params.attributes))}
+        compact = np.zeros(profiles.size, dtype=np.int64)
+        for a, i in pos.items():
+            compact |= ((profiles >> a) & 1) << i
+        row = params.partial_sums()[compact]
+        bad = np.flatnonzero((row < -1e-12) | (row > 1 + 1e-12))
+        if bad.size:
+            raise InvalidParameterError(
+                f"GDINA: item {item} probability {row[bad[0]]:.6g} outside "
+                f"[0, 1] at profile {bad[0]}"
+            )
+        return np.clip(row, 0.0, 1.0)
+    if isinstance(params, LlmParams):
+        if len(params.beta) != q_bits.size:
+            raise DimensionError(
+                f"LLM: item {item} has {len(params.beta)} slopes for "
+                f"{q_bits.size} attributes"
+            )
+        slope = np.asarray(params.beta) * q_bits
+        return _sigmoid(params.beta0 + alpha_bits @ slope)
+    if isinstance(params, RrumParams):
+        if len(params.r) != q_bits.size:
+            raise DimensionError(
+                f"RRUM: item {item} has {len(params.r)} penalties for "
+                f"{q_bits.size} attributes"
+            )
+        log_pen = np.log(np.asarray(params.r)) * q_bits
+        return params.pi * np.exp((1 - alpha_bits) @ log_pen)
+    raise TypeError(f"unknown item parameter type {type(params).__name__}")
 
 
 def random_proportions(rng: np.random.Generator, n_attributes: int) -> ProportionVector:

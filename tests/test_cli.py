@@ -220,8 +220,10 @@ class TestFileFormats:
 
     def test_params_roundtrip(self, workdir):
         from rlcm import GdinaParams, LlmParams, RrumParams
+        from rlcm import DinoParams
         params = [
             DinaParams(0.2, 0.1),
+            DinoParams(0.25, 0.15),
             GdinaParams({frozenset(): 0.1, frozenset({0, 1}): 0.7}),
             LlmParams(-0.5, (1.0, 2.0)),
             RrumParams(0.9, (0.3, 0.4)),
@@ -230,9 +232,9 @@ class TestFileFormats:
         fileio.write_item_params_json(path, params, 2)
         back, k = fileio.read_item_params_json(path)
         assert k == 2
-        assert back[0] == params[0]
-        assert dict(back[1].beta) == dict(params[1].beta)
-        assert back[2] == params[2] and back[3] == params[3]
+        assert back[0] == params[0] and back[1] == params[1]
+        assert dict(back[2].beta) == dict(params[2].beta)
+        assert back[3] == params[3] and back[4] == params[4]
 
     def test_foreign_order_rejected(self, workdir):
         path = workdir / "p.json"

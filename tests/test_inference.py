@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from rlcm import (
     DinaParams,
     EmConfig,
+    EmError,
     ProportionVector,
     QMatrix,
     ResponseData,
@@ -20,7 +22,7 @@ from rlcm import (
     simulate,
     theta_from_params,
 )
-from rlcm.inference import _two_rate_update
+from rlcm.models import _two_rate_update
 
 from helpers import random_proportions, random_theta, stacked_identity
 
@@ -181,6 +183,40 @@ class TestEmFit:
         fit = em_fit(data, q, ["DINA"] * 6, cfg)
         assert fit.loglik_trace[0] == pytest.approx(loglik(data, theta, p))
         assert np.abs(fit.theta_hat.values - theta.values).max() < 1e-9
+
+    def test_init_p_alone_is_used(self):
+        q, _, theta, p = _dina_setup()
+        data = simulate(theta, p, 1000, seed=2)
+        fit = em_fit(data, q, ["DINA"] * 6,
+                     EmConfig(max_iters=0, restarts=1, seed=0, init_p=p))
+        assert np.abs(fit.p_hat.probs - p.probs).max() <= 1e-15
+
+    def test_failed_restart_not_counted_and_written_as_null(self, monkeypatch, tmp_path):
+        from rlcm import fileio, inference
+        real_run_em = inference._run_em
+        calls = []
+
+        def second_restart_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise EmError("injected failure")
+            return real_run_em(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "_run_em", second_restart_fails)
+        q, _, theta, p = _dina_setup()
+        data = simulate(theta, p, 500, seed=3)
+        fit = em_fit(data, q, ["DINA"] * 6, EmConfig(max_iters=20, restarts=3, seed=0))
+        assert fit.restarts_used == 2
+        assert math.isnan(fit.restart_logliks[1])
+        path = tmp_path / "fit.json"
+        fileio.write_fit_json(path, fit, q.n_attributes)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["restarts_used"] == 2
+        assert doc["restart_logliks"][1] is None
 
     def test_p_hat_floor_keeps_classes_alive(self):
         # all-positive responses push some class masses toward zero

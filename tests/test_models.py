@@ -14,14 +14,21 @@ from rlcm import (
     QMatrix,
     RrumParams,
     ThetaMatrix,
+    bit_matrix,
     check_monotonicity,
     dina_params_from_theta,
+    enumerate_profiles,
     ideal_response_dina,
     ideal_response_dino,
     theta_from_params,
 )
 
-from helpers import draw_monotone_item_params, stacked_identity
+from helpers import (
+    draw_monotone_item_params,
+    draw_monotone_params,
+    reference_theta_row,
+    stacked_identity,
+)
 
 
 class TestIdealResponses:
@@ -110,6 +117,29 @@ class TestThetaFromParams:
         q = QMatrix([[1, 0]])
         with pytest.raises(Exception):
             theta_from_params(q, [DinaParams(0.2, 0.1)] * 2)
+
+
+class TestReferenceRows:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("family", ["DINA", "DINO", "GDINA", "LLM", "RRUM"])
+    def test_registry_matches_per_type_reference(self, family, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 6))
+        q_row = rng.integers(0, 2, size=k)
+        if not q_row.any():
+            q_row[rng.integers(k)] = 1
+        q = QMatrix([q_row])
+        params = draw_monotone_params(rng, family, q.entries[0])
+        profiles = enumerate_profiles(k)
+        alpha_bits = bit_matrix(profiles, k).astype(np.float64)
+        expected = reference_theta_row(int(q.row_codes[0]), q.entries[0], params, 0,
+                                       profiles, alpha_bits)
+        got = theta_from_params(q, [params]).values[0]
+        if family in ("LLM", "RRUM"):
+            # the registry sums the link argument per group, the reference per profile
+            assert np.abs(got - expected).max() <= 1e-15
+        else:
+            assert np.array_equal(got, expected)
 
 
 class TestMonotonicity:
