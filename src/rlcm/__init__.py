@@ -8,12 +8,8 @@ from .core import (
     SizeLimitError,
     ThetaMatrix,
     bit_matrix,
-    bits_to_int,
     dominates,
-    enumerate_patterns,
     enumerate_profiles,
-    int_to_bits,
-    profile_geq,
     weight_graded_order,
 )
 from .identifiability import (
@@ -61,8 +57,6 @@ from .models import (
     RrumParams,
     check_monotonicity,
     dina_params_from_theta,
-    ideal_response_dina,
-    ideal_response_dino,
     theta_from_params,
 )
 from .tmatrix import (
@@ -71,13 +65,30 @@ from .tmatrix import (
     apply_shift,
     build_tmatrix,
     build_transform,
-    joint_prob,
     marginal_vector,
     mobius_from_marginals,
     response_distribution,
     superset_sums,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DimensionError", "ProportionVector", "QMatrix", "SizeLimitError",
+    "ThetaMatrix", "bit_matrix", "dominates", "enumerate_profiles",
+    "weight_graded_order", "C1Result", "C2Result", "CompletenessResult",
+    "ConstructionInfeasibleError", "IdentifiabilityReport",
+    "InternalConsistencyError", "NonIdentifiablePair",
+    "NotApplicableError", "Verdict", "c1_only_counterexample",
+    "c1_only_design", "check_c1", "check_c2", "distributions_equal",
+    "incomplete_counterexample", "is_complete", "parameter_distance",
+    "verdict", "EmConfig", "EmError", "ExperimentTable", "FitResult",
+    "ReplicationRecord", "ResponseData", "consistency_experiment",
+    "em_fit", "empirical_gamma", "loglik", "simulate", "DinaParams",
+    "DinoParams", "GdinaParams", "InvalidParameterError", "ItemParams",
+    "LlmParams", "MonotonicityReport", "MonotonicityViolation",
+    "RrumParams", "check_monotonicity", "dina_params_from_theta",
+    "theta_from_params", "TMatrix", "TransformMatrix", "apply_shift",
+    "build_tmatrix", "build_transform", "marginal_vector",
+    "mobius_from_marginals", "response_distribution", "superset_sums",
+]
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from .identifiability import (
     NonIdentifiablePair,
     Verdict,
     c1_only_counterexample,
-    distributions_equal,
     incomplete_counterexample,
     verdict,
 )
@@ -96,8 +95,8 @@ def _cmd_check(args) -> int:
 
 
 def _emit_pair(pair: NonIdentifiablePair, out: Optional[str]) -> int:
-    # re-verify with the exhaustive oracle before anything is written
-    gap = distributions_equal(pair.first, pair.second)
+    # build() has re-verified the pair with the exhaustive oracle
+    gap = pair.max_distribution_gap
     doc = fileio.pair_to_dict(pair)
     doc["verified_gap"] = gap
     _emit_json(doc, out)
@@ -136,8 +135,7 @@ def _cmd_counterexample(args) -> int:
 def _cmd_verify_pair(args) -> int:
     # read_pair_json re-runs the enumeration oracle via build()
     pair = fileio.read_pair_json(args.pair)
-    gap = distributions_equal(pair.first, pair.second)
-    _emit_json({"max_distribution_gap": gap,
+    _emit_json({"max_distribution_gap": pair.max_distribution_gap,
                 "parameter_distance": pair.parameter_distance}, args.out)
     return EXIT_OK
 

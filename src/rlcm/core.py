@@ -29,35 +29,9 @@ class DimensionError(ValueError):
     """Inputs have incompatible shapes or lengths."""
 
 
-def bits_to_int(bits) -> int:
-    """Encode a 0/1 vector as an integer, bit k = coordinate k."""
-    code = 0
-    for k, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bit vector entries must be 0 or 1, got {b!r}")
-        code |= int(b) << k
-    return code
-
-
-def int_to_bits(code: int, length: int) -> NDArray[np.int8]:
-    """Decode an integer into a 0/1 vector of the given length."""
-    if not 0 <= code < (1 << length):
-        raise ValueError(f"encoding {code} out of range for length {length}")
-    return ((code >> np.arange(length)) & 1).astype(np.int8)
-
-
 def dominates(a: int, b: int) -> bool:
     """Coordinatewise a >= b for integer-encoded profiles/patterns."""
     return (a & b) == b
-
-
-def profile_geq(a, b) -> bool:
-    """Coordinatewise dominance for explicit bit vectors of equal length."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
-    return dominates(bits_to_int(a.tolist()), bits_to_int(b.tolist()))
 
 
 def enumerate_profiles(n_attributes: int) -> NDArray[np.int64]:
@@ -69,17 +43,8 @@ def enumerate_profiles(n_attributes: int) -> NDArray[np.int64]:
     return np.arange(1 << n_attributes, dtype=np.int64)
 
 
-def enumerate_patterns(n_items: int) -> NDArray[np.int64]:
-    """All 2**J response-pattern encodings in increasing order."""
-    if not 1 <= n_items <= MAX_ITEMS:
-        raise SizeLimitError(
-            f"item count must be in [1, {MAX_ITEMS}], got {n_items}"
-        )
-    return np.arange(1 << n_items, dtype=np.int64)
-
-
 def bit_matrix(codes, length: int) -> NDArray[np.int8]:
-    """Stack int_to_bits over an array of encodings, shape (len(codes), length)."""
+    """0/1 rows of the encodings, bit k in column k; shape (len(codes), length)."""
     codes = np.asarray(codes, dtype=np.int64)
     return ((codes[:, None] >> np.arange(length)) & 1).astype(np.int8)
 

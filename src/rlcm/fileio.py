@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core import ProportionVector, QMatrix, ThetaMatrix
-from .identifiability import NonIdentifiablePair
+from .identifiability import InternalConsistencyError, NonIdentifiablePair
 from .inference import ExperimentTable, FitResult, ResponseData
 from .models import FAMILY, ItemParams
 
@@ -46,14 +46,44 @@ def _expect(doc: dict, path, key: str, expected: str) -> None:
         raise FileFormatError(f"{path}: expected {key} {expected!r}, found {doc.get(key)!r}")
 
 
+def _has_bool(value) -> bool:
+    """JSON true/false anywhere in a value; Python would read them as 1 and 0."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _field(doc, key: str, convert, where):
-    """``convert(doc[key])``; a missing or ill-typed field is a FileFormatError."""
+    """``convert(doc[key])``; a missing or ill-typed field is a FileFormatError.
+
+    No field read here holds booleans, so one anywhere inside it is ill-typed.
+    """
     if not isinstance(doc, dict) or key not in doc:
         raise FileFormatError(f"{where}: missing field {key!r}")
+    if _has_bool(doc[key]):
+        raise FileFormatError(f"{where}: field {key!r}: found a JSON boolean")
     try:
         return convert(doc[key])
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise FileFormatError(f"{where}: field {key!r}: {exc}") from exc
+
+
+def _build(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a model's ValueError gains the location prefix."""
+    try:
+        return make(*args, **kwargs)
+    except FileFormatError:
+        raise
+    except ValueError as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
+
+
+def _integer(value) -> int:
+    if not isinstance(value, int):
+        raise TypeError(f"expected an integer, found {value!r}")
+    return value
 
 
 _floats = partial(np.asarray, dtype=np.float64)
@@ -109,10 +139,12 @@ def read_theta_json(path) -> ThetaMatrix:
     _expect(doc, path, "format", "theta-matrix")
     _expect(doc, path, "column_order", CANONICAL_ORDER)
     values = _field(doc, "values", _floats, path)
-    theta = ThetaMatrix(values, is_probability=bool(doc.get("is_probability", True)))
-    if theta.n_items != doc.get("J") or theta.n_attributes != doc.get("K"):
+    theta = _build(path, ThetaMatrix, values,
+                   is_probability=bool(doc.get("is_probability", True)))
+    n_items, n_attributes = _field(doc, "J", _integer, path), _field(doc, "K", _integer, path)
+    if theta.n_items != n_items or theta.n_attributes != n_attributes:
         raise FileFormatError(
-            f"{path}: declared J={doc.get('J')}, K={doc.get('K')} do not match "
+            f"{path}: declared J={n_items}, K={n_attributes} do not match "
             f"values of shape {values.shape}"
         )
     return theta
@@ -135,10 +167,11 @@ def read_proportion_json(path) -> ProportionVector:
     _expect(doc, path, "format", "proportion-vector")
     _expect(doc, path, "order", CANONICAL_ORDER)
     probs = _field(doc, "probs", _floats, path)
-    p = ProportionVector(probs)
-    if p.n_attributes != doc.get("K"):
+    p = _build(path, ProportionVector, probs)
+    n_attributes = _field(doc, "K", _integer, path)
+    if p.n_attributes != n_attributes:
         raise FileFormatError(
-            f"{path}: declared K={doc.get('K')} does not match {probs.size} entries"
+            f"{path}: declared K={n_attributes} does not match {probs.size} entries"
         )
     return p
 
@@ -162,14 +195,15 @@ def _params_from_dict(item, index: int, path) -> ItemParams:
     family = _field(item, "family", str, where)
     if family not in FAMILY:
         raise FileFormatError(f"{where}: unknown family {family!r}")
-    return FAMILY[family].from_dict(lambda key, convert: _field(item, key, convert, where))
+    return _build(where, FAMILY[family].from_dict,
+                  lambda key, convert: _field(item, key, convert, where))
 
 
 def read_item_params_json(path) -> Tuple[List[ItemParams], int]:
     """Read per-item parameters; returns (params, K)."""
     doc = _load_json(path)
     _expect(doc, path, "format", "item-params")
-    n_attributes = _field(doc, "K", int, path)
+    n_attributes = _field(doc, "K", _integer, path)
     items = doc.get("items")
     if not isinstance(items, list) or not items:
         raise FileFormatError(f"{path}: 'items' must be a non-empty list")
@@ -221,11 +255,16 @@ def read_pair_json(path) -> NonIdentifiablePair:
 
     def member(key: str):
         part, where = doc.get(key), f"{path}: {key}"
-        return (ThetaMatrix(_field(part, "theta", _floats, where)),
-                ProportionVector(_field(part, "p", _floats, where)))
+        return (_build(where, ThetaMatrix, _field(part, "theta", _floats, where)),
+                _build(where, ProportionVector, _field(part, "p", _floats, where)))
 
     # build() re-verifies the invariants instead of trusting stored numbers
-    return NonIdentifiablePair.build(member("first"), member("second"))
+    try:
+        return _build(path, NonIdentifiablePair.build, member("first"), member("second"))
+    except InternalConsistencyError as exc:
+        raise FileFormatError(
+            f"{path}: stored members differ in distribution (gap {exc.gap:.3g})"
+        ) from exc
 
 
 def write_fit_json(path, fit: FitResult, n_attributes: int) -> None:

@@ -7,7 +7,8 @@ single-attribute blocks that each cover every attribute, and C2, every
 single-attribute class is separated from the zero class by some item
 outside those blocks.  A design with three full identity blocks
 satisfies both for any monotone parameterization, which gives a verdict
-from the design matrix alone.
+from the design matrix alone.  A table is only judged when it meets the
+theorem's hypotheses: Q-restricted and monotone.
 
 The counterexample generators return pairs of genuinely distinct
 parameter sets with identical response distributions, re-verified by
@@ -16,13 +17,12 @@ exhaustive enumeration rather than trusted from their construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .core import (
     DimensionError,
@@ -31,7 +31,7 @@ from .core import (
     ThetaMatrix,
     enumerate_profiles,
 )
-from .models import EQ_TOL, DinaParams, theta_from_params
+from .models import EQ_TOL, DinaParams, check_monotonicity, theta_from_params
 from .tmatrix import response_distribution
 
 
@@ -45,6 +45,10 @@ class ConstructionInfeasibleError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A constructed pair failed its independent re-verification."""
+
+    def __init__(self, message: str, gap: float):
+        super().__init__(message)
+        self.gap = gap
 
 
 class Verdict(str, Enum):
@@ -67,8 +71,6 @@ class C1Result:
     holds: bool
     # per attribute, the first two rows equal to e_k; None when C1 fails
     blocks: Optional[Tuple[Tuple[int, int], ...]]
-    # per attribute, every row equal to e_k, for designation searches
-    singleton_rows: Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,8 @@ class IdentifiabilityReport:
     verdict: Verdict
     c2_holds: Optional[bool] = None
     c2_witnesses: Optional[Mapping[int, Optional[int]]] = None
-    c2_blocks_used: Optional[Tuple[Tuple[int, int], ...]] = None
-    c2_search: Optional[str] = None  # "default" | "exhaustive" | "default-only"
+    # "<kind>:item=<j>" for each hypothesis the table breaks
+    table_violations: Tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         """JSON-ready dictionary; all indices are 0-based."""
@@ -107,11 +109,7 @@ class IdentifiabilityReport:
                 {str(k): v for k, v in self.c2_witnesses.items()}
                 if self.c2_witnesses is not None else None
             ),
-            "c2_blocks_used": (
-                [list(b) for b in self.c2_blocks_used]
-                if self.c2_blocks_used is not None else None
-            ),
-            "c2_search": self.c2_search,
+            "table_violations": list(self.table_violations),
             "three_identity_sufficient": self.three_identity_sufficient,
             "verdict": self.verdict.value,
         }
@@ -141,9 +139,8 @@ def check_c1(q: QMatrix) -> C1Result:
     """
     rows = _singleton_rows(q)
     if all(len(r) >= 2 for r in rows):
-        blocks = tuple((r[0], r[1]) for r in rows)
-        return C1Result(True, blocks, rows)
-    return C1Result(False, None, rows)
+        return C1Result(True, tuple((r[0], r[1]) for r in rows))
+    return C1Result(False, None)
 
 
 def check_c2(q: QMatrix, theta: ThetaMatrix,
@@ -185,12 +182,11 @@ def check_c2(q: QMatrix, theta: ThetaMatrix,
     return C2Result(all(v is not None for v in witnesses.values()), witnesses, blocks)
 
 
-MAX_DESIGNATIONS = 256
-
-
-def _designations(singleton_rows: Tuple[Tuple[int, ...], ...]):
-    pools = [list(itertools.combinations(rows, 2)) for rows in singleton_rows]
-    return itertools.product(*pools)
+def _not_q_restricted(q: QMatrix, theta: ThetaMatrix) -> NDArray[np.int64]:
+    """Items j with theta[j, a] != theta[j, a & q_j] beyond EQ_TOL for some a."""
+    masked = enumerate_profiles(q.n_attributes)[None, :] & q.row_codes[:, None]
+    restricted = np.take_along_axis(theta.values, masked, axis=1)
+    return np.flatnonzero(np.abs(theta.values - restricted).max(axis=1) > EQ_TOL)
 
 
 def verdict(q: QMatrix, theta: Optional[ThetaMatrix] = None) -> IdentifiabilityReport:
@@ -198,43 +194,44 @@ def verdict(q: QMatrix, theta: Optional[ThetaMatrix] = None) -> IdentifiabilityR
 
     Without a parameter table the verdict can still be positive when the
     design contains three identity blocks, which forces the separation
-    condition for every monotone parameterization.  With a table, C2 is
-    evaluated on the default designation (first two single-attribute
-    rows per attribute); if it fails and at most 256 designations exist,
-    all of them are tried before giving up.
+    condition for every monotone parameterization.
+
+    A table is judged only when it meets the theorem's hypotheses: it is
+    Q-restricted (``theta[j, a] == theta[j, a & q_j]`` within EQ_TOL) and
+    monotone (``check_monotonicity``).  Otherwise the verdict is not
+    covered and ``table_violations`` names each broken hypothesis.
+
+    On such a table C2 does not depend on which singleton rows form the
+    blocks, so it is evaluated once, on ``check_c1(q).blocks``: a singleton
+    row of k' != k gives e_k the zero class's value (e_k & q_j = 0); a
+    spare singleton row of k separates e_k, whose value is the row's
+    full-profile value, strictly above theta[j, 0] by monotonicity
+    (``singleton-gap-not-strict``); and rows with two or more attributes
+    are never in a block.  This is exact for exactly Q-restricted tables,
+    as every family's is; within EQ_TOL a spare row may lose its witness,
+    which makes the verdict conservative, never wrong.
     """
     comp = is_complete(q)
     c1 = check_c1(q)
-    three = all(len(rows) >= 3 for rows in c1.singleton_rows)
+    three = all(len(rows) >= 3 for rows in _singleton_rows(q))
 
-    c2_holds = None
-    c2_witnesses = None
-    c2_blocks = None
-    c2_search = None
-    if theta is not None and c1.holds:
-        result = check_c2(q, theta, c1.blocks)
-        c2_search = "default"
-        if not result.holds:
-            total = 1
-            for rows in c1.singleton_rows:
-                total *= comb(len(rows), 2)
-            if total <= MAX_DESIGNATIONS:
-                c2_search = "exhaustive"
-                for blocks in _designations(c1.singleton_rows):
-                    candidate = check_c2(q, theta, blocks)
-                    if candidate.holds:
-                        result = candidate
-                        break
-            else:
-                c2_search = "default-only"
-        c2_holds = result.holds
-        c2_witnesses = result.witnesses
-        c2_blocks = result.blocks
+    violations: Tuple[str, ...] = ()
+    c2 = None
+    if theta is not None:
+        monotone = check_monotonicity(q, theta)
+        violations = tuple(
+            [f"not-q-restricted:item={j}" for j in _not_q_restricted(q, theta)]
+            + [f"{v.kind}:item={v.item}" for v in monotone.violations]
+        )
+        if c1.holds and not violations:
+            c2 = check_c2(q, theta, c1.blocks)
 
-    if not comp.complete:
+    if violations:
+        outcome = Verdict.NOT_COVERED
+    elif not comp.complete:
         outcome = Verdict.INCOMPLETE
     elif theta is not None:
-        outcome = Verdict.IDENTIFIABLE if (c1.holds and c2_holds) else Verdict.NOT_COVERED
+        outcome = Verdict.IDENTIFIABLE if (c2 is not None and c2.holds) else Verdict.NOT_COVERED
     else:
         outcome = Verdict.IDENTIFIABLE if (c1.holds and three) else Verdict.NOT_COVERED
 
@@ -246,10 +243,9 @@ def verdict(q: QMatrix, theta: Optional[ThetaMatrix] = None) -> IdentifiabilityR
         c1_blocks=c1.blocks,
         three_identity_sufficient=three,
         verdict=outcome,
-        c2_holds=c2_holds,
-        c2_witnesses=c2_witnesses,
-        c2_blocks_used=c2_blocks,
-        c2_search=c2_search,
+        c2_holds=c2.holds if c2 is not None else None,
+        c2_witnesses=c2.witnesses if c2 is not None else None,
+        table_violations=violations,
     )
 
 
@@ -314,7 +310,7 @@ class NonIdentifiablePair:
         if gap > GAP_TOL:
             raise InternalConsistencyError(
                 f"distribution gap {gap:.3g} exceeds {GAP_TOL}; "
-                f"the construction is wrong, aborting"
+                f"the construction is wrong, aborting", gap
             )
         return cls(first, second, gap, dist)
 
@@ -361,7 +357,8 @@ def incomplete_counterexample(q: QMatrix, theta: ThetaMatrix,
     pair = NonIdentifiablePair.build((theta, p), (theta, ProportionVector(shifted)))
     if pair.max_distribution_gap > 1e-12:
         raise InternalConsistencyError(
-            f"mass-shift gap {pair.max_distribution_gap:.3g} exceeds 1e-12"
+            f"mass-shift gap {pair.max_distribution_gap:.3g} exceeds 1e-12",
+            pair.max_distribution_gap,
         )
     return pair
 

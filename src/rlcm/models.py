@@ -28,9 +28,7 @@ from .core import (
     QMatrix,
     ThetaMatrix,
     bit_matrix,
-    bits_to_int,
     enumerate_profiles,
-    profile_geq,
     zeta_transform,
 )
 
@@ -164,23 +162,6 @@ class RrumParams:
 
 
 ItemParams = Union[DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams]
-
-
-def ideal_response_dina(q_row, alpha) -> int:
-    """1 iff the profile possesses every attribute the item requires."""
-    return int(profile_geq(alpha, q_row))
-
-
-def ideal_response_dino(q_row, alpha) -> int:
-    """1 iff the profile possesses at least one required attribute."""
-    q_row = np.asarray(q_row)
-    alpha = np.asarray(alpha)
-    if q_row.shape != alpha.shape:
-        raise DimensionError(f"length mismatch: {q_row.shape} vs {alpha.shape}")
-    return int((bits_to_int(alpha.tolist()) & bits_to_int(q_row.tolist())) != 0)
-
-
-profile_dominates = profile_geq  # same check with (alpha, q_row) arguments
 
 
 def _sigmoid(x: NDArray[np.float64]) -> NDArray[np.float64]:

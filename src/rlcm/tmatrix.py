@@ -22,7 +22,6 @@ from .core import (
     ProportionVector,
     SizeLimitError,
     ThetaMatrix,
-    bits_to_int,
     check_table_size,
     _freeze,
     zeta_transform,
@@ -71,26 +70,6 @@ class TransformMatrix:
     @property
     def n_items(self) -> int:
         return self.theta_star.size
-
-
-def joint_prob(item_probs, pattern) -> float:
-    """Probability of one full response pattern given per-item success probs.
-
-    ``item_probs`` holds each item's positive-response probability for a
-    single latent class; ``pattern`` is an integer encoding or a 0/1
-    sequence.
-    """
-    probs = np.asarray(item_probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise DimensionError("item probabilities must be one-dimensional")
-    if not isinstance(pattern, (int, np.integer)):
-        pattern = bits_to_int(np.asarray(pattern).tolist())
-    if not 0 <= pattern < (1 << probs.size):
-        raise DimensionError(
-            f"pattern {pattern} out of range for {probs.size} items"
-        )
-    bits = (int(pattern) >> np.arange(probs.size)) & 1
-    return float(np.prod(np.where(bits == 1, probs, 1.0 - probs)))
 
 
 def build_tmatrix(theta: ThetaMatrix) -> TMatrix:

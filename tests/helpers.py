@@ -1,4 +1,5 @@
-"""Shared test utilities: brute-force oracles and monotone parameter draws.
+"""Shared test utilities: brute-force oracles, monotone parameter draws,
+and the bit-vector helpers only tests use.
 
 The oracles recompute probabilities from first principles (explicit
 loops over patterns and profiles) so that library outputs are checked
@@ -22,7 +23,91 @@ from rlcm import (
     QMatrix,
     RrumParams,
     ThetaMatrix,
+    dominates,
 )
+
+
+def bits_to_int(bits) -> int:
+    """Encode a 0/1 vector as an integer, bit k = coordinate k."""
+    code = 0
+    for k, b in enumerate(bits):
+        if b not in (0, 1):
+            raise ValueError(f"bit vector entries must be 0 or 1, got {b!r}")
+        code |= int(b) << k
+    return code
+
+
+def int_to_bits(code: int, length: int) -> np.ndarray:
+    """Decode an integer into a 0/1 vector of the given length."""
+    if not 0 <= code < (1 << length):
+        raise ValueError(f"encoding {code} out of range for length {length}")
+    return ((code >> np.arange(length)) & 1).astype(np.int8)
+
+
+def profile_geq(a, b) -> bool:
+    """Coordinatewise dominance for explicit bit vectors of equal length."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
+    return dominates(bits_to_int(a.tolist()), bits_to_int(b.tolist()))
+
+
+def ideal_response_dina(q_row, alpha) -> int:
+    """1 iff the profile possesses every attribute the item requires."""
+    return int(profile_geq(alpha, q_row))
+
+
+def ideal_response_dino(q_row, alpha) -> int:
+    """1 iff the profile possesses at least one required attribute."""
+    q_row = np.asarray(q_row)
+    alpha = np.asarray(alpha)
+    if q_row.shape != alpha.shape:
+        raise DimensionError(f"length mismatch: {q_row.shape} vs {alpha.shape}")
+    return int((bits_to_int(alpha.tolist()) & bits_to_int(q_row.tolist())) != 0)
+
+
+def joint_prob(item_probs, pattern) -> float:
+    """Probability of one full response pattern given per-item success probs.
+
+    ``item_probs`` holds each item's positive-response probability for a
+    single latent class; ``pattern`` is an integer encoding or a 0/1
+    sequence.
+    """
+    probs = np.asarray(item_probs, dtype=np.float64)
+    if probs.ndim != 1:
+        raise DimensionError("item probabilities must be one-dimensional")
+    if not isinstance(pattern, (int, np.integer)):
+        pattern = bits_to_int(np.asarray(pattern).tolist())
+    if not 0 <= pattern < (1 << probs.size):
+        raise DimensionError(
+            f"pattern {pattern} out of range for {probs.size} items"
+        )
+    bits = (int(pattern) >> np.arange(probs.size)) & 1
+    return float(np.prod(np.where(bits == 1, probs, 1.0 - probs)))
+
+
+def brute_c2_any_designation(q: QMatrix, theta: ThetaMatrix) -> bool:
+    """Does C2 hold for at least one choice of two singleton rows per attribute?
+
+    Tries every designation: for each attribute some item outside all the
+    designated rows must move class e_k away from class 0 by more than 1e-10.
+    """
+    codes = [bits_to_int(row.tolist()) for row in q.entries]
+    n_attributes = q.n_attributes
+    pools = [
+        list(itertools.combinations([j for j, c in enumerate(codes) if c == 1 << k], 2))
+        for k in range(n_attributes)
+    ]
+    for designation in itertools.product(*pools):
+        used = {j for pair in designation for j in pair}
+        if all(
+            any(abs(theta.values[j, 1 << k] - theta.values[j, 0]) > 1e-10
+                for j in range(len(codes)) if j not in used)
+            for k in range(n_attributes)
+        ):
+            return True
+    return False
 
 
 def brute_joint(theta_values: np.ndarray, alpha: int, pattern: int) -> float:

@@ -10,13 +10,12 @@ from rlcm import (
     SizeLimitError,
     ThetaMatrix,
     bit_matrix,
-    bits_to_int,
     dominates,
     enumerate_profiles,
-    int_to_bits,
-    profile_geq,
     weight_graded_order,
 )
+
+from helpers import bits_to_int, int_to_bits, profile_geq
 
 
 class TestEncodings:

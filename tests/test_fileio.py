@@ -152,3 +152,87 @@ def test_cli_prints_one_line_without_traceback(tmp_path, case):
     assert "Traceback" not in result.stderr
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
+def _item(family):
+    return lambda d: next(item for item in d["items"] if item["family"] == family)
+
+
+# (reader, where the boolean goes, field named in the diagnostic)
+BOOLEANS = {
+    "theta-values": ("theta", lambda d: d["values"][0], 0, "'values'"),
+    "theta-J": ("theta", lambda d: d, "J", "'J'"),
+    "theta-K": ("theta", lambda d: d, "K", "'K'"),
+    "proportion-probs": ("proportion", lambda d: d["probs"], 1, "'probs'"),
+    "proportion-K": ("proportion", lambda d: d, "K", "'K'"),
+    "params-K": ("item-params", lambda d: d, "K", "'K'"),
+    "dina-s": ("item-params", _item("DINA"), "s", "'s'"),
+    "dino-g": ("item-params", _item("DINO"), "g", "'g'"),
+    "gdina-beta-value": ("item-params", lambda d: _gdina_item(d)["beta"], "", "'beta'"),
+    "llm-beta0": ("item-params", _item("LLM"), "beta0", "'beta0'"),
+    "llm-beta": ("item-params", lambda d: _item("LLM")(d)["beta"], 0, "'beta'"),
+    "rrum-pi": ("item-params", _item("RRUM"), "pi", "'pi'"),
+    "rrum-r": ("item-params", lambda d: _item("RRUM")(d)["r"], 1, "'r'"),
+    "pair-theta": ("pair", lambda d: d["first"]["theta"][0], 0, "'theta'"),
+    "pair-p": ("pair", lambda d: d["second"]["p"], 0, "'p'"),
+}
+
+
+@pytest.mark.parametrize("value", [False, True])
+@pytest.mark.parametrize("case", sorted(BOOLEANS))
+def test_boolean_is_not_a_number(tmp_path, case, value):
+    name, container, key, field = BOOLEANS[case]
+    reader, valid = DOCS[name]
+    doc = copy.deepcopy(valid)
+    container(doc)[key] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fileio.FileFormatError, match=field) as info:
+        reader(path)
+    assert str(path) in str(info.value)
+
+
+def test_out_of_range_value_names_file_and_item(tmp_path):
+    reader, valid = DOCS["item-params"]
+    doc = copy.deepcopy(valid)
+    del _gdina_item(doc)["beta"][""]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fileio.FileFormatError) as info:
+        reader(path)
+    assert str(info.value) == (
+        f"{path}: item 2: GDINA: beta must include the empty-set baseline")
+
+
+def test_proportions_off_the_simplex_name_file(tmp_path):
+    reader, valid = DOCS["proportion"]
+    doc = copy.deepcopy(valid)
+    doc["probs"] = [0.5, 0.6]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fileio.FileFormatError, match=str(path)):
+        reader(path)
+
+
+def test_cli_out_of_range_value_is_one_line_with_path(tmp_path, capsys):
+    from rlcm.cli import main
+    _, valid = DOCS["item-params"]
+    doc = copy.deepcopy(valid)
+    del _gdina_item(doc)["beta"][""]
+    params, q_path = tmp_path / "params.json", tmp_path / "q.csv"
+    params.write_text(json.dumps(doc))
+    fileio.write_qmatrix_csv(q_path, QMatrix(Q_ROWS))
+    assert main(["check", "--q", str(q_path), "--params", str(params)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(params) in lines[0]
+
+
+def test_tampered_pair_is_a_file_format_error(tmp_path):
+    reader, valid = DOCS["pair"]
+    doc = copy.deepcopy(valid)
+    doc["second"]["theta"][0][0] += 0.2
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(fileio.FileFormatError, match="differ in distribution") as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}: ")

@@ -26,7 +26,13 @@ from rlcm import (
     verdict,
 )
 
-from helpers import brute_gap, stacked_identity
+from helpers import (
+    brute_c2_any_designation,
+    brute_gap,
+    draw_monotone_params,
+    random_theta,
+    stacked_identity,
+)
 
 EXAMPLE_Q = QMatrix([[1, 0], [0, 1], [1, 1]])
 INCOMPLETE_Q = QMatrix([[1, 1], [0, 1]])
@@ -136,26 +142,90 @@ class TestVerdict:
         assert report.verdict is Verdict.NOT_COVERED
 
     def test_exhaustive_designation_search(self):
-        # first designation hides the separating item inside a block;
-        # another designation frees it
+        # item 3 (an attribute-2 singleton row) is made the only one that
+        # separates class e1 from class 0; only another designation of the
+        # blocks would free it, but such a table is not Q-restricted, so no
+        # designation is searched and the table is not judged
         q = QMatrix([[1, 0], [1, 0], [0, 1], [0, 1], [0, 1]])
         theta_values = theta_from_params(
             q, [DinaParams(0.2, 0.1)] * 5).values.copy()
-        # make item 3 (inside the default attribute-2 designation) the only
-        # one separating class e1 from class 0
         theta_values[3, 1] = 0.35
         theta = ThetaMatrix(theta_values)
         report = verdict(q, theta)
-        assert report.c2_holds
-        assert report.c2_search == "exhaustive"
-        assert report.c2_blocks_used[1] != (2, 3)
+        assert report.verdict is Verdict.NOT_COVERED
+        assert report.c2_holds is None
+        assert "not-q-restricted:item=3" in report.table_violations
 
     def test_identifiable_with_theta(self):
         q = stacked_identity(2, 3)
         theta = theta_from_params(q, [DinaParams(0.2, 0.1)] * 6)
         report = verdict(q, theta)
         assert report.verdict is Verdict.IDENTIFIABLE
-        assert report.c2_search == "default"
+        assert report.table_violations == ()
+
+
+class TestHypothesisGate:
+    def test_unrestricted_table_is_not_judged(self):
+        # a uniform-random table ignores Q and breaks monotonicity
+        theta = random_theta(np.random.default_rng(3), 6, 2)
+        report = verdict(stacked_identity(2, 3), theta)
+        assert report.verdict is Verdict.NOT_COVERED
+        assert report.c2_holds is None and report.c2_witnesses is None
+        assert "not-q-restricted:item=0" in report.table_violations
+        kinds = {v.split(":")[0] for v in report.table_violations}
+        assert kinds <= {"not-q-restricted", "capable-not-constant", "capable-not-maximal",
+                         "baseline-not-minimal", "singleton-gap-not-strict"}
+
+    def test_non_monotone_restricted_table(self):
+        q = stacked_identity(2, 3)
+        theta = theta_from_params(q, [DinaParams(0.2, 0.1)] * 6).values.copy()
+        theta[4] = theta[4, ::-1]  # singleton row of attribute 1, order flipped
+        report = verdict(q, ThetaMatrix(theta))
+        assert report.verdict is Verdict.NOT_COVERED
+        assert "singleton-gap-not-strict:item=4" in report.table_violations
+        assert not any(v.startswith("not-q-restricted") for v in report.table_violations)
+
+    def test_report_keys(self):
+        q = stacked_identity(2, 3)
+        doc = verdict(q, theta_from_params(q, [DinaParams(0.2, 0.1)] * 6)).to_dict()
+        assert doc["table_violations"] == []
+        assert "c2_search" not in doc and "c2_blocks_used" not in doc
+        assert verdict(q).to_dict()["table_violations"] == []
+
+    @staticmethod
+    def _random_table(rng, family):
+        """C1 design over 2-3 attributes with 2-3 singleton rows each and 1-4
+        multi-attribute rows, a monotone table of the family, and some
+        multi-attribute rows flattened to a constant so that they separate
+        no class."""
+        k = int(rng.integers(2, 4))
+        rows = [np.eye(k, dtype=int)[a] for a in range(k)
+                for _ in range(int(rng.choice([2, 3], p=[0.6, 0.4])))]
+        for _ in range(int(rng.integers(1, 5))):
+            code = 0
+            while bin(code).count("1") < 2:
+                code = int(rng.integers(1, 1 << k))
+            rows.append((code >> np.arange(k)) & 1)
+        rows = np.array(rows)[rng.permutation(len(rows))]
+        q = QMatrix(rows)
+        values = theta_from_params(
+            q, [draw_monotone_params(rng, family, r) for r in rows]).values.copy()
+        for j in np.flatnonzero(rows.sum(axis=1) >= 2):
+            if rng.random() < 0.35:
+                values[j] = values[j, 0]
+        return q, ThetaMatrix(values)
+
+    def test_default_designation_matches_every_designation(self):
+        rng = np.random.default_rng(20261018)
+        families = ("DINA", "DINO", "GDINA", "LLM", "RRUM")
+        n_tables, failed = 2000, 0
+        for i in range(n_tables):
+            q, theta = self._random_table(rng, families[i % len(families)])
+            report = verdict(q, theta)
+            assert report.table_violations == ()
+            assert report.c2_holds == brute_c2_any_designation(q, theta)
+            failed += not report.c2_holds
+        assert 0.2 * n_tables <= failed <= 0.5 * n_tables
 
 
 class TestDistributionsEqual:

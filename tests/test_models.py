@@ -18,14 +18,14 @@ from rlcm import (
     check_monotonicity,
     dina_params_from_theta,
     enumerate_profiles,
-    ideal_response_dina,
-    ideal_response_dino,
     theta_from_params,
 )
 
 from helpers import (
     draw_monotone_item_params,
     draw_monotone_params,
+    ideal_response_dina,
+    ideal_response_dino,
     reference_theta_row,
     stacked_identity,
 )

@@ -12,7 +12,6 @@ from rlcm import (
     apply_shift,
     build_tmatrix,
     build_transform,
-    joint_prob,
     marginal_vector,
     mobius_from_marginals,
     response_distribution,
@@ -20,7 +19,13 @@ from rlcm import (
     theta_from_params,
 )
 
-from helpers import brute_dominance_table, brute_distribution, random_proportions, random_theta
+from helpers import (
+    brute_dominance_table,
+    brute_distribution,
+    joint_prob,
+    random_proportions,
+    random_theta,
+)
 
 
 class TestJointProb:
