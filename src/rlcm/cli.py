@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
@@ -42,7 +41,8 @@ EXIT_NOT_COVERED = 3
 def _read_params(path, n_attributes: int) -> list:
     params, declared = fileio.read_item_params_json(path)
     if declared != n_attributes:
-        raise ValueError(f"item parameters declare K={declared}, expected K={n_attributes}")
+        raise ValueError(f"{path}: item parameters declare K={declared}, "
+                         f"expected K={n_attributes}")
     return params
 
 
@@ -59,7 +59,8 @@ def _load_theta(args, q: Optional[QMatrix] = None) -> ThetaMatrix:
         raise ValueError("provide --theta, or --q together with --params")
     if q is None:
         q = fileio.read_qmatrix_csv(args.q)
-    return theta_from_params(q, _read_params(args.params, q.n_attributes))
+    params = _read_params(args.params, q.n_attributes)
+    return fileio._build(args.params, theta_from_params, q, params)
 
 
 def _parse_families(spec: str, n_items: int) -> Tuple[str, ...]:
@@ -71,22 +72,11 @@ def _parse_families(spec: str, n_items: int) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def _write_or_print(text: str, out: Optional[str]) -> None:
-    if out is not None:
-        Path(out).write_text(text)
-    else:
-        print(text, end="")
-
-
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    _write_or_print(json.dumps(payload, indent=2) + "\n", out)
-
-
 def _cmd_check(args) -> int:
     q = fileio.read_qmatrix_csv(args.q)
     theta = _load_theta(args, q) if args.theta or args.params else None
     report = verdict(q, theta)
-    _emit_json(report.to_dict(), args.out)
+    fileio.write_json(args.out, report.to_dict())
     if report.verdict is Verdict.IDENTIFIABLE:
         return EXIT_OK
     if report.verdict is Verdict.INCOMPLETE:
@@ -99,7 +89,7 @@ def _emit_pair(pair: NonIdentifiablePair, out: Optional[str]) -> int:
     gap = pair.max_distribution_gap
     doc = fileio.pair_to_dict(pair)
     doc["verified_gap"] = gap
-    _emit_json(doc, out)
+    fileio.write_json(out, doc)
     print(f"verified distribution gap: {gap:.3e}", file=sys.stderr)
     return EXIT_OK
 
@@ -135,8 +125,8 @@ def _cmd_counterexample(args) -> int:
 def _cmd_verify_pair(args) -> int:
     # read_pair_json re-runs the enumeration oracle via build()
     pair = fileio.read_pair_json(args.pair)
-    _emit_json({"max_distribution_gap": pair.max_distribution_gap,
-                "parameter_distance": pair.parameter_distance}, args.out)
+    fileio.write_json(args.out, {"max_distribution_gap": pair.max_distribution_gap,
+                                 "parameter_distance": pair.parameter_distance})
     return EXIT_OK
 
 
@@ -166,7 +156,7 @@ def _cmd_tmatrix(args) -> int:
         lines.append("# pattern,probability,dominance_probability")
         for r in row_perm:
             lines.append(f"{int(r)},{float(dist[r])!r},{float(dominance[r])!r}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    fileio.write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -189,15 +179,7 @@ def _cmd_fit(args) -> int:
     em = EmConfig(max_iters=args.max_iters, tol=args.tol,
                   restarts=args.restarts, seed=args.seed)
     fit = em_fit(data, q, families, em)
-    if args.out is not None:
-        fileio.write_fit_json(args.out, fit, q.n_attributes)
-    else:
-        _emit_json({
-            "item_params": [fileio._params_to_dict(p) for p in fit.item_params_hat],
-            "p": fit.p_hat.probs.tolist(),
-            "loglik": fit.loglik_trace[-1],
-            "converged": fit.converged,
-        }, None)
+    fileio.write_fit_json(args.out, fit, q.n_attributes)
     print(f"loglik {fit.loglik_trace[-1]:.4f} after {len(fit.loglik_trace) - 1} "
           f"iterations, converged={fit.converged}", file=sys.stderr)
     return EXIT_OK
@@ -213,10 +195,7 @@ def _cmd_experiment(args) -> int:
                   restarts=args.restarts, seed=args.seed)
     table = consistency_experiment(q, families, params, p, n_grid,
                                    args.replications, args.seed, em)
-    if args.out is not None:
-        fileio.write_experiment_json(args.out, table)
-    else:
-        print(json.dumps(table.to_dict(), indent=2))
+    fileio.write_experiment_json(args.out, table)
     for n, err in table.medians().items():
         print(f"N={n}: median max-abs error {err:.4f}", file=sys.stderr)
     return EXIT_OK

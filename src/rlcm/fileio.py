@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from functools import partial
+import operator
+import sys
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -28,46 +29,87 @@ class FileFormatError(ValueError):
     """A file failed to parse; the message carries location diagnostics."""
 
 
-def _load_json(path) -> dict:
-    text = Path(path).read_text()
+# exact types: Python's bool is an int, JSON's boolean is not a number
+_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
+               "null": (type(None),), "integer": (int,), "number": (int, float)}
+_BOUNDS = {"minimum": operator.ge, "maximum": operator.le,
+           "exclusiveMinimum": operator.gt, "exclusiveMaximum": operator.lt}
+
+
+def _broken_bound(value, schema: dict):
+    """The first bound of ``schema`` that the number ``value`` breaks, or None."""
+    return next((f"{value!r} breaks {key} {schema[key]}" for key, holds in _BOUNDS.items()
+                 if key in schema and not holds(value, schema[key])), None)
+
+
+def _plain_numbers(values: list, schema: dict) -> bool:
+    """One pass: every entry is a number within the bounds of ``schema``."""
+    return (schema.get("type") == "number" and bool(values)
+            and all(type(v) is float or type(v) is int for v in values)
+            and not (_BOUNDS.keys() & schema.keys()
+                     and (_broken_bound(min(values), schema)
+                          or _broken_bound(max(values), schema))))
+
+
+def _consts(schema: dict) -> dict:
+    return {key: p["const"] for key, p in schema["properties"].items() if "const" in p}
+
+
+def _check(value, schema: dict, where, at: str = "") -> None:
+    """Enforce the JSON-Schema subset ``SCHEMAS`` uses on ``value``; the first
+    violation is a FileFormatError naming ``where`` (the file) and the field.
+
+    ``oneOf`` alternatives are told apart by their ``const`` properties, as
+    item documents are by ``family``.  An array of plain numbers takes one
+    pass (``_plain_numbers``), so large tables read fast; any other array is
+    checked entry by entry, which also locates a bad entry.
+    """
+    def fail(problem):
+        raise FileFormatError(f"{where}: {at}: {problem}" if at else f"{where}: {problem}")
+
+    for key in schema.get("required", ()):
+        if not isinstance(value, dict) or key not in value:
+            fail(f"missing field {key!r}")
+    kinds = schema.get("type", ())
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(type(value) in _JSON_TYPES[kind] for kind in kinds):
+        found = {dict: "an object", list: "an array"}.get(type(value)) or json.dumps(value)
+        fail(f"expected {' or '.join(kinds)}, found {found}")
+    if "const" in schema and value != schema["const"]:
+        fail(f"expected {schema['const']!r}, found {value!r}")
+    if type(value) in (int, float) and (broken := _broken_bound(value, schema)):
+        fail(broken)
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"expected at least {schema['minItems']} entries, found {len(value)}")
+        items = schema.get("items")
+        if items is not None and not _plain_numbers(value, items):
+            for i, v in enumerate(value):
+                _check(v, items, where, f"{at}[{i}]")
+    if isinstance(value, dict):
+        props, rest = schema.get("properties", {}), schema.get("additionalProperties")
+        for key, v in value.items():
+            if key in props or rest is not None:
+                _check(v, props.get(key, rest), where, f"{at}[{key!r}]")
+        if "oneOf" in schema:
+            alt = next((alt for alt in schema["oneOf"] if all(
+                value.get(key) == c for key, c in _consts(alt).items())), None)
+            if alt is None:
+                fail("matches none of " + ", ".join(
+                    json.dumps(_consts(alt)) for alt in schema["oneOf"]))
+            _check(value, alt, where, at)
+
+
+def _read(path, fmt: str) -> dict:
+    """The JSON document at ``path``, validated against ``SCHEMAS[fmt]``."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: expected a JSON object at top level")
+    _check(doc, SCHEMAS[fmt], path)
     return doc
-
-
-def _expect(doc: dict, path, key: str, expected: str) -> None:
-    if doc.get(key) != expected:
-        raise FileFormatError(f"{path}: expected {key} {expected!r}, found {doc.get(key)!r}")
-
-
-def _has_bool(value) -> bool:
-    """JSON true/false anywhere in a value; Python would read them as 1 and 0."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return any(_has_bool(v) for v in value)
-    return isinstance(value, bool)
-
-
-def _field(doc, key: str, convert, where):
-    """``convert(doc[key])``; a missing or ill-typed field is a FileFormatError.
-
-    No field read here holds booleans, so one anywhere inside it is ill-typed.
-    """
-    if not isinstance(doc, dict) or key not in doc:
-        raise FileFormatError(f"{where}: missing field {key!r}")
-    if _has_bool(doc[key]):
-        raise FileFormatError(f"{where}: field {key!r}: found a JSON boolean")
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise FileFormatError(f"{where}: field {key!r}: {exc}") from exc
 
 
 def _build(where, make, *args, **kwargs):
@@ -76,17 +118,29 @@ def _build(where, make, *args, **kwargs):
         return make(*args, **kwargs)
     except FileFormatError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def _integer(value) -> int:
-    if not isinstance(value, int):
-        raise TypeError(f"expected an integer, found {value!r}")
-    return value
+def _check_sizes(path, doc: dict, **stored) -> None:
+    """The sizes ``doc`` declares must be those of the values it stores."""
+    if any(doc[key] != size for key, size in stored.items()):
+        declared = ", ".join(f"{key}={doc[key]}" for key in stored)
+        actual = ", ".join(f"{key}={size}" for key, size in stored.items())
+        raise FileFormatError(f"{path}: declared {declared} do not match the stored "
+                              f"values ({actual})")
 
 
-_floats = partial(np.asarray, dtype=np.float64)
+def write_text(path, text: str) -> None:
+    """``text`` into the file ``path``, or onto stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
+def write_json(path, doc: dict) -> None:
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _read_bits_csv(path, what: str) -> np.ndarray:
@@ -135,88 +189,57 @@ def write_qmatrix_csv(path, q: QMatrix) -> None:
 
 
 def read_theta_json(path) -> ThetaMatrix:
-    doc = _load_json(path)
-    _expect(doc, path, "format", "theta-matrix")
-    _expect(doc, path, "column_order", CANONICAL_ORDER)
-    values = _field(doc, "values", _floats, path)
-    theta = _build(path, ThetaMatrix, values,
-                   is_probability=bool(doc.get("is_probability", True)))
-    n_items, n_attributes = _field(doc, "J", _integer, path), _field(doc, "K", _integer, path)
-    if theta.n_items != n_items or theta.n_attributes != n_attributes:
-        raise FileFormatError(
-            f"{path}: declared J={n_items}, K={n_attributes} do not match "
-            f"values of shape {values.shape}"
-        )
+    doc = _read(path, "theta-matrix")
+    theta = _build(path, ThetaMatrix, doc["values"],
+                   is_probability=doc.get("is_probability", True))
+    _check_sizes(path, doc, J=theta.n_items, K=theta.n_attributes)
     return theta
 
 
 def write_theta_json(path, theta: ThetaMatrix) -> None:
-    doc = {
+    write_json(path, {
         "format": "theta-matrix",
         "J": theta.n_items,
         "K": theta.n_attributes,
         "column_order": CANONICAL_ORDER,
         "is_probability": theta.is_probability,
         "values": theta.values.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    })
 
 
 def read_proportion_json(path) -> ProportionVector:
-    doc = _load_json(path)
-    _expect(doc, path, "format", "proportion-vector")
-    _expect(doc, path, "order", CANONICAL_ORDER)
-    probs = _field(doc, "probs", _floats, path)
-    p = _build(path, ProportionVector, probs)
-    n_attributes = _field(doc, "K", _integer, path)
-    if p.n_attributes != n_attributes:
-        raise FileFormatError(
-            f"{path}: declared K={n_attributes} does not match {probs.size} entries"
-        )
+    doc = _read(path, "proportion-vector")
+    p = _build(path, ProportionVector, doc["probs"])
+    _check_sizes(path, doc, K=p.n_attributes)
     return p
 
 
 def write_proportion_json(path, p: ProportionVector) -> None:
-    doc = {
+    write_json(path, {
         "format": "proportion-vector",
         "K": p.n_attributes,
         "order": CANONICAL_ORDER,
         "probs": p.probs.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    })
 
 
 def _params_to_dict(params: ItemParams) -> dict:
     return FAMILY[params.family].to_dict(params)
 
 
-def _params_from_dict(item, index: int, path) -> ItemParams:
-    where = f"{path}: item {index}"
-    family = _field(item, "family", str, where)
-    if family not in FAMILY:
-        raise FileFormatError(f"{where}: unknown family {family!r}")
-    return _build(where, FAMILY[family].from_dict,
-                  lambda key, convert: _field(item, key, convert, where))
-
-
 def read_item_params_json(path) -> Tuple[List[ItemParams], int]:
     """Read per-item parameters; returns (params, K)."""
-    doc = _load_json(path)
-    _expect(doc, path, "format", "item-params")
-    n_attributes = _field(doc, "K", _integer, path)
-    items = doc.get("items")
-    if not isinstance(items, list) or not items:
-        raise FileFormatError(f"{path}: 'items' must be a non-empty list")
-    return [_params_from_dict(item, i, path) for i, item in enumerate(items)], n_attributes
+    doc = _read(path, "item-params")
+    return [_build(f"{path}: item {i}", FAMILY[item["family"]].from_dict, item)
+            for i, item in enumerate(doc["items"])], doc["K"]
 
 
 def write_item_params_json(path, params: Sequence[ItemParams], n_attributes: int) -> None:
-    doc = {
+    write_json(path, {
         "format": "item-params",
         "K": n_attributes,
         "items": [_params_to_dict(p) for p in params],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    })
 
 
 def read_response_csv(path) -> ResponseData:
@@ -245,22 +268,22 @@ def pair_to_dict(pair: NonIdentifiablePair) -> dict:
 
 
 def write_pair_json(path, pair: NonIdentifiablePair) -> None:
-    Path(path).write_text(json.dumps(pair_to_dict(pair), indent=2) + "\n")
+    write_json(path, pair_to_dict(pair))
 
 
 def read_pair_json(path) -> NonIdentifiablePair:
-    doc = _load_json(path)
-    _expect(doc, path, "format", "nonidentifiable-pair")
-    _expect(doc, path, "order", CANONICAL_ORDER)
+    doc = _read(path, "nonidentifiable-pair")
 
     def member(key: str):
-        part, where = doc.get(key), f"{path}: {key}"
-        return (_build(where, ThetaMatrix, _field(part, "theta", _floats, where)),
-                _build(where, ProportionVector, _field(part, "p", _floats, where)))
+        where = f"{path}: {key}"
+        return (_build(where, ThetaMatrix, doc[key]["theta"]),
+                _build(where, ProportionVector, doc[key]["p"]))
 
+    first, second = member("first"), member("second")
+    _check_sizes(path, doc, J=first[0].n_items, K=first[0].n_attributes)
     # build() re-verifies the invariants instead of trusting stored numbers
     try:
-        return _build(path, NonIdentifiablePair.build, member("first"), member("second"))
+        return _build(path, NonIdentifiablePair.build, first, second)
     except InternalConsistencyError as exc:
         raise FileFormatError(
             f"{path}: stored members differ in distribution (gap {exc.gap:.3g})"
@@ -268,7 +291,7 @@ def read_pair_json(path) -> NonIdentifiablePair:
 
 
 def write_fit_json(path, fit: FitResult, n_attributes: int) -> None:
-    doc = {
+    write_json(path, {
         "format": "fit-result",
         "K": n_attributes,
         "item_params": [_params_to_dict(p) for p in fit.item_params_hat],
@@ -279,14 +302,39 @@ def write_fit_json(path, fit: FitResult, n_attributes: int) -> None:
         "restarts_used": fit.restarts_used,
         # a failed restart is NaN, which strict JSON cannot hold
         "restart_logliks": [None if math.isnan(v) else v for v in fit.restart_logliks],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    })
 
 
 def write_experiment_json(path, table: ExperimentTable) -> None:
-    doc = {"format": "consistency-table", **table.to_dict()}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(path, {"format": "consistency-table", **table.to_dict()})
 
+
+def _object(optional=(), **properties) -> dict:
+    """Schema of a JSON object; the fields not named ``optional`` are required."""
+    return {"type": "object",
+            "required": [key for key in properties if key not in optional],
+            "properties": properties}
+
+
+def _document(fmt: str, optional=(), **properties) -> dict:
+    """Schema of a JSON document tagged ``"format": fmt``."""
+    return _object(optional, format={"const": fmt}, **properties)
+
+
+_SIZE = {"type": "integer", "minimum": 1, "maximum": 20}
+_NUMBER = {"type": "number"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+_TABLE = {"type": "array", "minItems": 1, "items": _NUMBERS}
+_PROPORTIONS = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0,
+                                           "exclusiveMaximum": 1}}
+_ITEMS = {"type": "array", "minItems": 1, "items": {
+    "type": "object", "required": ["family"],
+    "oneOf": [family.schema for family in FAMILY.values()]}}
+_MEMBER = _object(theta=_TABLE, p=_PROPORTIONS)
+_GAP = {"type": "number", "minimum": 0}
+_ROW = _object(n={"type": "integer", "minimum": 1}, replication={"type": "integer"},
+               overall_error=_NUMBER, p_error=_NUMBER, item_errors=_NUMBERS,
+               loglik=_NUMBER, converged={"type": "boolean"})
 
 SCHEMAS = {
     "q-matrix-csv": {
@@ -297,79 +345,24 @@ SCHEMAS = {
         "description": "One line per subject; J comma-separated 0/1 entries; "
                        "'#' lines are comments.",
     },
-    "theta-matrix": {
-        "type": "object",
-        "required": ["format", "J", "K", "column_order", "values"],
-        "properties": {
-            "format": {"const": "theta-matrix"},
-            "J": {"type": "integer", "minimum": 1, "maximum": 20},
-            "K": {"type": "integer", "minimum": 1, "maximum": 20},
-            "column_order": {"const": CANONICAL_ORDER},
-            "is_probability": {"type": "boolean", "default": True},
-            "values": {"type": "array", "items": {"type": "array",
-                                                  "items": {"type": "number"}}},
-        },
-    },
-    "proportion-vector": {
-        "type": "object",
-        "required": ["format", "K", "order", "probs"],
-        "properties": {
-            "format": {"const": "proportion-vector"},
-            "K": {"type": "integer", "minimum": 1, "maximum": 20},
-            "order": {"const": CANONICAL_ORDER},
-            "probs": {"type": "array", "items": {"type": "number",
-                                                 "exclusiveMinimum": 0,
-                                                 "exclusiveMaximum": 1}},
-        },
-    },
-    "item-params": {
-        "type": "object",
-        "required": ["format", "K", "items"],
-        "properties": {
-            "format": {"const": "item-params"},
-            "K": {"type": "integer", "minimum": 1, "maximum": 20},
-            "items": {"type": "array", "items": {"oneOf": [
-                {"properties": {"family": {"enum": ["DINA", "DINO"]},
-                                "s": {"type": "number"},
-                                "g": {"type": "number"}},
-                 "required": ["family", "s", "g"]},
-                {"properties": {"family": {"const": "GDINA"},
-                                "beta": {"type": "object",
-                                         "description": "keys are comma-separated "
-                                                        "0-based attribute indices; "
-                                                        "'' is the empty set"}},
-                 "required": ["family", "beta"]},
-                {"properties": {"family": {"const": "LLM"},
-                                "beta0": {"type": "number"},
-                                "beta": {"type": "array", "items": {"type": "number"}}},
-                 "required": ["family", "beta0", "beta"]},
-                {"properties": {"family": {"const": "RRUM"},
-                                "pi": {"type": "number"},
-                                "r": {"type": "array", "items": {"type": "number"}}},
-                 "required": ["family", "pi", "r"]},
-            ]}},
-        },
-    },
-    "nonidentifiable-pair": {
-        "type": "object",
-        "required": ["format", "J", "K", "order", "first", "second",
-                     "max_distribution_gap", "parameter_distance"],
-        "properties": {
-            "format": {"const": "nonidentifiable-pair"},
-            "order": {"const": CANONICAL_ORDER},
-            "first": {"type": "object", "required": ["theta", "p"]},
-            "second": {"type": "object", "required": ["theta", "p"]},
-        },
-    },
-    "fit-result": {
-        "type": "object",
-        "required": ["format", "K", "item_params", "p", "loglik", "loglik_trace",
-                     "converged", "restarts_used"],
-        "properties": {"format": {"const": "fit-result"}},
-    },
-    "consistency-table": {
-        "type": "object",
-        "required": ["format", "rows", "median_overall_error"],
-        "properties": {"format": {"const": "consistency-table"}},
-    },
+    "theta-matrix": _document(
+        "theta-matrix", optional=("is_probability",), J=_SIZE, K=_SIZE,
+        column_order={"const": CANONICAL_ORDER},
+        is_probability={"type": "boolean", "default": True}, values=_TABLE),
+    "proportion-vector": _document(
+        "proportion-vector", K=_SIZE, order={"const": CANONICAL_ORDER},
+        probs=_PROPORTIONS),
+    "item-params": _document("item-params", K=_SIZE, items=_ITEMS),
+    "nonidentifiable-pair": _document(
+        "nonidentifiable-pair", J=_SIZE, K=_SIZE, order={"const": CANONICAL_ORDER},
+        first=_MEMBER, second=_MEMBER, max_distribution_gap=_GAP,
+        parameter_distance=_GAP),
+    "fit-result": _document(
+        "fit-result", K=_SIZE, item_params=_ITEMS, p=_PROPORTIONS,
+        loglik=_NUMBER, loglik_trace=_NUMBERS,
+        converged={"type": "boolean"}, restarts_used={"type": "integer", "minimum": 0},
+        restart_logliks={"type": "array", "items": {"type": ["number", "null"]}}),
+    "consistency-table": _document(
+        "consistency-table", rows={"type": "array", "items": _ROW},
+        median_overall_error={"type": "object", "additionalProperties": _NUMBER}),
 }

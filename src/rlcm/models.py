@@ -10,7 +10,8 @@ Under the Q-restriction an item's response probability depends on a
 profile only through its sub-pattern on the required attributes
 (``ItemDesign``), so the families differ only in how a coefficient vector
 maps onto those groups.  Each family is one class in ``FAMILY``: params
-<-> coefficients, theta row, EM M-step and random start, and JSON form.
+<-> coefficients, theta row, EM M-step and random start, and the JSON
+fields from which its item schema, ``to_dict`` and ``from_dict`` follow.
 A new family is its parameter dataclass, one such class and one entry.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -270,13 +271,60 @@ def _float_tuple(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
-class TwoRateFamily:
+class JsonField(NamedTuple):
+    """One field of an item's JSON document, named as the parameter attribute."""
+
+    schema: dict
+    encode: Callable    # attribute value -> JSON value
+    decode: Callable    # JSON value that passed ``schema`` -> constructor argument
+
+
+_NUMBER = JsonField({"type": "number"}, float, float)
+_NUMBERS = JsonField({"type": "array", "items": {"type": "number"}}, list, _float_tuple)
+_SUBSETS = JsonField(
+    {"type": "object", "additionalProperties": {"type": "number"},
+     "description": "keys are comma-separated 0-based attribute indices; '' is the empty set"},
+    lambda beta: {",".join(str(a) for a in sorted(key)): value for key, value in beta.items()},
+    lambda beta: {frozenset(int(a) for a in key.split(",") if a != ""): float(value)
+                  for key, value in beta.items()},
+)
+
+
+class _Family:
+    """What every family class shares: its name and its JSON form, both
+    derived from ``params_type`` and the declared ``fields``."""
+
+    params_type: type
+    fields: Mapping[str, JsonField]
+
+    @property
+    def name(self) -> str:
+        return self.params_type.family
+
+    @property
+    def schema(self) -> dict:
+        """JSON schema of one item of this family."""
+        return {"type": "object", "required": ["family", *self.fields],
+                "properties": {"family": {"const": self.name},
+                               **{key: f.schema for key, f in self.fields.items()}}}
+
+    def to_dict(self, params) -> dict:
+        return {"family": self.name,
+                **{key: f.encode(getattr(params, key)) for key, f in self.fields.items()}}
+
+    def from_dict(self, doc: dict):
+        """Parameters from an item document that has passed ``schema``."""
+        return self.params_type(**{key: f.decode(doc[key]) for key, f in self.fields.items()})
+
+
+class TwoRateFamily(_Family):
     """DINA and DINO: rate 1 - s on the ``mask`` profiles, g off them; the mask
     is ``capable`` (every required attribute) for DINA and ``touched`` (at
     least one) for DINO.  Coefficients: (1 - s, g)."""
 
+    fields = {"s": _NUMBER, "g": _NUMBER}
+
     def __init__(self, params_type, mask: str):
-        self.name = params_type.family
         self.params_type = params_type
         self.mask = mask
 
@@ -302,17 +350,12 @@ class TwoRateFamily:
         low = min(max(low, 1e-12), high - 1e-12)
         return self.params_type(s=1.0 - high, g=low)
 
-    def to_dict(self, params) -> dict:
-        return {"family": self.name, "s": params.s, "g": params.g}
 
-    def from_dict(self, get):
-        return self.params_type(s=get("s", float), g=get("g", float))
-
-
-class GdinaFamily:
+class GdinaFamily(_Family):
     """G-DINA: one free response probability per group, the coefficients."""
 
-    name = "GDINA"
+    params_type = GdinaParams
+    fields = {"beta": _SUBSETS}
 
     def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
         if not params.attributes <= set(design.required):
@@ -348,22 +391,12 @@ class GdinaFamily:
             for mask, b in enumerate(beta)
         })
 
-    def to_dict(self, params) -> dict:
-        beta = {",".join(str(a) for a in sorted(key)): value
-                for key, value in params.beta.items()}
-        return {"family": self.name, "beta": beta}
 
-    def from_dict(self, get):
-        def subsets(beta):
-            return {frozenset(int(a) for a in key.split(",") if a != ""): float(value)
-                    for key, value in beta.items()}
-        return GdinaParams(get("beta", subsets))
-
-
-class LlmFamily:
+class LlmFamily(_Family):
     """Logit link; coefficients: intercept, then the required slopes."""
 
-    name = "LLM"
+    params_type = LlmParams
+    fields = {"beta0": _NUMBER, "beta": _NUMBERS}
 
     def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
         if len(params.beta) != design.n_attributes:
@@ -403,17 +436,12 @@ class LlmFamily:
         slopes[design.required] = coef[1:]
         return LlmParams(beta0=float(coef[0]), beta=tuple(slopes))
 
-    def to_dict(self, params) -> dict:
-        return {"family": self.name, "beta0": params.beta0, "beta": list(params.beta)}
 
-    def from_dict(self, get):
-        return LlmParams(beta0=get("beta0", float), beta=get("beta", _float_tuple))
-
-
-class RrumFamily:
+class RrumFamily(_Family):
     """Log link; coefficients: log pi, then the logs of the required penalties."""
 
-    name = "RRUM"
+    params_type = RrumParams
+    fields = {"pi": _NUMBER, "r": _NUMBERS}
 
     def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
         if len(params.r) != design.n_attributes:
@@ -460,12 +488,6 @@ class RrumFamily:
         penalties = np.full(design.n_attributes, 0.5)
         penalties[design.required] = np.exp(coef[1:])
         return RrumParams(pi=float(np.exp(coef[0])), r=tuple(penalties))
-
-    def to_dict(self, params) -> dict:
-        return {"family": self.name, "pi": params.pi, "r": list(params.r)}
-
-    def from_dict(self, get):
-        return RrumParams(pi=get("pi", float), r=get("r", _float_tuple))
 
 
 FAMILY = {fam.name: fam for fam in (
