@@ -188,6 +188,8 @@ def _cmd_fit(args) -> int:
 def _cmd_experiment(args) -> int:
     q = fileio.read_qmatrix_csv(args.q)
     params = _read_params(args.params, q.n_attributes)
+    # a params file that does not fit Q is reported with the file's name
+    fileio._build(args.params, theta_from_params, q, params)
     p = fileio.read_proportion_json(args.p)
     families = _parse_families(args.families, q.n_items)
     n_grid = [int(n) for n in args.n_grid.split(",")]

@@ -100,14 +100,26 @@ def _check(value, schema: dict, where, at: str = "") -> None:
             _check(value, alt, where, at)
 
 
+def _read_text(path) -> str:
+    """The text of the file ``path``; bytes that do not decode are a
+    FileFormatError naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not a text file: {exc}") from exc
+
+
 def _read(path, fmt: str) -> dict:
     """The JSON document at ``path``, validated against ``SCHEMAS[fmt]``."""
+    text = _read_text(path)
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from exc
     _check(doc, SCHEMAS[fmt], path)
     return doc
 
@@ -144,9 +156,44 @@ def write_json(path, doc: dict) -> None:
 
 
 def _read_bits_csv(path, what: str) -> np.ndarray:
-    """Comma-separated 0/1 rows, one per line; '#' lines are comments."""
+    """Comma-separated 0/1 rows, one per line; '#' lines are comments.
+
+    A canonical file, every data line exactly ``[01](,[01])*`` of one width,
+    is parsed as one array; any other spelling goes to ``_parse_bits_lines``,
+    the one definition of the grammar and its diagnostics.
+    """
+    text = _read_text(path)
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    bits = _canonical_bits(lines)
+    return bits if bits is not None else _parse_bits_lines(path, text, what)
+
+
+def _canonical_bits(lines: List[str]):
+    """The 0/1 matrix of ``lines`` when every line is exactly ``[01](,[01])*``
+    with the width of the first, else None."""
+    if not lines or len(lines[0]) % 2 == 0:
+        return None
+    width = len(lines[0]) + 1          # the line and its newline
+    joined = "\n".join(lines) + "\n"
+    if len(joined) != width * len(lines) or not joined.isascii():
+        return None
+    chars = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(lines), width)
+    # each of the len(lines) newlines not in the last column sits on a cell or
+    # a separator and fails a check below, so passing them fixes every width
+    if not (chars[:, 1:-1:2] == ord(",")).all():
+        return None
+    cells = chars[:, 0:-1:2] - np.uint8(ord("0"))
+    if (cells > 1).any():
+        return None
+    return cells.view(np.int8)
+
+
+def _parse_bits_lines(path, text: str, what: str) -> np.ndarray:
+    """The line-by-line reader: any accepted spelling, and for a bad file the
+    ``line N, column M`` diagnostic."""
     rows: List[List[int]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -171,8 +218,12 @@ def _read_bits_csv(path, what: str) -> np.ndarray:
 
 
 def _write_bits_csv(path, header: str, matrix) -> None:
-    lines = ["# " + header] + [",".join(map(str, row)) for row in matrix.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """``# header``, then each row of the 0/1 ``matrix`` as ``0,1,...``."""
+    n_rows, n_cols = matrix.shape
+    chars = np.full((n_rows, 2 * n_cols), ord(","), dtype=np.uint8)
+    chars[:, 0::2] = matrix + ord("0")
+    chars[:, -1] = ord("\n")
+    Path(path).write_bytes(f"# {header}\n".encode() + chars.tobytes())
 
 
 def read_qmatrix_csv(path) -> QMatrix:

@@ -108,12 +108,20 @@ def _pattern_stats(data: ResponseData):
 
 
 def _likelihood_matrix(bits: NDArray, theta_values: NDArray) -> NDArray:
+    """P(pattern | class) for each row of ``bits`` and each column of theta,
+    as one GEMM in the log domain.
+
+    With c = theta clipped to [THETA_CLAMP, 1 - THETA_CLAMP], log P is
+    ``bits @ (log c - log(1 - c)) + sum_j log(1 - c_j)``.  The direct exp
+    needs no log-sum-exp shift: every factor is at least THETA_CLAMP, so an
+    entry is at least THETA_CLAMP**J >= 1e-240 for J <= MAX_ITEMS = 20, far
+    above the double underflow at about 1e-308.
+    """
     clamped = np.clip(theta_values, THETA_CLAMP, 1.0 - THETA_CLAMP)
-    like = np.ones((bits.shape[0], clamped.shape[1]))
-    for j in range(clamped.shape[0]):
-        b = bits[:, j : j + 1]
-        like *= b * clamped[j][None, :] + (1.0 - b) * (1.0 - clamped[j][None, :])
-    return like
+    log_off = np.log1p(-clamped)
+    log_like = bits @ (np.log(clamped) - log_off)
+    log_like += log_off.sum(axis=0)
+    return np.exp(log_like, out=log_like)
 
 
 def loglik(data: ResponseData, theta: ThetaMatrix, p: ProportionVector) -> float:

@@ -17,6 +17,7 @@ A new family is its parameter dataclass, one such class and one entry.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, Tuple, Union
@@ -281,12 +282,30 @@ class JsonField(NamedTuple):
 
 _NUMBER = JsonField({"type": "number"}, float, float)
 _NUMBERS = JsonField({"type": "array", "items": {"type": "number"}}, list, _float_tuple)
+_SUBSET_KEY = re.compile(r"([0-9]+(,[0-9]+)*)?")
+
+
+def _decode_subsets(beta: dict) -> dict:
+    """G-DINA ``beta`` keyed by subsets; a key that is not comma-separated
+    attribute indices, or a second key naming the same subset, is rejected."""
+    subsets, keys = {}, {}
+    for key, value in beta.items():
+        if not _SUBSET_KEY.fullmatch(key):
+            raise InvalidParameterError(
+                f"beta: key {key!r} is not comma-separated 0-based attribute indices")
+        subset = frozenset(int(a) for a in key.split(",") if a != "")
+        if subset in keys:
+            raise InvalidParameterError(
+                f"beta: keys {keys[subset]!r} and {key!r} name the same subset")
+        subsets[subset], keys[subset] = float(value), key
+    return subsets
+
+
 _SUBSETS = JsonField(
     {"type": "object", "additionalProperties": {"type": "number"},
      "description": "keys are comma-separated 0-based attribute indices; '' is the empty set"},
     lambda beta: {",".join(str(a) for a in sorted(key)): value for key, value in beta.items()},
-    lambda beta: {frozenset(int(a) for a in key.split(",") if a != ""): float(value)
-                  for key, value in beta.items()},
+    _decode_subsets,
 )
 
 

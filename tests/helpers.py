@@ -25,6 +25,7 @@ from rlcm import (
     ThetaMatrix,
     dominates,
 )
+from rlcm.models import THETA_CLAMP
 
 
 def bits_to_int(bits) -> int:
@@ -154,6 +155,17 @@ def brute_gap(first, second) -> float:
     da = brute_distribution(theta_a.values, p_a.probs)
     db = brute_distribution(theta_b.values, p_b.probs)
     return float(np.abs(da - db).max())
+
+
+def reference_likelihood(bits: np.ndarray, theta_values: np.ndarray) -> np.ndarray:
+    """P(pattern | class) as a product over items, one item at a time: the
+    E-step likelihood before it became one GEMM, kept as its oracle."""
+    clamped = np.clip(theta_values, THETA_CLAMP, 1.0 - THETA_CLAMP)
+    like = np.ones((bits.shape[0], clamped.shape[1]))
+    for j in range(clamped.shape[0]):
+        b = bits[:, j : j + 1]
+        like *= b * clamped[j][None, :] + (1.0 - b) * (1.0 - clamped[j][None, :])
+    return like
 
 
 def _sigmoid(x):
