@@ -231,7 +231,7 @@ def read_qmatrix_csv(path) -> QMatrix:
 
     Lines starting with '#' are comments.
     """
-    return QMatrix(_read_bits_csv(path, "Q-matrix"))
+    return _build(path, QMatrix, _read_bits_csv(path, "Q-matrix"))
 
 
 def write_qmatrix_csv(path, q: QMatrix) -> None:
@@ -295,7 +295,7 @@ def write_item_params_json(path, params: Sequence[ItemParams], n_attributes: int
 
 def read_response_csv(path) -> ResponseData:
     """Parse response data: one line per subject, comma-separated 0/1."""
-    return ResponseData.from_matrix(_read_bits_csv(path, "response"))
+    return _build(path, ResponseData.from_matrix, _read_bits_csv(path, "response"))
 
 
 def write_response_csv(path, data: ResponseData) -> None:

@@ -182,12 +182,20 @@ class FitResult:
             raise EmError(f"log-likelihood trace decreased by {-worst:.3g}")
 
 
+def _expected_counts(bits, counts, like, mixture, p):
+    """Expected positives per (class, item) and class sizes from one GEMM,
+    ``like.T @ [bits * r | r]`` with r = counts / mixture, scaled by p."""
+    r = (counts / mixture)[:, None]
+    fused = like.T @ np.hstack([bits * r, r])
+    return p[:, None] * fused[:, :-1], p * fused[:, -1]
+
+
 def _run_em(counts, bits, items, coefs, p, n_subjects, max_iters, tol):
     """EM from one start; ``items`` pairs each item's family with its design."""
     trace = []
     converged = False
-    theta_vals = np.vstack([fam.row(d, c) for (fam, d), c in zip(items, coefs)])
     for iteration in range(max_iters + 1):
+        theta_vals = np.vstack([fam.row(d, c) for (fam, d), c in zip(items, coefs)])
         like = _likelihood_matrix(bits, theta_vals)
         mixture = like @ p
         ll = float(counts @ np.log(mixture))
@@ -199,14 +207,11 @@ def _run_em(counts, bits, items, coefs, p, n_subjects, max_iters, tol):
             break
         if iteration == max_iters:
             break
-        weights = (counts / mixture)[:, None] * (like * p[None, :])
-        pos = weights.T @ bits           # expected positives per (class, item)
-        tot = weights.sum(axis=0)        # expected class sizes
+        pos, tot = _expected_counts(bits, counts, like, mixture, p)
         p = np.maximum(tot / n_subjects, P_FLOOR)
         p = p / p.sum()
         coefs = [fam.update(design, c, pos[:, j], tot)
                  for j, ((fam, design), c) in enumerate(zip(items, coefs))]
-        theta_vals = np.vstack([fam.row(d, c) for (fam, d), c in zip(items, coefs)])
     return trace, converged, coefs, p
 
 

@@ -167,12 +167,8 @@ ItemParams = Union[DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams]
 
 
 def _sigmoid(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))   # never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _subset_sums(beta: Mapping[frozenset, float], attrs) -> NDArray[np.float64]:
@@ -237,10 +233,12 @@ def _two_rate_update(pos: NDArray, tot: NDArray, mask: NDArray,
 def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
     """Maximize by Newton steps, halving until the objective improves.
 
-    Only improving candidates are accepted, so the caller's objective
-    never decreases; at most ``max_steps`` candidate evaluations run.
+    ``value`` maps candidates stacked as rows to their objectives.  A step
+    evaluates its scales 1, 1/2, ..., 2**-26 (the last above 1e-8) in one
+    call and takes the first improving candidate, so the objective never
+    decreases; ``max_steps`` bounds the candidates up to each one taken.
     """
-    current = value(coef)
+    current = value(coef[None])[0]
     used = 0
     while used < max_steps:
         grad, neghess = grad_neghess(coef)
@@ -248,24 +246,29 @@ def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
             step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
         except np.linalg.LinAlgError:
             break
-        scale = 1.0
-        accepted = False
-        while used < max_steps:
-            used += 1
-            candidate = coef + scale * step
-            if project is not None:
-                candidate = project(candidate)
-            val = value(candidate)
-            if np.isfinite(val) and val > current + 1e-12:
-                coef, current = candidate, val
-                accepted = True
-                break
-            scale *= 0.5
-            if scale < 1e-8:
-                break
-        if not accepted:
+        # 27 x 2**|q_j| entries at most, below the likelihood matrix once
+        # the data has 27 distinct patterns, so not chunked
+        ladder = coef + 0.5 ** np.arange(min(27, max_steps - used))[:, None] * step
+        if project is not None:
+            ladder = project(ladder)
+        vals = value(ladder)
+        better = np.flatnonzero(np.isfinite(vals) & (vals > current + 1e-12))
+        if not better.size:
             break
+        first = better[0]
+        coef, current, used = ladder[first], vals[first], used + first + 1
     return coef
+
+
+def _binomial_objective(link, x, gpos, gtot):
+    """Group log-likelihood of each stacked row c, mu = link(c @ x.T) clipped.
+    Each row is its own (1, d) @ (d, G) product: BLAS takes another kernel for
+    one row than for many, and a row's value must not depend on the stack."""
+    def value(c):
+        mu = np.clip(link((c[:, None, :] @ x.T)[:, 0]), THETA_CLAMP, 1.0 - THETA_CLAMP)
+        return (np.log(mu) * gpos).sum(-1) + (np.log1p(-mu) * (gtot - gpos)).sum(-1)
+
+    return value
 
 
 def _float_tuple(values) -> tuple:
@@ -391,10 +394,7 @@ class GdinaFamily(_Family):
 
     def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
         gpos, gtot = design.group_sums(pos, tot)
-        means = coef.copy()
-        nonzero = gtot > 0
-        means[nonzero] = gpos[nonzero] / gtot[nonzero]
-        return means
+        return np.divide(gpos, gtot, out=coef.copy(), where=gtot > 0)
 
     def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
         lo, hi = rng.uniform(0.05, 0.3), rng.uniform(0.7, 0.95)
@@ -431,10 +431,7 @@ class LlmFamily(_Family):
     def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
         gpos, gtot = design.group_sums(pos, tot)
         x = design.logit_design
-
-        def value(c):
-            mu = np.clip(_sigmoid(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
-            return float(gpos @ np.log(mu) + (gtot - gpos) @ np.log1p(-mu))
+        value = _binomial_objective(_sigmoid, x, gpos, gtot)
 
         def grad_neghess(c):
             mu = _sigmoid(x @ c)
@@ -480,13 +477,10 @@ class RrumFamily(_Family):
         x = design.loglink_design
         bound = np.full(coef.size, -1e-9)
         bound[0] = 0.0
+        value = _binomial_objective(np.exp, x, gpos, gtot)
 
         def project(c):
             return np.minimum(c, bound)
-
-        def value(c):
-            mu = np.clip(np.exp(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
-            return float(gpos @ np.log(mu) + (gtot - gpos) @ np.log1p(-mu))
 
         def grad_neghess(c):
             mu = np.clip(np.exp(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)

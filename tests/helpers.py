@@ -299,3 +299,44 @@ def draw_monotone_item_params(rng: np.random.Generator, family: str, q: QMatrix)
 
 def stacked_identity(n_attributes: int, copies: int) -> QMatrix:
     return QMatrix(np.vstack([np.eye(n_attributes, dtype=int)] * copies))
+
+
+def reference_damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
+    """Newton ascent trying one halving at a time, each candidate its own
+    ``value`` call: the M-step loop before each step's halvings became one
+    array, kept as its oracle.  ``value`` maps one coefficient vector to a
+    float."""
+    current = value(coef)
+    used = 0
+    while used < max_steps:
+        grad, neghess = grad_neghess(coef)
+        try:
+            step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
+        except np.linalg.LinAlgError:
+            break
+        scale = 1.0
+        accepted = False
+        while used < max_steps:
+            used += 1
+            candidate = coef + scale * step
+            if project is not None:
+                candidate = project(candidate)
+            val = value(candidate)
+            if np.isfinite(val) and val > current + 1e-12:
+                coef, current = candidate, val
+                accepted = True
+                break
+            scale *= 0.5
+            if scale < 1e-8:
+                break
+        if not accepted:
+            break
+    return coef
+
+
+def reference_expected_counts(bits, counts, like, mixture, p):
+    """Expected positives per (class, item) and class sizes through the
+    N x 2**K posterior weights: the E-step counts before they became one
+    GEMM, kept as their oracle."""
+    weights = (counts / mixture)[:, None] * (like * p[None, :])
+    return weights.T @ bits, weights.sum(axis=0)
