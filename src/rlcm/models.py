@@ -167,8 +167,12 @@ ItemParams = Union[DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams]
 
 
 def _sigmoid(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    ex = np.exp(-np.abs(x))   # never overflows
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def _subset_sums(beta: Mapping[frozenset, float], attrs) -> NDArray[np.float64]:
@@ -234,8 +238,8 @@ def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
     """Maximize by Newton steps, halving until the objective improves.
 
     ``value`` maps candidates stacked as rows to their objectives.  A step
-    evaluates its scales 1, 1/2, ..., 2**-26 (the last above 1e-8) in one
-    call and takes the first improving candidate, so the objective never
+    tries scale 1 alone, then 1/2, ..., 2**-26 (the last above 1e-8) in one
+    call, and takes the first improving candidate, so the objective never
     decreases; ``max_steps`` bounds the candidates up to each one taken.
     """
     current = value(coef[None])[0]
@@ -246,24 +250,31 @@ def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
             step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
         except np.linalg.LinAlgError:
             break
-        # 27 x 2**|q_j| entries at most, below the likelihood matrix once
-        # the data has 27 distinct patterns, so not chunked
-        ladder = coef + 0.5 ** np.arange(min(27, max_steps - used))[:, None] * step
-        if project is not None:
-            ladder = project(ladder)
-        vals = value(ladder)
-        better = np.flatnonzero(np.isfinite(vals) & (vals > current + 1e-12))
+        n = min(27, max_steps - used)
+        # the full step is the one usually taken, so it costs one row; the
+        # halvings, 26 x 2**|q_j| entries at most, are below the likelihood
+        # matrix once the data has 26 distinct patterns, so not chunked
+        for lo, hi in (0, 1), (1, n):
+            ladder = coef + 0.5 ** np.arange(lo, hi)[:, None] * step
+            if project is not None:
+                ladder = project(ladder)
+            vals = value(ladder)
+            better = np.flatnonzero(np.isfinite(vals) & (vals > current + 1e-12))
+            if better.size or hi == n:
+                break
         if not better.size:
             break
         first = better[0]
-        coef, current, used = ladder[first], vals[first], used + first + 1
+        coef, current, used = ladder[first], vals[first], used + lo + first + 1
     return coef
 
 
 def _binomial_objective(link, x, gpos, gtot):
     """Group log-likelihood of each stacked row c, mu = link(c @ x.T) clipped.
-    Each row is its own (1, d) @ (d, G) product: BLAS takes another kernel for
-    one row than for many, and a row's value must not depend on the stack."""
+    Each row is its own (1, d) @ (d, G) product, since BLAS takes another
+    kernel for one row than for many: a row's value then does not depend on
+    the stack, and the tests can hold the ladder to the one-candidate loop
+    bit for bit."""
     def value(c):
         mu = np.clip(link((c[:, None, :] @ x.T)[:, 0]), THETA_CLAMP, 1.0 - THETA_CLAMP)
         return (np.log(mu) * gpos).sum(-1) + (np.log1p(-mu) * (gtot - gpos)).sum(-1)
@@ -394,7 +405,10 @@ class GdinaFamily(_Family):
 
     def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
         gpos, gtot = design.group_sums(pos, tot)
-        return np.divide(gpos, gtot, out=coef.copy(), where=gtot > 0)
+        means = coef.copy()
+        nonzero = gtot > 0
+        means[nonzero] = gpos[nonzero] / gtot[nonzero]
+        return means
 
     def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
         lo, hi = rng.uniform(0.05, 0.3), rng.uniform(0.7, 0.95)
