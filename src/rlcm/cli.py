@@ -146,16 +146,15 @@ def _cmd_tmatrix(args) -> int:
         f"# encoding: {fileio.CANONICAL_ORDER}; display order: {args.display_order}",
         "# columns: " + ",".join(str(int(c)) for c in col_perm),
     ]
-    for r in row_perm:
-        values = ",".join(repr(float(v)) for v in t.values[r][col_perm])
-        lines.append(f"{int(r)},{values}")
+    rows = row_perm.tolist()
+    for r, values in zip(rows, t.values[np.ix_(row_perm, col_perm)].tolist()):
+        lines.append(f"{r}," + ",".join(map(repr, values)))
     if args.p:
         p = fileio.read_proportion_json(args.p)
-        dist = response_distribution(theta, p)
-        dominance = marginal_vector(t, p)
+        dist = response_distribution(theta, p)[row_perm].tolist()
+        dominance = marginal_vector(t, p)[row_perm].tolist()
         lines.append("# pattern,probability,dominance_probability")
-        for r in row_perm:
-            lines.append(f"{int(r)},{float(dist[r])!r},{float(dominance[r])!r}")
+        lines.extend(f"{r},{d!r},{m!r}" for r, d, m in zip(rows, dist, dominance))
     fileio.write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -72,23 +72,30 @@ class TransformMatrix:
         return self.theta_star.size
 
 
+def _product_table(off, on) -> NDArray[np.float64]:
+    """Rows by pattern: row r multiplies ``on[j]`` over the items j set in
+    r and ``off[j]`` (1 if None) over the others, filled in place by row
+    doubling, item j extending the first 2**j rows to 2**(j+1)."""
+    n_items, n_cols = on.shape
+    rows = np.empty((1 << n_items, n_cols), dtype=np.float64)
+    rows[0] = 1.0
+    for j in range(n_items):
+        h = 1 << j
+        np.multiply(rows[:h], on[j], out=rows[h : 2 * h])
+        if off is not None:
+            rows[:h] *= off[j]
+    return rows
+
+
 def build_tmatrix(theta: ThetaMatrix) -> TMatrix:
     """Assemble the full marginal table from a per-item table.
 
     Row r is the elementwise product over set bits of the corresponding
     single-item rows; row 0 is all ones.  Works for arbitrary real
-    tables, not only probability ones.  Rows are filled in one pass by
-    reusing the row with the lowest set bit cleared.
+    tables, not only probability ones.
     """
-    n_items = theta.n_items
-    check_table_size(n_items, theta.n_attributes)
-    values = theta.values
-    out = np.empty((1 << n_items, values.shape[1]), dtype=np.float64)
-    out[0] = 1.0
-    for r in range(1, 1 << n_items):
-        low = r & -r
-        out[r] = out[r ^ low] * values[low.bit_length() - 1]
-    return TMatrix(out)
+    check_table_size(theta.n_items, theta.n_attributes)
+    return TMatrix(_product_table(None, theta.values))
 
 
 def marginal_vector(t: TMatrix, p: ProportionVector) -> NDArray[np.float64]:
@@ -104,9 +111,11 @@ def marginal_vector(t: TMatrix, p: ProportionVector) -> NDArray[np.float64]:
 def response_distribution(theta: ThetaMatrix, p: ProportionVector) -> NDArray[np.float64]:
     """Exact distribution over all 2**J response patterns.
 
-    Computed directly from the per-pattern product form, mixing over
-    profiles with weights p.  The result is non-negative and sums to one
-    up to floating-point rounding.
+    With the items split at lo = J // 2, A the low items' product table
+    scaled by p and B the high items', entry (h, l) of the one GEMM
+    B @ A.T is pattern h * 2**lo + l.  Memory is O(2**J + 2**ceil(J/2)
+    * 2**K): the 2**J x 2**K table is never formed, though its size cap
+    still applies.  Non-negative; sums to one up to rounding.
     """
     if not theta.is_probability:
         raise ValueError("response distribution requires a probability table")
@@ -116,11 +125,10 @@ def response_distribution(theta: ThetaMatrix, p: ProportionVector) -> NDArray[np
             f"{p.probs.size} entries"
         )
     check_table_size(theta.n_items, theta.n_attributes)
-    per_class = np.ones((1, theta.values.shape[1]), dtype=np.float64)
-    for j in range(theta.n_items):
-        row = theta.values[j]
-        per_class = np.concatenate([per_class * (1.0 - row), per_class * row], axis=0)
-    return per_class @ p.probs
+    lo = theta.n_items // 2
+    low, high = theta.values[:lo], theta.values[lo:]
+    a = _product_table(1.0 - low, low) * p.probs
+    return (_product_table(1.0 - high, high) @ a.T).ravel()
 
 
 def mobius_from_marginals(marginals: NDArray[np.float64]) -> NDArray[np.float64]:

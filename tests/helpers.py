@@ -25,7 +25,9 @@ from rlcm import (
     ThetaMatrix,
     dominates,
 )
+from rlcm.core import check_table_size
 from rlcm.models import THETA_CLAMP
+from rlcm.tmatrix import TMatrix
 
 
 def bits_to_int(bits) -> int:
@@ -340,3 +342,37 @@ def reference_expected_counts(bits, counts, like, mixture, p):
     GEMM, kept as their oracle."""
     weights = (counts / mixture)[:, None] * (like * p[None, :])
     return weights.T @ bits, weights.sum(axis=0)
+
+
+def reference_build_tmatrix(theta: ThetaMatrix) -> TMatrix:
+    """The marginal table filled one row at a time, each row reusing the row
+    with its lowest set bit cleared: ``build_tmatrix`` before row doubling,
+    kept as its oracle."""
+    n_items = theta.n_items
+    check_table_size(n_items, theta.n_attributes)
+    values = theta.values
+    out = np.empty((1 << n_items, values.shape[1]), dtype=np.float64)
+    out[0] = 1.0
+    for r in range(1, 1 << n_items):
+        low = r & -r
+        out[r] = out[r ^ low] * values[low.bit_length() - 1]
+    return TMatrix(out)
+
+
+def reference_response_distribution(theta: ThetaMatrix, p: ProportionVector) -> np.ndarray:
+    """The 2**J x 2**K per-class table grown one item at a time, then mixed
+    over profiles: ``response_distribution`` before the split-half GEMM,
+    kept as its oracle."""
+    if not theta.is_probability:
+        raise ValueError("response distribution requires a probability table")
+    if theta.values.shape[1] != p.probs.size:
+        raise DimensionError(
+            f"theta has {theta.values.shape[1]} columns, proportions have "
+            f"{p.probs.size} entries"
+        )
+    check_table_size(theta.n_items, theta.n_attributes)
+    per_class = np.ones((1, theta.values.shape[1]), dtype=np.float64)
+    for j in range(theta.n_items):
+        row = theta.values[j]
+        per_class = np.concatenate([per_class * (1.0 - row), per_class * row], axis=0)
+    return per_class @ p.probs

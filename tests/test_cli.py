@@ -5,7 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from rlcm import DinaParams, ProportionVector, QMatrix, ThetaMatrix
+from rlcm import (
+    DinaParams,
+    ProportionVector,
+    QMatrix,
+    ThetaMatrix,
+    build_tmatrix,
+    marginal_vector,
+    response_distribution,
+    weight_graded_order,
+)
 from rlcm import fileio
 from rlcm.cli import main
 
@@ -101,6 +110,41 @@ class TestTmatrix:
             "# pattern,probability,dominance_probability") + 1:]
         assert dist_lines[0].startswith("0,0.55")
         assert dist_lines[1].startswith("1,0.45")
+
+    @pytest.mark.parametrize("order", ["binary", "weight"])
+    @pytest.mark.parametrize("with_p", [False, True])
+    def test_dump_matches_per_cell_formatting(self, workdir, capsys, order, with_p):
+        rng = np.random.default_rng(4)
+        values = rng.uniform(0.02, 0.98, (4, 4))
+        values[0, 1], values[2, 3] = 0.1, 0.5
+        theta = ThetaMatrix(values)
+        probs = [0.1, 0.2, 0.3, 0.4]
+        theta_path = workdir / "theta.json"
+        fileio.write_theta_json(theta_path, theta)
+        argv = ["tmatrix", "--theta", str(theta_path), "--display-order", order]
+        if with_p:
+            argv += ["--p", _write_p(workdir / "p.json", probs)]
+        assert main(argv) == 0
+        # the dump as it was formatted one numpy scalar at a time
+        t = build_tmatrix(fileio.read_theta_json(theta_path))
+        perm = weight_graded_order(4) if order == "weight" else np.arange(16)
+        cols = weight_graded_order(2) if order == "weight" else np.arange(4)
+        lines = [
+            "# marginal table; rows = response patterns, columns = attribute profiles",
+            f"# encoding: {fileio.CANONICAL_ORDER}; display order: {order}",
+            "# columns: " + ",".join(str(int(c)) for c in cols),
+        ]
+        for r in perm:
+            values = ",".join(repr(float(v)) for v in t.values[r][cols])
+            lines.append(f"{int(r)},{values}")
+        if with_p:
+            p = ProportionVector(probs)
+            dist = response_distribution(fileio.read_theta_json(theta_path), p)
+            dominance = marginal_vector(t, p)
+            lines.append("# pattern,probability,dominance_probability")
+            for r in perm:
+                lines.append(f"{int(r)},{float(dist[r])!r},{float(dominance[r])!r}")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 class TestCounterexample:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlcm import (
@@ -12,6 +18,7 @@ from rlcm import (
     apply_shift,
     build_tmatrix,
     build_transform,
+    distributions_equal,
     marginal_vector,
     mobius_from_marginals,
     response_distribution,
@@ -25,6 +32,8 @@ from helpers import (
     joint_prob,
     random_proportions,
     random_theta,
+    reference_build_tmatrix,
+    reference_response_distribution,
 )
 
 
@@ -242,3 +251,99 @@ class TestShiftIdentity:
             capable = (profiles & code) == code
             assert np.allclose(shifted_t.values[1 << j][capable], 0.0)
             assert not np.allclose(shifted_t.values[1 << j][~capable], 0.0)
+
+
+def _table_with_extremes(seed, n_items, n_attributes, zeros, ones, low=0.0, high=1.0):
+    """Uniform table with a share of its entries pinned at exactly 0 and 1."""
+    rng = np.random.default_rng(seed)
+    shape = (n_items, 1 << n_attributes)
+    values = rng.uniform(low, high, shape)
+    pick = rng.uniform(size=shape)
+    values[pick < zeros] = 0.0
+    values[pick > 1.0 - ones] = 1.0
+    return values, rng
+
+
+TABLE_DRAWS = (
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.1, 0.4]),
+    st.sampled_from([0.0, 0.1, 0.4]),
+)
+
+
+class TestFastPathsMatchReference:
+    """Row doubling and the split-half GEMM against the loops they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(*TABLE_DRAWS, st.booleans())
+    @example(0, 1, 1, 0.0, 0.0, True)
+    @example(1, 1, 4, 0.4, 0.4, False)
+    @example(2, 12, 4, 0.1, 0.1, False)
+    def test_build_tmatrix(self, seed, n_items, n_attributes, zeros, ones, probability):
+        bounds = (0.0, 1.0) if probability else (-2.0, 2.0)
+        values, _ = _table_with_extremes(seed, n_items, n_attributes, zeros, ones, *bounds)
+        theta = ThetaMatrix(values, is_probability=probability)
+        fast = build_tmatrix(theta).values
+        np.testing.assert_allclose(fast, reference_build_tmatrix(theta).values, rtol=1e-12, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(*TABLE_DRAWS)
+    @example(0, 1, 1, 0.0, 0.0)
+    @example(1, 1, 3, 0.4, 0.4)
+    @example(2, 11, 4, 0.1, 0.1)
+    @example(3, 12, 4, 0.0, 0.0)
+    def test_response_distribution(self, seed, n_items, n_attributes, zeros, ones):
+        values, rng = _table_with_extremes(seed, n_items, n_attributes, zeros, ones)
+        theta = ThetaMatrix(values)
+        p = random_proportions(rng, n_attributes)
+        fast = response_distribution(theta, p)
+        assert fast.shape == (1 << n_items,)
+        np.testing.assert_allclose(
+            fast, reference_response_distribution(theta, p), rtol=1e-12, atol=0
+        )
+
+
+# The worker runs one call at the table cap and prints its own peak RSS.
+# It is started through an intermediate interpreter because Linux carries a
+# parent's peak RSS into ru_maxrss across fork and exec: a worker started
+# straight from the test process would report the test process's peak.
+_CAP_WORKER = """
+import resource
+import numpy as np
+from rlcm import ProportionVector, ThetaMatrix, distributions_equal
+rng = np.random.default_rng(0)
+theta = ThetaMatrix(rng.uniform(0.05, 0.95, (20, 256)))
+p = ProportionVector(np.full(256, 1 / 256))
+gap = distributions_equal((theta, p), (ThetaMatrix(theta.values[::-1].copy()), p))
+assert 0.0 < gap < 1.0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+_HOP = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+class TestOracleMemory:
+    def test_traced_peak_below_table(self):
+        rng = np.random.default_rng(3)
+        a = (random_theta(rng, 16, 6), random_proportions(rng, 6))
+        b = (random_theta(rng, 16, 6), random_proportions(rng, 6))
+        tracemalloc.start()
+        try:
+            distributions_equal(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 2**16 x 2**6 table alone would be 32 MiB
+        assert peak <= 8 * 2**20
+
+    def test_process_peak_at_table_cap(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", _HOP, sys.executable, "-c", _CAP_WORKER],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        # ru_maxrss is in KiB on Linux; the 2**20 x 2**8 table alone is 2 GiB
+        assert int(done.stdout) <= 256 * 1024
