@@ -27,7 +27,7 @@ from .identifiability import (
     verdict,
 )
 from .inference import EmConfig, consistency_experiment, em_fit, simulate
-from .models import DinaParams, theta_from_params
+from .models import theta_from_params
 from .tmatrix import apply_shift, build_tmatrix, build_transform, marginal_vector, response_distribution
 
 DEFAULT_SEED = 0
@@ -113,8 +113,6 @@ def _cmd_counterexample(args) -> int:
     else:
         extra = np.zeros((0, args.k - 1), dtype=np.int64)
     params = _read_params(args.params, args.k)
-    if not all(isinstance(p, DinaParams) for p in params):
-        raise ValueError("the c1-only construction needs DINA item parameters")
     anchors = tuple(float(a) for a in args.anchors.split(","))
     if len(anchors) != 2:
         raise ValueError("--anchors must hold two comma-separated reals")
@@ -171,13 +169,16 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _em_config(args) -> EmConfig:
+    return EmConfig(max_iters=args.max_iters, tol=args.tol,
+                    restarts=args.restarts, seed=args.seed)
+
+
 def _cmd_fit(args) -> int:
     q = fileio.read_qmatrix_csv(args.q)
     data = fileio.read_response_csv(args.data)
     families = _parse_families(args.families, q.n_items)
-    em = EmConfig(max_iters=args.max_iters, tol=args.tol,
-                  restarts=args.restarts, seed=args.seed)
-    fit = em_fit(data, q, families, em)
+    fit = em_fit(data, q, families, _em_config(args))
     fileio.write_fit_json(args.out, fit, q.n_attributes)
     print(f"loglik {fit.loglik_trace[-1]:.4f} after {len(fit.loglik_trace) - 1} "
           f"iterations, converged={fit.converged}", file=sys.stderr)
@@ -192,10 +193,8 @@ def _cmd_experiment(args) -> int:
     p = fileio.read_proportion_json(args.p)
     families = _parse_families(args.families, q.n_items)
     n_grid = [int(n) for n in args.n_grid.split(",")]
-    em = EmConfig(max_iters=args.max_iters, tol=args.tol,
-                  restarts=args.restarts, seed=args.seed)
     table = consistency_experiment(q, families, params, p, n_grid,
-                                   args.replications, args.seed, em)
+                                   args.replications, args.seed, _em_config(args))
     fileio.write_experiment_json(args.out, table)
     for n, err in table.medians().items():
         print(f"N={n}: median max-abs error {err:.4f}", file=sys.stderr)
@@ -226,7 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the JSON schemas of all file formats and exit")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add_common(sp, seed=True, out=True, display=False):
+    def add_common(sp, seed=True, out=True, display=False, em=False):
+        if em:
+            defaults = EmConfig()
+            sp.add_argument("--restarts", type=int, default=defaults.restarts)
+            sp.add_argument("--max-iters", type=int, default=defaults.max_iters)
+            sp.add_argument("--tol", type=float, default=defaults.tol)
         if seed:
             sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if out:
@@ -285,10 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, help="response CSV")
     sp.add_argument("--families", required=True,
                     help="one family, or J comma-separated families")
-    sp.add_argument("--restarts", type=int, default=10)
-    sp.add_argument("--max-iters", type=int, default=2000)
-    sp.add_argument("--tol", type=float, default=1e-7)
-    add_common(sp)
+    add_common(sp, em=True)
 
     sp = sub.add_parser("experiment", help="recovery error across sample sizes")
     sp.add_argument("--q", required=True)
@@ -297,10 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--families", required=True)
     sp.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
     sp.add_argument("--replications", type=int, default=5)
-    sp.add_argument("--restarts", type=int, default=10)
-    sp.add_argument("--max-iters", type=int, default=2000)
-    sp.add_argument("--tol", type=float, default=1e-7)
-    add_common(sp)
+    add_common(sp, em=True)
 
     sp = sub.add_parser("verify-transform",
                         help="check the shift-transform identity on random input")

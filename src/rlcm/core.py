@@ -92,9 +92,12 @@ def check_table_size(log2_rows: int, log2_cols: int) -> None:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    # copy so that freezing never flips flags on a caller's array
-    arr = np.array(arr, order="C", copy=True)
-    arr.flags.writeable = False
+    # an array already read-only, C-contiguous and owning its data is kept;
+    # any other is copied, so that freezing never flips a caller's flags
+    flags = arr.flags
+    if flags.writeable or not (flags.c_contiguous and flags.owndata):
+        arr = np.array(arr, order="C", copy=True)
+        arr.flags.writeable = False
     return arr
 
 

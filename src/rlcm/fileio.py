@@ -274,10 +274,6 @@ def write_proportion_json(path, p: ProportionVector) -> None:
     })
 
 
-def _params_to_dict(params: ItemParams) -> dict:
-    return FAMILY[params.family].to_dict(params)
-
-
 def read_item_params_json(path) -> Tuple[List[ItemParams], int]:
     """Read per-item parameters; returns (params, K)."""
     doc = _read(path, "item-params")
@@ -289,7 +285,7 @@ def write_item_params_json(path, params: Sequence[ItemParams], n_attributes: int
     write_json(path, {
         "format": "item-params",
         "K": n_attributes,
-        "items": [_params_to_dict(p) for p in params],
+        "items": [p.to_dict() for p in params],
     })
 
 
@@ -345,7 +341,7 @@ def write_fit_json(path, fit: FitResult, n_attributes: int) -> None:
     write_json(path, {
         "format": "fit-result",
         "K": n_attributes,
-        "item_params": [_params_to_dict(p) for p in fit.item_params_hat],
+        "item_params": [p.to_dict() for p in fit.item_params_hat],
         "p": fit.p_hat.probs.tolist(),
         "loglik": fit.loglik_trace[-1],
         "loglik_trace": list(fit.loglik_trace),
@@ -380,7 +376,7 @@ _PROPORTIONS = {"type": "array", "items": {"type": "number", "exclusiveMinimum":
                                            "exclusiveMaximum": 1}}
 _ITEMS = {"type": "array", "minItems": 1, "items": {
     "type": "object", "required": ["family"],
-    "oneOf": [family.schema for family in FAMILY.values()]}}
+    "oneOf": [family.schema() for family in FAMILY.values()]}}
 _MEMBER = _object(theta=_TABLE, p=_PROPORTIONS)
 _GAP = {"type": "number", "minimum": 0}
 _ROW = _object(n={"type": "integer", "minimum": 1}, replication={"type": "integer"},

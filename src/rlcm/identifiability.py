@@ -315,6 +315,18 @@ class NonIdentifiablePair:
         return cls(first, second, gap, dist)
 
 
+def _identical_columns(values):
+    """(a, b): a the first column equal to a later one, b the first such later
+    column; None when all columns differ.  One sort of the columns."""
+    _, group, count = np.unique(values.T, axis=0, return_inverse=True, return_counts=True)
+    group = group.reshape(-1)   # numpy 2.0.0 returns it 2-d
+    shared = np.flatnonzero(count[group] > 1)
+    if not shared.size:
+        return None
+    a, b = np.flatnonzero(group == group[shared[0]])[:2]
+    return int(a), int(b)
+
+
 def incomplete_counterexample(q: QMatrix, theta: ThetaMatrix,
                               p: ProportionVector) -> NonIdentifiablePair:
     """Mass-shift counterexample for an incomplete design.
@@ -335,15 +347,7 @@ def incomplete_counterexample(q: QMatrix, theta: ThetaMatrix,
         raise DimensionError("theta does not match Q")
     if p.n_attributes != q.n_attributes:
         raise DimensionError("proportions do not match Q")
-    n_cols = theta.values.shape[1]
-    found = None
-    for a in range(n_cols):
-        for b in range(a + 1, n_cols):
-            if np.array_equal(theta.values[:, a], theta.values[:, b]):
-                found = (a, b)
-                break
-        if found:
-            break
+    found = _identical_columns(theta.values)
     if found is None:
         raise NotApplicableError(
             "no two profiles share an identical table column; the mass-shift "

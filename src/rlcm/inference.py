@@ -268,7 +268,7 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
             p0 = np.maximum(p0, P_FLOOR)
             p0 = p0 / p0.sum()
         if index == 0 and config.init_params is not None:
-            coefs = [fam.coef(params, design, j) for j, ((fam, design), params)
+            coefs = [params.coef(design, j) for j, ((_, design), params)
                      in enumerate(zip(items, config.init_params))]
         else:
             coefs = [fam.init(design, rng) for fam, design in items]
@@ -287,7 +287,7 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
         raise EmError("all restarts failed: " + "; ".join(failures))
 
     trace, converged, coefs, p_fit = best
-    params = tuple(fam.params(design, c) for (fam, design), c in zip(items, coefs))
+    params = tuple(fam.from_coef(design, c) for (fam, design), c in zip(items, coefs))
     return FitResult(
         theta_hat=theta_from_params(q, list(params)),
         p_hat=ProportionVector(p_fit),

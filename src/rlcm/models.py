@@ -9,10 +9,11 @@ monotonicity of the resulting response-probability table, which
 Under the Q-restriction an item's response probability depends on a
 profile only through its sub-pattern on the required attributes
 (``ItemDesign``), so the families differ only in how a coefficient vector
-maps onto those groups.  Each family is one class in ``FAMILY``: params
-<-> coefficients, theta row, EM M-step and random start, and the JSON
-fields from which its item schema, ``to_dict`` and ``from_dict`` follow.
-A new family is its parameter dataclass, one such class and one entry.
+maps onto those groups.  Each family is one frozen parameter dataclass in
+``FAMILY``: its fields and their checks, params <-> coefficients, theta
+row, EM M-step and random start, and the JSON fields from which its item
+schema, ``to_dict`` and ``from_dict`` follow.  A new family is one such
+dataclass and one entry.
 """
 
 from __future__ import annotations
@@ -40,130 +41,6 @@ THETA_CLAMP = 1e-12   # keeps logs finite during fitting
 
 class InvalidParameterError(ValueError):
     """Item parameters produce an out-of-range response probability."""
-
-
-@dataclass(frozen=True)
-class DinaParams:
-    """Conjunctive item: slip s and guess g with 1 - s > g."""
-
-    s: float
-    g: float
-    family = "DINA"
-
-    def __post_init__(self):
-        _check_slip_guess(self.s, self.g, self.family)
-
-
-@dataclass(frozen=True)
-class DinoParams:
-    """Disjunctive item: slip s and guess g with 1 - s > g."""
-
-    s: float
-    g: float
-    family = "DINO"
-
-    def __post_init__(self):
-        _check_slip_guess(self.s, self.g, self.family)
-
-
-def _check_slip_guess(s: float, g: float, family: str) -> None:
-    if not (0.0 < s < 1.0 and 0.0 < g < 1.0):
-        raise InvalidParameterError(f"{family}: s and g must lie in (0, 1), got s={s}, g={g}")
-    if not 1.0 - s > g:
-        raise InvalidParameterError(f"{family}: requires 1 - s > g, got s={s}, g={g}")
-
-
-@dataclass(frozen=True)
-class GdinaParams:
-    """Additive-effects item: coefficients keyed by attribute subsets.
-
-    ``beta`` maps frozensets of 0-based attribute indices to real
-    coefficients; the empty set holds the baseline.  Subsets absent from
-    the map contribute nothing.  The response probability for profile
-    ``alpha`` is the sum of coefficients over stored subsets contained in
-    ``alpha``, so every such partial sum must lie in [0, 1].
-    """
-
-    beta: Mapping[frozenset, float]
-
-    family = "GDINA"
-
-    def __post_init__(self):
-        canon = {frozenset(int(a) for a in key): float(v) for key, v in self.beta.items()}
-        if len(canon) != len(self.beta):
-            raise InvalidParameterError("GDINA: duplicate attribute subsets in beta")
-        if frozenset() not in canon:
-            raise InvalidParameterError("GDINA: beta must include the empty-set baseline")
-        if any(a < 0 for key in canon for a in key):
-            raise InvalidParameterError("GDINA: attribute indices must be non-negative")
-        object.__setattr__(self, "beta", MappingProxyType(canon))
-        sums = self.partial_sums()
-        bad = (sums < -1e-12) | (sums > 1 + 1e-12)
-        if bad.any():
-            raise InvalidParameterError(
-                f"GDINA: partial sum {sums[bad][0]:.6g} outside [0, 1]"
-            )
-
-    @property
-    def attributes(self) -> frozenset:
-        """Union of all attribute indices referenced by beta."""
-        return frozenset().union(*self.beta.keys())
-
-    def partial_sums(self) -> NDArray[np.float64]:
-        """Coefficient sums for every subset of the referenced attributes.
-
-        Entry m of the result is the sum of beta over stored subsets
-        contained in the subset encoded by bit mask m (bits follow the
-        sorted order of ``self.attributes``).
-        """
-        return _subset_sums(self.beta, sorted(self.attributes))
-
-
-@dataclass(frozen=True)
-class LlmParams:
-    """Logit-link item: intercept and one slope per attribute.
-
-    Slopes are consulted only where the item's Q-matrix row is 1; the
-    rest are conventionally zero.
-    """
-
-    beta0: float
-    beta: tuple = ()
-
-    family = "LLM"
-
-    def __post_init__(self):
-        beta = tuple(float(b) for b in self.beta)
-        object.__setattr__(self, "beta", beta)
-        if not np.isfinite([self.beta0, *beta]).all():
-            raise InvalidParameterError("LLM: coefficients must be finite")
-
-
-@dataclass(frozen=True)
-class RrumParams:
-    """Log-link item: baseline probability and one penalty per attribute.
-
-    ``pi`` is the positive-response probability of fully capable
-    profiles; each missing required attribute multiplies it by the
-    corresponding penalty in (0, 1).  Penalties are consulted only where
-    the Q-matrix row is 1.
-    """
-
-    pi: float
-    r: tuple = ()
-
-    family = "RRUM"
-
-    def __post_init__(self):
-        r = tuple(float(v) for v in self.r)
-        object.__setattr__(self, "r", r)
-        if not 0.0 < self.pi <= 1.0:
-            raise InvalidParameterError(f"RRUM: pi must lie in (0, 1], got {self.pi}")
-        if any(not 0.0 < v < 1.0 for v in r):
-            raise InvalidParameterError("RRUM: every penalty must lie strictly in (0, 1)")
-
-
-ItemParams = Union[DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams]
 
 
 def _sigmoid(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -282,10 +159,6 @@ def _binomial_objective(link, x, gpos, gtot):
     return value
 
 
-def _float_tuple(values) -> tuple:
-    return tuple(float(v) for v in values)
-
-
 class JsonField(NamedTuple):
     """One field of an item's JSON document, named as the parameter attribute."""
 
@@ -295,7 +168,8 @@ class JsonField(NamedTuple):
 
 
 _NUMBER = JsonField({"type": "number"}, float, float)
-_NUMBERS = JsonField({"type": "array", "items": {"type": "number"}}, list, _float_tuple)
+# the constructors cast each entry to float
+_NUMBERS = JsonField({"type": "array", "items": {"type": "number"}}, list, tuple)
 _SUBSET_KEY = re.compile(r"([0-9]+(,[0-9]+)*)?")
 
 
@@ -323,126 +197,212 @@ _SUBSETS = JsonField(
 )
 
 
-class _Family:
-    """What every family class shares: its name and its JSON form, both
-    derived from ``params_type`` and the declared ``fields``."""
+class _Item:
+    """What every family shares: its JSON form, derived from the class's
+    ``family`` name and its declared ``fields``."""
 
-    params_type: type
+    family: str
     fields: Mapping[str, JsonField]
 
-    @property
-    def name(self) -> str:
-        return self.params_type.family
-
-    @property
-    def schema(self) -> dict:
+    @classmethod
+    def schema(cls) -> dict:
         """JSON schema of one item of this family."""
-        return {"type": "object", "required": ["family", *self.fields],
-                "properties": {"family": {"const": self.name},
-                               **{key: f.schema for key, f in self.fields.items()}}}
+        return {"type": "object", "required": ["family", *cls.fields],
+                "properties": {"family": {"const": cls.family},
+                               **{key: f.schema for key, f in cls.fields.items()}}}
 
-    def to_dict(self, params) -> dict:
-        return {"family": self.name,
-                **{key: f.encode(getattr(params, key)) for key, f in self.fields.items()}}
+    def to_dict(self) -> dict:
+        return {"family": self.family,
+                **{key: f.encode(getattr(self, key)) for key, f in self.fields.items()}}
 
-    def from_dict(self, doc: dict):
+    @classmethod
+    def from_dict(cls, doc: dict):
         """Parameters from an item document that has passed ``schema``."""
-        return self.params_type(**{key: f.decode(doc[key]) for key, f in self.fields.items()})
+        return cls(**{key: f.decode(doc[key]) for key, f in cls.fields.items()})
 
 
-class TwoRateFamily(_Family):
-    """DINA and DINO: rate 1 - s on the ``mask`` profiles, g off them; the mask
-    is ``capable`` (every required attribute) for DINA and ``touched`` (at
-    least one) for DINO.  Coefficients: (1 - s, g)."""
+@dataclass(frozen=True)
+class _TwoRate(_Item):
+    """DINA and DINO: slip s and guess g with 1 - s > g; rate 1 - s on the
+    profiles that ``mask`` names, g off them.  Coefficients: (1 - s, g)."""
+
+    s: float
+    g: float
 
     fields = {"s": _NUMBER, "g": _NUMBER}
 
-    def __init__(self, params_type, mask: str):
-        self.params_type = params_type
-        self.mask = mask
+    def __post_init__(self):
+        s, g = self.s, self.g
+        if not (0.0 < s < 1.0 and 0.0 < g < 1.0):
+            raise InvalidParameterError(
+                f"{self.family}: s and g must lie in (0, 1), got s={s}, g={g}")
+        if not 1.0 - s > g:
+            raise InvalidParameterError(f"{self.family}: requires 1 - s > g, got s={s}, g={g}")
 
-    def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
-        return np.array([1.0 - params.s, params.g])
+    def coef(self, design: ItemDesign, item: int) -> NDArray[np.float64]:
+        return np.array([1.0 - self.s, self.g])
 
-    def row(self, design: ItemDesign, coef) -> NDArray[np.float64]:
-        return np.where(getattr(design, self.mask), coef[0], coef[1])
+    @classmethod
+    def row(cls, design: ItemDesign, coef) -> NDArray[np.float64]:
+        return np.where(getattr(design, cls.mask), coef[0], coef[1])
 
-    def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
-        return np.array(_two_rate_update(pos, tot, getattr(design, self.mask), coef))
+    @classmethod
+    def update(cls, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
+        return np.array(_two_rate_update(pos, tot, getattr(design, cls.mask), coef))
 
-    def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
+    @staticmethod
+    def init(design: ItemDesign, rng) -> NDArray[np.float64]:
         s, g = rng.uniform(0.05, 0.3, size=2)
         return np.array([1.0 - s, g])
 
-    def params(self, design: ItemDesign, coef):
+    @classmethod
+    def from_coef(cls, design: ItemDesign, coef):
         high, low = (float(c) for c in coef)
         if high - low < 1e-9:
             mid = (high + low) / 2.0
             high, low = mid + 5e-10, mid - 5e-10
         high = min(max(high, 2e-12), 1.0 - 1e-12)
         low = min(max(low, 1e-12), high - 1e-12)
-        return self.params_type(s=1.0 - high, g=low)
+        return cls(s=1.0 - high, g=low)
 
 
-class GdinaFamily(_Family):
-    """G-DINA: one free response probability per group, the coefficients."""
+@dataclass(frozen=True)
+class DinaParams(_TwoRate):
+    """Conjunctive item: rate 1 - s with every required attribute, g without."""
 
-    params_type = GdinaParams
+    family = "DINA"
+    mask = "capable"
+
+
+@dataclass(frozen=True)
+class DinoParams(_TwoRate):
+    """Disjunctive item: rate 1 - s with any required attribute, g without."""
+
+    family = "DINO"
+    mask = "touched"
+
+
+@dataclass(frozen=True)
+class GdinaParams(_Item):
+    """Additive-effects item: coefficients keyed by attribute subsets.
+
+    ``beta`` maps frozensets of 0-based attribute indices to real
+    coefficients; the empty set holds the baseline.  Subsets absent from
+    the map contribute nothing.  The response probability for profile
+    ``alpha`` is the sum of coefficients over stored subsets contained in
+    ``alpha``, so every such partial sum must lie in [0, 1].  Coefficients:
+    one free response probability per group.
+    """
+
+    beta: Mapping[frozenset, float]
+
+    family = "GDINA"
     fields = {"beta": _SUBSETS}
 
-    def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
-        if not params.attributes <= set(design.required):
-            extra = sorted(params.attributes - set(design.required))
+    def __post_init__(self):
+        canon = {frozenset(int(a) for a in key): float(v) for key, v in self.beta.items()}
+        if len(canon) != len(self.beta):
+            raise InvalidParameterError("GDINA: duplicate attribute subsets in beta")
+        if frozenset() not in canon:
+            raise InvalidParameterError("GDINA: beta must include the empty-set baseline")
+        if any(a < 0 for key in canon for a in key):
+            raise InvalidParameterError("GDINA: attribute indices must be non-negative")
+        object.__setattr__(self, "beta", MappingProxyType(canon))
+        sums = self.partial_sums()
+        bad = (sums < -1e-12) | (sums > 1 + 1e-12)
+        if bad.any():
+            raise InvalidParameterError(
+                f"GDINA: partial sum {sums[bad][0]:.6g} outside [0, 1]"
+            )
+
+    @property
+    def attributes(self) -> frozenset:
+        """Union of all attribute indices referenced by beta."""
+        return frozenset().union(*self.beta.keys())
+
+    def partial_sums(self) -> NDArray[np.float64]:
+        """Coefficient sums for every subset of the referenced attributes.
+
+        Entry m of the result is the sum of beta over stored subsets
+        contained in the subset encoded by bit mask m (bits follow the
+        sorted order of ``self.attributes``).
+        """
+        return _subset_sums(self.beta, sorted(self.attributes))
+
+    def coef(self, design: ItemDesign, item: int) -> NDArray[np.float64]:
+        if not self.attributes <= set(design.required):
+            extra = sorted(self.attributes - set(design.required))
             raise InvalidParameterError(
                 f"GDINA: item {item} beta references attributes {extra} "
                 f"not required by its Q-matrix row"
             )
         # every partial sum is already checked against [0, 1] +- 1e-12
-        return np.clip(_subset_sums(params.beta, design.required), 0.0, 1.0)
+        return np.clip(_subset_sums(self.beta, design.required), 0.0, 1.0)
 
-    def row(self, design: ItemDesign, coef) -> NDArray[np.float64]:
+    @staticmethod
+    def row(design: ItemDesign, coef) -> NDArray[np.float64]:
         return coef[design.group_ids]
 
-    def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
+    @staticmethod
+    def update(design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
         gpos, gtot = design.group_sums(pos, tot)
         means = coef.copy()
         nonzero = gtot > 0
         means[nonzero] = gpos[nonzero] / gtot[nonzero]
         return means
 
-    def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
+    @staticmethod
+    def init(design: ItemDesign, rng) -> NDArray[np.float64]:
         lo, hi = rng.uniform(0.05, 0.3), rng.uniform(0.7, 0.95)
         size = np.array([bin(m).count("1") for m in range(design.n_groups)])
         frac = size / max(len(design.required), 1)
         means = lo + (hi - lo) * frac + rng.uniform(-0.02, 0.02, design.n_groups)
         return np.clip(means, 0.01, 0.99)
 
-    def params(self, design: ItemDesign, coef):
+    @classmethod
+    def from_coef(cls, design: ItemDesign, coef):
         beta = zeta_transform(np.clip(coef, 0.0, 1.0), inverse=True)
-        return GdinaParams({
+        return cls({
             frozenset(a for i, a in enumerate(design.required) if mask >> i & 1): float(b)
             for mask, b in enumerate(beta)
         })
 
 
-class LlmFamily(_Family):
-    """Logit link; coefficients: intercept, then the required slopes."""
+@dataclass(frozen=True)
+class LlmParams(_Item):
+    """Logit-link item: intercept and one slope per attribute.
 
-    params_type = LlmParams
+    Slopes are consulted only where the item's Q-matrix row is 1; the
+    rest are conventionally zero.  Coefficients: intercept, then the
+    required slopes.
+    """
+
+    beta0: float
+    beta: tuple = ()
+
+    family = "LLM"
     fields = {"beta0": _NUMBER, "beta": _NUMBERS}
 
-    def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
-        if len(params.beta) != design.n_attributes:
+    def __post_init__(self):
+        beta = tuple(float(b) for b in self.beta)
+        object.__setattr__(self, "beta", beta)
+        if not np.isfinite([self.beta0, *beta]).all():
+            raise InvalidParameterError("LLM: coefficients must be finite")
+
+    def coef(self, design: ItemDesign, item: int) -> NDArray[np.float64]:
+        if len(self.beta) != design.n_attributes:
             raise DimensionError(
-                f"LLM: item {item} has {len(params.beta)} slopes for "
+                f"LLM: item {item} has {len(self.beta)} slopes for "
                 f"{design.n_attributes} attributes"
             )
-        return np.concatenate([[params.beta0], np.asarray(params.beta)[design.required]])
+        return np.concatenate([[self.beta0], np.asarray(self.beta)[design.required]])
 
-    def row(self, design: ItemDesign, coef) -> NDArray[np.float64]:
+    @staticmethod
+    def row(design: ItemDesign, coef) -> NDArray[np.float64]:
         return _sigmoid(design.logit_design @ coef)[design.group_ids]
 
-    def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
+    @staticmethod
+    def update(design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
         gpos, gtot = design.group_sums(pos, tot)
         x = design.logit_design
         value = _binomial_objective(_sigmoid, x, gpos, gtot)
@@ -455,37 +415,60 @@ class LlmFamily(_Family):
 
         return _damped_newton(value, grad_neghess, coef)
 
-    def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
+    @staticmethod
+    def init(design: ItemDesign, rng) -> NDArray[np.float64]:
         return np.concatenate([
             rng.uniform(-0.35, 0.35, 1),
             rng.uniform(0.05, 0.5, len(design.required)),
         ])
 
-    def params(self, design: ItemDesign, coef):
+    @classmethod
+    def from_coef(cls, design: ItemDesign, coef):
         slopes = np.zeros(design.n_attributes)
         slopes[design.required] = coef[1:]
-        return LlmParams(beta0=float(coef[0]), beta=tuple(slopes))
+        return cls(beta0=float(coef[0]), beta=tuple(slopes))
 
 
-class RrumFamily(_Family):
-    """Log link; coefficients: log pi, then the logs of the required penalties."""
+@dataclass(frozen=True)
+class RrumParams(_Item):
+    """Log-link item: baseline probability and one penalty per attribute.
 
-    params_type = RrumParams
+    ``pi`` is the positive-response probability of fully capable
+    profiles; each missing required attribute multiplies it by the
+    corresponding penalty in (0, 1).  Penalties are consulted only where
+    the Q-matrix row is 1.  Coefficients: log pi, then the logs of the
+    required penalties.
+    """
+
+    pi: float
+    r: tuple = ()
+
+    family = "RRUM"
     fields = {"pi": _NUMBER, "r": _NUMBERS}
 
-    def coef(self, params, design: ItemDesign, item: int) -> NDArray[np.float64]:
-        if len(params.r) != design.n_attributes:
+    def __post_init__(self):
+        r = tuple(float(v) for v in self.r)
+        object.__setattr__(self, "r", r)
+        if not 0.0 < self.pi <= 1.0:
+            raise InvalidParameterError(f"RRUM: pi must lie in (0, 1], got {self.pi}")
+        if any(not 0.0 < v < 1.0 for v in r):
+            raise InvalidParameterError("RRUM: every penalty must lie strictly in (0, 1)")
+
+    def coef(self, design: ItemDesign, item: int) -> NDArray[np.float64]:
+        if len(self.r) != design.n_attributes:
             raise DimensionError(
-                f"RRUM: item {item} has {len(params.r)} penalties for "
+                f"RRUM: item {item} has {len(self.r)} penalties for "
                 f"{design.n_attributes} attributes"
             )
-        return np.concatenate([[np.log(params.pi)],
-                               np.log(np.asarray(params.r)[design.required])])
+        return np.concatenate([[np.log(self.pi)],
+                               np.log(np.asarray(self.r)[design.required])])
 
-    def row(self, design: ItemDesign, coef) -> NDArray[np.float64]:
+    @staticmethod
+    def row(design: ItemDesign, coef) -> NDArray[np.float64]:
         return np.exp(design.loglink_design @ coef)[design.group_ids]
 
-    def update(self, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
+    @staticmethod
+    def update(design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
         # coef holds logs: intercept = log(baseline prob), slopes = log(penalties)
         gpos, gtot = design.group_sums(pos, tot)
         x = design.loglink_design
@@ -505,25 +488,23 @@ class RrumFamily(_Family):
 
         return _damped_newton(value, grad_neghess, project(coef), project=project)
 
-    def init(self, design: ItemDesign, rng) -> NDArray[np.float64]:
+    @staticmethod
+    def init(design: ItemDesign, rng) -> NDArray[np.float64]:
         return np.concatenate([
             np.log(rng.uniform(0.75, 0.95, 1)),
             np.log(rng.uniform(0.55, 0.9, len(design.required))),
         ])
 
-    def params(self, design: ItemDesign, coef):
+    @classmethod
+    def from_coef(cls, design: ItemDesign, coef):
         penalties = np.full(design.n_attributes, 0.5)
         penalties[design.required] = np.exp(coef[1:])
-        return RrumParams(pi=float(np.exp(coef[0])), r=tuple(penalties))
+        return cls(pi=float(np.exp(coef[0])), r=tuple(penalties))
 
 
-FAMILY = {fam.name: fam for fam in (
-    TwoRateFamily(DinaParams, "capable"),
-    TwoRateFamily(DinoParams, "touched"),
-    GdinaFamily(),
-    LlmFamily(),
-    RrumFamily(),
-)}
+ItemParams = Union[DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams]
+
+FAMILY = {cls.family: cls for cls in (DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams)}
 
 FAMILIES = tuple(FAMILY)
 
@@ -555,11 +536,10 @@ def theta_from_params(q: QMatrix, params: Sequence[ItemParams]) -> ThetaMatrix:
         )
     rows = []
     for j, item in enumerate(params):
-        fam = FAMILY.get(getattr(item, "family", None))
-        if fam is None:
+        if not isinstance(item, _Item):
             raise TypeError(f"unknown item parameter type {type(item).__name__}")
         design = ItemDesign(q.entries[j])
-        rows.append(fam.row(design, fam.coef(item, design, j)))
+        rows.append(item.row(design, item.coef(design, j)))
     return ThetaMatrix(np.vstack(rows))
 
 

@@ -46,10 +46,6 @@ class TMatrix:
     def n_items(self) -> int:
         return int(self.values.shape[0]).bit_length() - 1
 
-    @property
-    def n_patterns(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class TransformMatrix:
@@ -95,7 +91,9 @@ def build_tmatrix(theta: ThetaMatrix) -> TMatrix:
     tables, not only probability ones.
     """
     check_table_size(theta.n_items, theta.n_attributes)
-    return TMatrix(_product_table(None, theta.values))
+    table = _product_table(None, theta.values)
+    table.flags.writeable = False   # so that TMatrix keeps it without a copy
+    return TMatrix(table)
 
 
 def marginal_vector(t: TMatrix, p: ProportionVector) -> NDArray[np.float64]:

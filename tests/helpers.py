@@ -376,3 +376,15 @@ def reference_response_distribution(theta: ThetaMatrix, p: ProportionVector) -> 
         row = theta.values[j]
         per_class = np.concatenate([per_class * (1.0 - row), per_class * row], axis=0)
     return per_class @ p.probs
+
+
+def reference_identical_columns(values):
+    """(a, b) from a scan of every column pair: the first column a equal to a
+    later one and the first such b, or None; ``incomplete_counterexample``'s
+    search before it sorted the columns, kept as its oracle."""
+    n_cols = values.shape[1]
+    for a in range(n_cols):
+        for b in range(a + 1, n_cols):
+            if np.array_equal(values[:, a], values[:, b]):
+                return a, b
+    return None

@@ -7,6 +7,8 @@ import pytest
 
 from rlcm import (
     DinaParams,
+    EmConfig,
+    LlmParams,
     ProportionVector,
     QMatrix,
     ThetaMatrix,
@@ -16,7 +18,7 @@ from rlcm import (
     weight_graded_order,
 )
 from rlcm import fileio
-from rlcm.cli import main
+from rlcm.cli import _em_config, build_parser, main
 
 from helpers import stacked_identity
 
@@ -168,6 +170,19 @@ class TestCounterexample:
         reread = json.loads(capsys.readouterr().out)
         assert reread["max_distribution_gap"] <= 1e-10
 
+    def test_c1_only_rejects_other_families_in_one_line(self, workdir, capsys):
+        params = _write_params(workdir / "params.json",
+                               [LlmParams(-1.0, (2.0, 0.0))] * 5, 2)
+        extra = workdir / "extra.csv"
+        extra.write_text("1\n")
+        code = main(["counterexample", "--mode", "c1-only", "--k", "2",
+                     "--extra-q", str(extra), "--params", params,
+                     "--anchors", "0.12,0.08"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "conjunctive" in err and "Traceback" not in err
+
     def test_incomplete_mode(self, workdir, capsys):
         q = _write_q(workdir / "q.csv", [[1, 1], [0, 1]])
         params = _write_params(workdir / "params.json",
@@ -224,6 +239,15 @@ class TestSimulateFitPipeline:
             assert main(["simulate", "--q", q_path, "--params", params, "--p", p,
                          "--n", "100", "--seed", "5", "--out", str(out)]) == 0
         assert out1.read_text() == out2.read_text()
+
+
+def test_em_flag_defaults_are_emconfig_defaults():
+    parser = build_parser()
+    fit = ["fit", "--q", "q.csv", "--data", "d.csv", "--families", "DINA"]
+    experiment = ["experiment", "--q", "q.csv", "--params", "p.json", "--p", "p.json",
+                  "--families", "DINA", "--n-grid", "100"]
+    for argv in fit, experiment:
+        assert _em_config(parser.parse_args(argv)) == EmConfig()
 
 
 class TestExperimentCommand:

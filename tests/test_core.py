@@ -135,6 +135,17 @@ class TestThetaMatrix:
         with pytest.raises(DimensionError):
             ThetaMatrix([[0.1, 0.2, 0.3]])
 
+    def test_copies_unless_given_a_frozen_array_it_may_keep(self):
+        mine = np.array([[0.1, 0.2]])
+        theta = ThetaMatrix(mine)
+        assert mine.flags.writeable and not np.shares_memory(theta.values, mine)
+        frozen = np.array([[0.1, 0.2]])
+        frozen.flags.writeable = False
+        assert ThetaMatrix(frozen).values is frozen
+        # a read-only view does not own its data, so it is copied
+        view = frozen[:, :]
+        assert not np.shares_memory(ThetaMatrix(view).values, frozen)
+
 
 class TestProportionVector:
     def test_rejects_boundary_entries(self):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rlcm import (
     ConstructionInfeasibleError,
     DinaParams,
     InternalConsistencyError,
+    LlmParams,
     NonIdentifiablePair,
     NotApplicableError,
     ProportionVector,
@@ -25,12 +29,14 @@ from rlcm import (
     theta_from_params,
     verdict,
 )
+from rlcm.identifiability import _identical_columns
 
 from helpers import (
     brute_c2_any_designation,
     brute_gap,
     draw_monotone_params,
     random_theta,
+    reference_identical_columns,
     stacked_identity,
 )
 
@@ -279,6 +285,22 @@ class TestIncompleteCounterexample:
         theta = ThetaMatrix([[0.1, 0.2, 0.3, 0.4], [0.2, 0.3, 0.4, 0.5]])
         with pytest.raises(NotApplicableError, match="identical"):
             incomplete_counterexample(INCOMPLETE_Q, theta, ProportionVector([0.25] * 4))
+
+    def test_all_distinct_columns_at_twelve_attributes(self):
+        # one LLM item on all 12 attributes, slopes 2**k apart: every profile
+        # has its own logit, so no two of the 4096 columns agree
+        q = QMatrix([[1] * 12])
+        theta = theta_from_params(q, [LlmParams(-2.0, tuple(2.0 ** np.arange(12) / 1024))])
+        p = ProportionVector(np.full(4096, 1 / 4096))
+        with pytest.raises(NotApplicableError, match="identical"):
+            incomplete_counterexample(q, theta, p)
+
+    # few distinct entries, -0.0 among them, so that columns often coincide
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.sampled_from([2, 4, 8, 16])),
+                  elements=st.sampled_from([0.0, -0.0, 0.5, 1.0])))
+    def test_search_matches_pairwise_scan(self, values):
+        assert _identical_columns(values) == reference_identical_columns(values)
 
 
 class TestC1OnlyCounterexample:

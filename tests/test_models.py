@@ -20,6 +20,7 @@ from rlcm import (
     enumerate_profiles,
     theta_from_params,
 )
+from rlcm.models import FAMILY
 
 from helpers import (
     draw_monotone_item_params,
@@ -117,6 +118,15 @@ class TestThetaFromParams:
         q = QMatrix([[1, 0]])
         with pytest.raises(Exception):
             theta_from_params(q, [DinaParams(0.2, 0.1)] * 2)
+
+    def test_rejects_an_object_that_is_no_family(self):
+        with pytest.raises(TypeError, match="unknown item parameter type object"):
+            theta_from_params(QMatrix([[1, 0]]), [object()])
+
+    def test_family_registry_is_the_parameter_classes(self):
+        assert list(FAMILY.items()) == [("DINA", DinaParams), ("DINO", DinoParams),
+                                        ("GDINA", GdinaParams), ("LLM", LlmParams),
+                                        ("RRUM", RrumParams)]
 
 
 class TestReferenceRows:

@@ -337,6 +337,18 @@ class TestOracleMemory:
         # the 2**16 x 2**6 table alone would be 32 MiB
         assert peak <= 8 * 2**20
 
+    def test_build_tmatrix_peak_is_the_table(self):
+        theta = random_theta(np.random.default_rng(4), 16, 6)
+        tracemalloc.start()
+        try:
+            t = build_tmatrix(theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 2**16 x 2**6 table is 32 MiB; copying it on the way in doubles it
+        assert peak <= 1.25 * t.values.nbytes
+        assert not t.values.flags.writeable
+
     def test_process_peak_at_table_cap(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run(
