@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import fileio
+from . import core, fileio, tmatrix
 from .core import QMatrix, ThetaMatrix, weight_graded_order
 from .identifiability import (
     NonIdentifiablePair,
@@ -202,11 +202,16 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify_transform(args) -> int:
+    # the sizes are checked before the draw allocates J x 2**K doubles
+    for flag, value, cap in (("--j", args.j, tmatrix.MAX_DENSE_TRANSFORM_ITEMS),
+                             ("--k", args.k, core.MAX_ATTRIBUTES)):
+        if not 1 <= value <= cap:
+            raise core.SizeLimitError(f"{flag} must be in [1, {cap}], got {value}")
+    core.check_table_size(args.j, args.k)
     rng = np.random.default_rng(args.seed)
     theta = ThetaMatrix(rng.uniform(size=(args.j, 1 << args.k)))
     shift = rng.uniform(-1.0, 1.0, size=args.j)
-    transform = build_transform(shift)
-    lhs = transform.values @ build_tmatrix(theta).values
+    lhs = build_transform(shift).values @ build_tmatrix(theta).values
     rhs = build_tmatrix(apply_shift(theta, shift)).values
     residual = float(np.abs(lhs - rhs).max())
     print(json.dumps({"J": args.j, "K": args.k, "seed": args.seed,

@@ -106,20 +106,22 @@ def _two_rate_update(pos: NDArray, tot: NDArray, mask: NDArray,
     if tot0 > 0:
         low = pos0 / tot0
     if high <= low:
-        pooled = (pos1 + pos0) / (tot1 + tot0)
-        high = low = pooled
+        high = low = (pos1 + pos0) / (tot1 + tot0)
     return high, low
 
 
 def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
     """Maximize by Newton steps, halving until the objective improves.
 
-    ``value`` maps candidates stacked as rows to their objectives.  A step
-    tries scale 1 alone, then 1/2, ..., 2**-26 (the last above 1e-8) in one
-    call, and takes the first improving candidate, so the objective never
-    decreases; ``max_steps`` bounds the candidates up to each one taken.
+    A step tries scales 1, 1/2, ..., 2**-26 (the last above 1e-8), one
+    ``value`` call each, and takes the first candidate that gains more than
+    1e-12, so the objective never decreases; ``max_steps`` bounds the
+    candidates.  The ascent ends, without evaluating, at a scale whose
+    predicted gain ``scale * grad @ step`` is at most twice that margin, or
+    at a candidate that is the current point (as when ``project`` maps the
+    step back onto it): every smaller scale would give that point too.
     """
-    current = value(coef[None])[0]
+    current = value(coef)
     used = 0
     while used < max_steps:
         grad, neghess = grad_neghess(coef)
@@ -127,34 +129,28 @@ def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
             step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
         except np.linalg.LinAlgError:
             break
-        n = min(27, max_steps - used)
-        # the full step is the one usually taken, so it costs one row; the
-        # halvings, 26 x 2**|q_j| entries at most, are below the likelihood
-        # matrix once the data has 26 distinct patterns, so not chunked
-        for lo, hi in (0, 1), (1, n):
-            ladder = coef + 0.5 ** np.arange(lo, hi)[:, None] * step
+        gain = grad @ step
+        for scale in 0.5 ** np.arange(min(27, max_steps - used)):
+            candidate = coef + scale * step
             if project is not None:
-                ladder = project(ladder)
-            vals = value(ladder)
-            better = np.flatnonzero(np.isfinite(vals) & (vals > current + 1e-12))
-            if better.size or hi == n:
+                candidate = project(candidate)
+            if scale * gain <= 2e-12 or np.array_equal(candidate, coef):
+                return coef
+            used += 1
+            val = value(candidate)
+            if np.isfinite(val) and val > current + 1e-12:
+                coef, current = candidate, val
                 break
-        if not better.size:
+        else:
             break
-        first = better[0]
-        coef, current, used = ladder[first], vals[first], used + lo + first + 1
     return coef
 
 
 def _binomial_objective(link, x, gpos, gtot):
-    """Group log-likelihood of each stacked row c, mu = link(c @ x.T) clipped.
-    Each row is its own (1, d) @ (d, G) product, since BLAS takes another
-    kernel for one row than for many: a row's value then does not depend on
-    the stack, and the tests can hold the ladder to the one-candidate loop
-    bit for bit."""
+    """Group log-likelihood of coefficients c, mu = link(x @ c) clipped."""
     def value(c):
-        mu = np.clip(link((c[:, None, :] @ x.T)[:, 0]), THETA_CLAMP, 1.0 - THETA_CLAMP)
-        return (np.log(mu) * gpos).sum(-1) + (np.log1p(-mu) * (gtot - gpos)).sum(-1)
+        mu = np.clip(link(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
+        return (np.log(mu) * gpos).sum() + (np.log1p(-mu) * (gtot - gpos)).sum()
 
     return value
 
@@ -346,10 +342,7 @@ class GdinaParams(_Item):
     @staticmethod
     def update(design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
         gpos, gtot = design.group_sums(pos, tot)
-        means = coef.copy()
-        nonzero = gtot > 0
-        means[nonzero] = gpos[nonzero] / gtot[nonzero]
-        return means
+        return np.divide(gpos, gtot, out=coef.copy(), where=gtot > 0)
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:
@@ -472,8 +465,7 @@ class RrumParams(_Item):
         # coef holds logs: intercept = log(baseline prob), slopes = log(penalties)
         gpos, gtot = design.group_sums(pos, tot)
         x = design.loglink_design
-        bound = np.full(coef.size, -1e-9)
-        bound[0] = 0.0
+        bound = np.r_[0.0, np.full(coef.size - 1, -1e-9)]
         value = _binomial_objective(np.exp, x, gpos, gtot)
 
         def project(c):
@@ -497,9 +489,11 @@ class RrumParams(_Item):
 
     @classmethod
     def from_coef(cls, design: ItemDesign, coef):
+        # sparse data can drive a log-penalty so far below 0 that exp gives 0
+        tiny = np.finfo(float).smallest_subnormal
         penalties = np.full(design.n_attributes, 0.5)
-        penalties[design.required] = np.exp(coef[1:])
-        return cls(pi=float(np.exp(coef[0])), r=tuple(penalties))
+        penalties[design.required] = np.clip(np.exp(coef[1:]), tiny, np.nextafter(1.0, 0.0))
+        return cls(pi=float(np.clip(np.exp(coef[0]), tiny, 1.0)), r=tuple(penalties))
 
 
 ItemParams = Union[DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams]

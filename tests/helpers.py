@@ -9,8 +9,12 @@ against an independent path, not against themselves.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
+
+import rlcm
 
 from rlcm import (
     DimensionError,
@@ -388,3 +392,11 @@ def reference_identical_columns(values):
             if np.array_equal(values[:, a], values[:, b]):
                 return a, b
     return None
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter, with ``PYTHONPATH`` leading
+    with the source tree this process imported ``rlcm`` from."""
+    src = str(Path(rlcm.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))

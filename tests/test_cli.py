@@ -20,7 +20,7 @@ from rlcm import (
 from rlcm import fileio
 from rlcm.cli import _em_config, build_parser, main
 
-from helpers import stacked_identity
+from helpers import child_env, stacked_identity
 
 
 @pytest.fixture
@@ -210,6 +210,19 @@ class TestVerifyTransform:
         doc = json.loads(capsys.readouterr().out)
         assert doc["max_abs_residual"] <= 1e-12
 
+    @pytest.mark.parametrize("k", ["40", "-1", "0", "21"])
+    def test_bad_attribute_count_rejected_before_the_draw(self, capsys, k):
+        # K = 40 would ask the draw for 2 x 2**40 doubles
+        assert main(["verify-transform", "--j", "2", "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("j, k", [("0", "2"), ("13", "2"), ("12", "17")])
+    def test_bad_item_count_or_table_size_rejected(self, capsys, j, k):
+        assert main(["verify-transform", "--j", j, "--k", k]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestSimulateFitPipeline:
     def test_roundtrip_recovers_parameters(self, workdir, capsys):
@@ -239,6 +252,20 @@ class TestSimulateFitPipeline:
             assert main(["simulate", "--q", q_path, "--params", params, "--p", p,
                          "--n", "100", "--seed", "5", "--out", str(out)]) == 0
         assert out1.read_text() == out2.read_text()
+
+
+def test_rrum_fit_on_sparse_data(workdir, capsys):
+    # EM drives a log-penalty to about -1.4e10 here; exp of it is 0, which
+    # the RRUM parameters reject unless the fit clamps it into (0, 1)
+    q_path = _write_q(workdir / "q.csv", [[1, 0], [0, 1], [1, 0], [0, 1], [1, 1], [1, 1]])
+    data_path = workdir / "data.csv"
+    data_path.write_text("0,0,0,1,0,0\n1,1,0,0,1,1\n1,1,1,1,1,0\n1,0,1,0,0,1\n"
+                         "0,1,1,0,0,1\n1,0,1,1,0,1\n1,0,0,0,0,0\n1,1,1,1,1,0\n")
+    fit_path = workdir / "fit.json"
+    assert main(["fit", "--q", q_path, "--data", str(data_path), "--families", "RRUM",
+                 "--out", str(fit_path)]) == 0
+    items = json.loads(fit_path.read_text())["item_params"]
+    assert all(0.0 < r < 1.0 for item in items for r in item["r"])
 
 
 def test_em_flag_defaults_are_emconfig_defaults():
@@ -274,7 +301,7 @@ class TestSchema:
 
     def test_console_script_installed(self):
         result = subprocess.run([sys.executable, "-m", "rlcm.cli", "--schema"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=child_env())
         assert result.returncode == 0
         assert "proportion-vector" in result.stdout
 

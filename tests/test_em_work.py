@@ -1,11 +1,12 @@
 """Each EM iteration does only the work it needs, and reaches the same fit.
 
-The damped-Newton M-step tries each full step alone and the rest of its
-halving ladder as one array (``helpers.reference_damped_newton`` is the loop
-that tried one candidate per call), and the expected counts come from one
-GEMM (``helpers.reference_expected_counts`` is the form through the
-posterior weights).  Each fast path must agree with its reference, and the
-ladder must not drift back to one ``value`` call per candidate.
+The damped-Newton M-step evaluates one candidate per ``value`` call, and
+ends without evaluating once a step can no longer gain
+(``helpers.reference_damped_newton`` is the loop that tried every scale
+down to 2**-26), and the expected counts come from one GEMM
+(``helpers.reference_expected_counts`` is the form through the posterior
+weights).  Each fast path must agree with its reference, and the M-step
+must not drift back to evaluating candidates that cannot be taken.
 """
 
 import numpy as np
@@ -68,38 +69,25 @@ def test_ladder_matches_one_candidate_at_a_time(monkeypatch):
         value = problem["value"]
         events = []
 
-        def scalar(c):
+        def counted_value(c):
             events.append("v")
-            return value(c[None])[0]
+            return value(c)
 
         def grad_neghess(c):
             events.append("g")
             return problem["grad_neghess"](c)
 
-        ladder = models._damped_newton(value, problem["grad_neghess"], problem["coef"],
+        newton = models._damped_newton(value, problem["grad_neghess"], problem["coef"],
                                        problem["project"], max_steps=max_steps)
-        loop = reference_damped_newton(scalar, grad_neghess, problem["coef"],
+        loop = reference_damped_newton(counted_value, grad_neghess, problem["coef"],
                                        problem["project"], max_steps=max_steps)
-        assert np.array_equal(ladder, loop), (draw, family, max_steps)
+        assert np.array_equal(newton, loop), (draw, family, max_steps)
         # per Newton step, the candidates the loop tried
         tried = [len(s) for s in "".join(events[1:]).split("g")[1:]]
         halved += any(n > 1 for n in tried[:-1])
         exhausted += sum(tried) == max_steps
     # the draws reach accepted halvings and the candidate budget
     assert halved > 100 and exhausted > 100
-
-
-def test_objective_row_does_not_depend_on_the_stack(monkeypatch):
-    rng = np.random.default_rng(31)
-    for draw in range(200):
-        family = ("LLM", "RRUM")[draw % 2]
-        problem = _newton_problem(monkeypatch, family,
-                                  *_draw_update(rng, family, 1 + draw % 5))
-        coef = problem["coef"]
-        ladder = coef + rng.uniform(-2.0, 2.0, (26, coef.size))
-        stacked = problem["value"](ladder)
-        alone = [problem["value"](row[None])[0] for row in ladder]
-        assert np.array_equal(stacked, alone), (draw, family)
 
 
 @pytest.mark.parametrize("max_steps", MAX_STEPS)
@@ -109,29 +97,27 @@ def test_ladder_matches_at_every_scale(max_steps):
     start = np.array([1.0, -0.5])
 
     def value(c):
-        return -(c ** 2).sum(-1)
+        return -(c ** 2).sum()
 
     for k in range(29):
         def grad_neghess(c, stretch=1.5 * 2.0 ** k):
             return -2.0 * stretch * c, 2.0 * np.eye(c.size)
 
-        ladder = models._damped_newton(value, grad_neghess, start, max_steps=max_steps)
-        loop = reference_damped_newton(lambda c: value(c[None])[0], grad_neghess, start,
-                                       max_steps=max_steps)
-        assert np.array_equal(ladder, loop), k
-        assert np.array_equal(ladder, start) == (k > 26 or k >= max_steps), k
+        newton = models._damped_newton(value, grad_neghess, start, max_steps=max_steps)
+        loop = reference_damped_newton(value, grad_neghess, start, max_steps=max_steps)
+        assert np.array_equal(newton, loop), k
+        assert np.array_equal(newton, start) == (k > 26 or k >= max_steps), k
 
 
-@pytest.mark.parametrize("family", ["LLM", "RRUM"])
-def test_at_most_two_value_calls_per_newton_step(monkeypatch, family):
-    # the full step alone, then the rest of its halving ladder in one call
-    rng = np.random.default_rng(sum(map(ord, family)))
-    design, coef, pos, tot = _draw_update(rng, family, 3)
-    events = []
+def _counted_updates(monkeypatch, family, design, coefs, pos, tot):
+    """Run ``update`` from each start; per call, its value ('v') and
+    grad_neghess ('g') calls in order, and its result."""
     newton = models._damped_newton
+    runs = []
 
     def counted(value, grad_neghess, coef, project=None, max_steps=50):
         def counted_value(c):
+            assert np.ndim(c) == 1, "one candidate per value call"
             events.append("v")
             return value(c)
 
@@ -143,12 +129,44 @@ def test_at_most_two_value_calls_per_newton_step(monkeypatch, family):
 
     with monkeypatch.context() as patch:
         patch.setattr(models, "_damped_newton", counted)
-        FAMILY[family].update(design, coef, pos, tot)
-    start, *steps = "".join(events).split("g")
-    assert start == "v" and len(steps) >= 2
-    assert all(1 <= len(calls) <= 2 for calls in steps)
-    # the last step tries all 27 scales, one call per candidate before
-    assert steps[-1] == "vv"
+        for coef in coefs:
+            events = []
+            result = FAMILY[family].update(design, coef, pos, tot)
+            runs.append(("".join(events), result))
+    return runs
+
+
+@pytest.mark.parametrize("family", ["LLM", "RRUM"])
+def test_one_value_call_per_candidate_and_none_past_convergence(monkeypatch, family):
+    # expected counts of the family's own model, every group observed
+    rng = np.random.default_rng(sum(map(ord, family)))
+    for draw in range(20):
+        design = ItemDesign(np.ones(1 + draw % 5, dtype=int))
+        tot = rng.uniform(5.0, 50.0, design.n_groups)
+        pos = tot * FAMILY[family].row(design, FAMILY[family].init(design, rng))
+        [(events, coef)] = _counted_updates(monkeypatch, family, design,
+                                            [FAMILY[family].init(design, rng)], pos, tot)
+        start, *steps = events.split("g")
+        # the start, one call per candidate, and none after the last step
+        assert start == "v" and len(steps) >= 2 and steps[-1] == "", (draw, events)
+        # restarted from its own result, the ascent costs only its start
+        [(events, again)] = _counted_updates(monkeypatch, family, design, [coef], pos, tot)
+        assert events == "vg" and np.array_equal(again, coef), (draw, events)
+
+
+def test_rrum_item_at_its_bounds_costs_one_value_call(monkeypatch):
+    # every group answers correctly: the optimum is pi = 1 and every
+    # penalty at its cap, where the projected step lands on the point
+    rng = np.random.default_rng(8)
+    design = ItemDesign([1, 1, 0, 1])
+    tot = rng.uniform(5.0, 50.0, 1 << design.n_attributes)
+    start = FAMILY["RRUM"].init(design, rng)
+    runs = _counted_updates(monkeypatch, "RRUM", design, [start], tot, tot)
+    bound = runs[0][1]
+    assert np.array_equal(bound, [0.0, -1e-9, -1e-9, -1e-9])
+    runs = _counted_updates(monkeypatch, "RRUM", design, [bound, bound], tot, tot)
+    assert [events for events, _ in runs] == ["vg", "vg"]
+    assert all(np.array_equal(coef, bound) for _, coef in runs)
 
 
 def _expected_count_inputs(rng, theta_values):
@@ -196,11 +214,6 @@ THETA_TOL = {"DINA": 1e-8, "DINO": 1e-8, "GDINA": 1e-8, "LLM": 1e-6, "RRUM": 1e-
              "mixed": 1e-6}
 
 
-def _reference_newton(value, grad_neghess, coef, project=None, max_steps=50):
-    return reference_damped_newton(lambda c: value(c[None])[0], grad_neghess, coef,
-                                   project, max_steps)
-
-
 @pytest.mark.parametrize("design", DESIGNS)
 def test_em_fit_reaches_the_reference_fit(monkeypatch, design):
     rng = np.random.default_rng(13)
@@ -211,7 +224,7 @@ def test_em_fit_reaches_the_reference_fit(monkeypatch, design):
     config = EmConfig(max_iters=40, tol=1e-300, restarts=3, seed=7)
     fast = em_fit(data, q, families, config)
     with monkeypatch.context() as patch:
-        patch.setattr(models, "_damped_newton", _reference_newton)
+        patch.setattr(models, "_damped_newton", reference_damped_newton)
         patch.setattr(inference, "_expected_counts", reference_expected_counts)
         slow = em_fit(data, q, families, config)
     assert np.argmax(fast.restart_logliks) == np.argmax(slow.restart_logliks)

@@ -29,6 +29,8 @@ from rlcm import (
     fileio,
 )
 
+from helpers import child_env
+
 Q_ROWS = [[1, 0], [0, 1], [1, 1], [1, 0], [0, 1]]
 PARAMS = [
     DinaParams(0.2, 0.1),
@@ -147,7 +149,7 @@ def test_cli_prints_one_line_without_traceback(tmp_path, case):
     flag = "--theta" if name == "theta" else "--params"
     result = subprocess.run(
         [sys.executable, "-m", "rlcm.cli", "check", "--q", str(q_path), flag, str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     lines = result.stderr.strip().splitlines()

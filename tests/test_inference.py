@@ -35,6 +35,13 @@ def _dina_setup(copies=3, s=0.2, g=0.1):
     return q, params, theta, p
 
 
+# a sparse RRUM design on which EM drives a penalty below the smallest double
+RRUM_SPARSE_Q = QMatrix([[1, 0], [0, 1], [1, 0], [0, 1], [1, 1], [1, 1]])
+RRUM_SPARSE_DATA = ResponseData.from_matrix(np.array([
+    [0, 0, 0, 1, 0, 0], [1, 1, 0, 0, 1, 1], [1, 1, 1, 1, 1, 0], [1, 0, 1, 0, 0, 1],
+    [0, 1, 1, 0, 0, 1], [1, 0, 1, 1, 0, 1], [1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 0]]))
+
+
 class TestResponseData:
     def test_matrix_roundtrip(self):
         mat = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]])
@@ -217,6 +224,15 @@ class TestEmFit:
         doc = json.loads(path.read_text(), parse_constant=reject)
         assert doc["restarts_used"] == 2
         assert doc["restart_logliks"][1] is None
+
+    def test_rrum_penalty_driven_to_zero_still_gives_parameters(self):
+        # sparse data clamp some groups' rates, so Newton drives log-penalties
+        # far enough below that exp underflows; the fit clamps them into (0, 1)
+        fit = em_fit(RRUM_SPARSE_DATA, RRUM_SPARSE_Q, ["RRUM"] * 6, EmConfig())
+        for item in fit.item_params_hat:
+            assert 0.0 < item.pi <= 1.0
+            assert all(0.0 < r < 1.0 for r in item.r)
+        assert fit.theta_hat.is_probability
 
     def test_p_hat_floor_keeps_classes_alive(self):
         # all-positive responses push some class masses toward zero
