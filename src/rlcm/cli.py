@@ -158,11 +158,11 @@ def _cmd_tmatrix(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.out is None:
+        raise ValueError("simulate requires --out")
     theta = _load_theta(args)
     p = fileio.read_proportion_json(args.p)
     data = simulate(theta, p, args.n, args.seed)
-    if args.out is None:
-        raise ValueError("simulate requires --out")
     fileio.write_response_csv(args.out, data)
     print(f"wrote {data.n_subjects} subjects x {data.n_items} items to "
           f"{args.out}", file=sys.stderr)
@@ -337,8 +337,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     try:
         return _HANDLERS[args.subcommand](args)
-    except (ValueError, FileNotFoundError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

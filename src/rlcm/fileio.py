@@ -101,10 +101,11 @@ def _check(value, schema: dict, where, at: str = "") -> None:
 
 
 def _read_text(path) -> str:
-    """The text of the file ``path``; bytes that do not decode are a
-    FileFormatError naming the file."""
+    """The UTF-8 text of the file ``path``, without a byte-order mark; bytes
+    that do not decode are a FileFormatError naming the file."""
     try:
-        return Path(path).read_text()
+        # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not a text file: {exc}") from exc
 
@@ -148,7 +149,7 @@ def write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def write_json(path, doc: dict) -> None:
@@ -158,15 +159,39 @@ def write_json(path, doc: dict) -> None:
 def _read_bits_csv(path, what: str) -> np.ndarray:
     """Comma-separated 0/1 rows, one per line; '#' lines are comments.
 
-    A canonical file, every data line exactly ``[01](,[01])*`` of one width,
-    is parsed as one array; any other spelling goes to ``_parse_bits_lines``,
-    the one definition of the grammar and its diagnostics.
+    A file in the layout ``_write_bits_csv`` writes is checked as one array
+    without splitting it into lines; any other canonical file, every data
+    line exactly ``[01](,[01])*`` of one width, is parsed from its line list;
+    the rest goes to ``_parse_bits_lines``, the one definition of the grammar
+    and its diagnostics.
     """
     text = _read_text(path)
-    lines = [line for line in map(str.strip, text.splitlines())
-             if line and not line.startswith("#")]
-    bits = _canonical_bits(lines)
+    bits = _writer_layout_bits(text)
+    if bits is None:
+        lines = [line for line in map(str.strip, text.splitlines())
+                 if line and not line.startswith("#")]
+        bits = _canonical_bits(lines)
     return bits if bits is not None else _parse_bits_lines(path, text, what)
+
+
+def _writer_layout_bits(text: str):
+    """The 0/1 matrix of ``text`` when it is '#' lines, then rows that are
+    each exactly ``[01](,[01])*\\n`` at the first row's width, else None."""
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start) + 1
+        # a comment ends where splitlines ends it, or what follows is a row
+        if not end or len(text[start:end].splitlines()) != 1:
+            return None
+        start = end
+    width = text.find("\n", start) + 1 - start
+    if width < 2 or width % 2 or (len(text) - start) % width or not text.isascii():
+        return None
+    # each cell with the byte after it as one 16-bit word: "0," - "0," or
+    # "1," - "0," is 0 or 1, "0\n" ends the row, and any other pair is more
+    words = np.frombuffer(text.encode("ascii"), "<u2", offset=start).reshape(-1, width // 2)
+    cells = words - np.frombuffer(b"0," * (width // 2 - 1) + b"0\n", "<u2")
+    return None if (cells > 1).any() else cells.astype(np.int8)
 
 
 def _canonical_bits(lines: List[str]):

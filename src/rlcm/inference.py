@@ -38,6 +38,11 @@ class EmError(RuntimeError):
     """Fitting failed; the message carries the diagnostic."""
 
 
+def _check_item_count(n_items: int) -> None:
+    if not 1 <= n_items <= MAX_ITEMS:
+        raise DimensionError(f"item count {n_items} outside [1, {MAX_ITEMS}]")
+
+
 @dataclass(frozen=True)
 class ResponseData:
     """N observed response patterns, stored as integer encodings."""
@@ -49,8 +54,7 @@ class ResponseData:
         codes = np.asarray(self.codes, dtype=np.int64)
         if codes.ndim != 1 or codes.size < 1:
             raise DimensionError("response data needs at least one subject")
-        if not 1 <= self.n_items <= MAX_ITEMS:
-            raise DimensionError(f"item count {self.n_items} outside [1, {MAX_ITEMS}]")
+        _check_item_count(self.n_items)
         if (codes < 0).any() or (codes >= (1 << self.n_items)).any():
             raise ValueError("response encoding out of range for item count")
         object.__setattr__(self, "codes", _freeze(codes))
@@ -60,10 +64,13 @@ class ResponseData:
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise DimensionError("response matrix must be two-dimensional")
-        if not np.isin(matrix, (0, 1)).all():
+        if not ((matrix == 0) | (matrix == 1)).all():
             raise ValueError("responses must be 0 or 1")
-        weights = (1 << np.arange(matrix.shape[1])).astype(np.int64)
-        return cls(matrix.astype(np.int64) @ weights, matrix.shape[1])
+        _check_item_count(matrix.shape[1])
+        # a BLAS product, exact: a code is below 2**MAX_ITEMS, and float32
+        # holds every integer below 2**24
+        weights = np.exp2(np.arange(matrix.shape[1], dtype=np.float32))
+        return cls(matrix.astype(np.float32) @ weights, matrix.shape[1])
 
     def to_matrix(self) -> NDArray[np.int8]:
         return bit_matrix(self.codes, self.n_items)
@@ -85,9 +92,7 @@ def simulate(theta: ThetaMatrix, p: ProportionVector, n_subjects: int,
     rng = np.random.default_rng(seed)
     classes = rng.choice(p.probs.size, size=n_subjects, p=p.probs)
     uniforms = rng.random((n_subjects, theta.n_items))
-    bits = uniforms < theta.values[:, classes].T
-    weights = (1 << np.arange(theta.n_items)).astype(np.int64)
-    return ResponseData(bits.astype(np.int64) @ weights, theta.n_items)
+    return ResponseData.from_matrix(uniforms < theta.values.T[classes])
 
 
 def empirical_gamma(data: ResponseData) -> NDArray[np.float64]:
@@ -182,16 +187,19 @@ class FitResult:
             raise EmError(f"log-likelihood trace decreased by {-worst:.3g}")
 
 
-def _expected_counts(bits, counts, like, mixture, p):
+def _expected_counts(bits_one, counts, like, mixture, p):
     """Expected positives per (class, item) and class sizes from one GEMM,
-    ``like.T @ [bits * r | r]`` with r = counts / mixture, scaled by p."""
-    r = (counts / mixture)[:, None]
-    fused = like.T @ np.hstack([bits * r, r])
+    ``(like * r).T @ bits_one`` with r = counts / mixture and ``bits_one``
+    = ``[bits | 1]``, scaled by p.  ``like`` is scaled in place."""
+    like *= (counts / mixture)[:, None]
+    fused = like.T @ bits_one
     return p[:, None] * fused[:, :-1], p * fused[:, -1]
 
 
-def _run_em(counts, bits, items, coefs, p, n_subjects, max_iters, tol):
-    """EM from one start; ``items`` pairs each item's family with its design."""
+def _run_em(counts, bits, bits_one, items, coefs, p, n_subjects, max_iters, tol):
+    """EM from one start; ``items`` pairs each item's family with its design.
+    The likelihood takes ``bits`` itself: a view of ``bits_one`` is strided,
+    so each GEMM would copy it."""
     trace = []
     converged = False
     for iteration in range(max_iters + 1):
@@ -207,7 +215,7 @@ def _run_em(counts, bits, items, coefs, p, n_subjects, max_iters, tol):
             break
         if iteration == max_iters:
             break
-        pos, tot = _expected_counts(bits, counts, like, mixture, p)
+        pos, tot = _expected_counts(bits_one, counts, like, mixture, p)
         p = np.maximum(tot / n_subjects, P_FLOOR)
         p = p / p.sum()
         coefs = [fam.update(design, c, pos[:, j], tot)
@@ -255,6 +263,7 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
                 raise ValueError(f"item {j} initialization is not a {fam} parameter set")
 
     counts, bits = _pattern_stats(data)
+    bits_one = np.hstack([bits, np.ones((len(bits), 1))])
     items = [(FAMILY[fam], ItemDesign(q.entries[j])) for j, fam in enumerate(families)]
     best = None
     failures = []
@@ -274,7 +283,7 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
             coefs = [fam.init(design, rng) for fam, design in items]
         try:
             trace, converged, coefs, p_fit = _run_em(
-                counts, bits, items, coefs, p0, data.n_subjects,
+                counts, bits, bits_one, items, coefs, p0, data.n_subjects,
                 config.max_iters, config.tol)
         except EmError as exc:
             failures.append(f"restart {index}: {exc}")

@@ -400,3 +400,16 @@ def child_env() -> dict:
     src = str(Path(rlcm.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def reference_simulate(theta: ThetaMatrix, p: ProportionVector, n_subjects: int,
+                       seed: int) -> np.ndarray:
+    """The codes ``simulate`` draws, packed as it packed them before the row
+    gather and the float64 GEMM: an int64 matmul on theta's class columns,
+    kept as their oracle."""
+    rng = np.random.default_rng(seed)
+    classes = rng.choice(p.probs.size, size=n_subjects, p=p.probs)
+    uniforms = rng.random((n_subjects, theta.n_items))
+    bits = uniforms < theta.values[:, classes].T
+    weights = (1 << np.arange(theta.n_items)).astype(np.int64)
+    return bits.astype(np.int64) @ weights

@@ -17,7 +17,7 @@ from rlcm import (
     response_distribution,
     weight_graded_order,
 )
-from rlcm import fileio
+from rlcm import cli, fileio
 from rlcm.cli import _em_config, build_parser, main
 
 from helpers import child_env, stacked_identity
@@ -253,6 +253,40 @@ class TestSimulateFitPipeline:
                          "--n", "100", "--seed", "5", "--out", str(out)]) == 0
         assert out1.read_text() == out2.read_text()
 
+
+def _simulate_inputs(workdir):
+    q_path = _write_q(workdir / "q.csv", stacked_identity(2, 1).entries)
+    params = _write_params(workdir / "params.json", [DinaParams(0.2, 0.1)] * 2, 2)
+    return ["--q", q_path, "--params", params, "--p", _write_p(workdir / "p.json", [0.25] * 4)]
+
+
+def _no_memory(*args, **kwargs):
+    # what numpy raises for an array larger than the machine can hold
+    raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                      "(100000000000, 1) and data type float64")
+
+
+@pytest.mark.parametrize("command, patched", [
+    (["simulate", "--n", "100000000000"], "simulate"),
+    (["experiment", "--families", "DINA", "--n-grid", "100000000000"],
+     "consistency_experiment"),
+])
+def test_out_of_memory_is_one_error_line(workdir, capsys, monkeypatch, command, patched):
+    monkeypatch.setattr(cli, patched, _no_memory)
+    argv = command + _simulate_inputs(workdir) + ["--out", str(workdir / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 745. GiB for an array with shape " \
+                  "(100000000000, 1) and data type float64\n"
+    assert "Traceback" not in err
+
+
+def test_simulate_without_out_never_draws(workdir, capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(cli, "simulate", lambda *args: draws.append(args))
+    assert main(["simulate", "--n", "100000000000"] + _simulate_inputs(workdir)) == 1
+    assert capsys.readouterr().err == "error: simulate requires --out\n"
+    assert draws == []
 
 def test_rrum_fit_on_sparse_data(workdir, capsys):
     # EM drives a log-penalty to about -1.4e10 here; exp of it is 0, which

@@ -1,9 +1,10 @@
-"""The 0/1 CSV reader's one-pass path and the array writer.
+"""The 0/1 CSV reader's one-pass paths and the array writer.
 
 ``fileio._parse_bits_lines`` is the one definition of the CSV grammar and
-of its ``line N, column M`` diagnostics.  The one-pass path may only
-return what that pass returns; every other file goes to it.  The writers
-must write the bytes of the row-by-row join they replaced.
+of its ``line N, column M`` diagnostics.  The one-pass paths, the writer's
+layout read as one array and the line-list check, may only return what
+that pass returns; every other file goes to it.  The writers must write
+the bytes of the row-by-row join they replaced.
 """
 
 import tempfile
@@ -39,6 +40,7 @@ def _both_ways(data: bytes):
                 for name, (reader, summary) in READERS.items()}
         arrays = [_array(path)]
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_writer_layout_bits", lambda text: None)
             patch.setattr(fileio, "_canonical_bits", lambda lines: None)
             per_line = {name: _outcome(reader, path, summary)
                         for name, (reader, summary) in READERS.items()}
@@ -106,6 +108,11 @@ def test_canonical_files_read_as_the_per_line_pass_reads_them(case):
 @example(b"")
 @example(b"0\n1\n")
 @example(b"0,1\n1,1\x1c0,1\n")    # an ASCII line separator splits lines
+@example(b"# a\x1c0,1\n1,1\n")    # ... a comment too, so its tail is a row
+@example(b"# h\x0c\n0,1\n")        # a form feed ends the comment early
+@example(b"# h\n0,1\n1,1")         # no final newline
+@example(b"# h\n0,1\n\n1,1\n")     # a blank line between rows
+@example(b"\n0,1\n")               # a blank line before the rows
 def test_any_bytes_read_as_the_per_line_pass_reads_them(data):
     _assert_same_as_per_line_pass(data)
 
@@ -121,6 +128,47 @@ def test_canonical_file_never_reaches_the_per_line_pass(tmp_path, monkeypatch):
     data = fileio.read_response_csv(path)
     assert data.to_matrix().tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 1]]
     assert fileio.read_qmatrix_csv(path).entries.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 1]]
+
+
+def _refuse(*args):
+    raise AssertionError("a file in the writer's layout was split into lines")
+
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("mark", [b"", BOM], ids=["plain", "marked"])
+@pytest.mark.parametrize("n_items", [1, 20])
+def test_writer_layout_never_reaches_the_line_list(tmp_path, monkeypatch, n_items, mark):
+    rng = np.random.default_rng(n_items)
+    data = ResponseData.from_matrix(rng.integers(0, 2, size=(1000, n_items)))
+    entries = rng.integers(0, 2, size=(20, 8))
+    entries[entries.sum(axis=1) == 0, 0] = 1
+    q = QMatrix(entries)
+    response_path, q_path = tmp_path / "data.csv", tmp_path / "q.csv"
+    fileio.write_response_csv(response_path, data)
+    fileio.write_qmatrix_csv(q_path, q)
+    for path in (response_path, q_path):
+        path.write_bytes(mark + path.read_bytes())
+    monkeypatch.setattr(fileio, "_canonical_bits", _refuse)
+    monkeypatch.setattr(fileio, "_parse_bits_lines", _refuse)
+    assert np.array_equal(fileio.read_response_csv(response_path).codes, data.codes)
+    assert np.array_equal(fileio.read_qmatrix_csv(q_path).entries, q.entries)
+
+
+@pytest.mark.parametrize("data", [
+    b"# responses\n0,1,1\n1,0,1\n",        # the writer's layout
+    b"0,1,1\r\n  1,0,1\n",                 # a canonical line list
+    b"0, 1,1\n1,0,1\n",                     # the per-line pass
+    b"0,1,1\n1,0\n",                        # a diagnostic
+])
+def test_byte_order_mark_reads_as_without_it(tmp_path, data):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(data)
+    marked.write_bytes(BOM + data)
+    for reader, summary in READERS.values():
+        assert (repr(_outcome(reader, plain, summary)).replace(str(plain), "FILE")
+                == repr(_outcome(reader, marked, summary)).replace(str(marked), "FILE"))
 
 
 def _joined(header: str, matrix) -> bytes:

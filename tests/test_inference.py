@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rlcm import (
+    DimensionError,
     DinaParams,
     EmConfig,
     EmError,
@@ -24,7 +26,7 @@ from rlcm import (
 )
 from rlcm.models import _two_rate_update
 
-from helpers import random_proportions, random_theta, stacked_identity
+from helpers import random_proportions, random_theta, reference_simulate, stacked_identity
 
 
 def _dina_setup(copies=3, s=0.2, g=0.1):
@@ -55,8 +57,47 @@ class TestResponseData:
         with pytest.raises(ValueError):
             ResponseData(np.array([4]), 2)
 
+    @pytest.mark.parametrize("matrix", [
+        np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int8),
+        np.array([[False, True], [True, True]]),
+        np.array([[0.0, 1.0], [-0.0, 1.0]]),
+        np.array([[1, 0]], dtype=np.uint64),
+    ])
+    def test_accepts_zeros_and_ones_of_any_dtype(self, matrix):
+        assert np.isin(matrix, (0, 1)).all()
+        weights = (1 << np.arange(matrix.shape[1])).astype(np.int64)
+        codes = ResponseData.from_matrix(matrix).codes
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, matrix.astype(np.int64) @ weights)
+
+    @pytest.mark.parametrize("n_items", [21, 70, 200])
+    def test_too_many_items_rejected_without_a_cast_warning(self, n_items):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match=f"item count {n_items} outside"):
+                ResponseData.from_matrix(np.ones((2, n_items), dtype=np.int8))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan, np.inf])
+    def test_rejects_what_is_not_zero_or_one(self, bad):
+        matrix = np.array([[0.0, 1.0], [1.0, bad]])
+        assert not np.isin(matrix, (0, 1)).all()
+        with pytest.raises(ValueError, match="responses must be 0 or 1"):
+            ResponseData.from_matrix(matrix)
+        if bad in (2, -1):
+            with pytest.raises(ValueError, match="responses must be 0 or 1"):
+                ResponseData.from_matrix(matrix.astype(np.int8))
+
 
 class TestSimulate:
+    @pytest.mark.parametrize("n_items", [1, 16, 20])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_codes_match_the_int64_packing(self, n_items, seed):
+        rng = np.random.default_rng(100 * n_items + seed)
+        theta, p = random_theta(rng, n_items, 3), random_proportions(rng, 3)
+        data = simulate(theta, p, 2000, seed)
+        assert data.codes.dtype == np.int64
+        assert np.array_equal(data.codes, reference_simulate(theta, p, 2000, seed))
+
     def test_deterministic(self):
         _, _, theta, p = _dina_setup()
         a = simulate(theta, p, 500, seed=9)

@@ -112,6 +112,32 @@ def test_undecodable_bytes_are_a_format_error(tmp_path, reader):
     _one_line_error_naming(path, reader)
 
 
+def _outcome(reader, path) -> str:
+    """What ``reader`` makes of ``path``, with the path itself left out."""
+    try:
+        got = repr(reader(path))
+    except ValueError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    return got.replace(str(path), "FILE")
+
+
+@pytest.mark.parametrize("data", VALID, ids=["q-matrix", "theta", "proportions",
+                                           "item-params", "pair"])
+def test_byte_order_mark_reads_as_without_it(tmp_path, data):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(data)
+    marked.write_bytes("\ufeff".encode() + data)
+    for reader in READERS:
+        assert _outcome(reader, marked) == _outcome(reader, plain)
+
+
+@pytest.mark.parametrize("mark", [b"", "\ufeff".encode()], ids=["plain", "marked"])
+@pytest.mark.parametrize("reader", READERS)
+def test_undecodable_bytes_are_not_a_text_file(tmp_path, reader, mark):
+    path = tmp_path / "input"
+    path.write_bytes(mark + b"0,1\n\xff,1\n")
+    assert ": not a text file: " in _one_line_error_naming(path, reader)
+
 def _gdina_file(tmp_path, beta) -> Path:
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"format": "item-params", "K": 2, "items": [
