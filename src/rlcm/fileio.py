@@ -161,16 +161,17 @@ def _read_bits_csv(path, what: str) -> np.ndarray:
 
     A file in the layout ``_write_bits_csv`` writes is checked as one array
     without splitting it into lines; any other canonical file, every data
-    line exactly ``[01](,[01])*`` of one width, is parsed from its line list;
-    the rest goes to ``_parse_bits_lines``, the one definition of the grammar
-    and its diagnostics.
+    line exactly ``[01](,[01])*`` of one width, is checked the same way once
+    its data lines are rejoined in that layout; the rest goes to
+    ``_parse_bits_lines``, the one definition of the grammar and its
+    diagnostics.
     """
     text = _read_text(path)
     bits = _writer_layout_bits(text)
     if bits is None:
         lines = [line for line in map(str.strip, text.splitlines())
                  if line and not line.startswith("#")]
-        bits = _canonical_bits(lines)
+        bits = _writer_layout_bits("\n".join(lines) + "\n")
     return bits if bits is not None else _parse_bits_lines(path, text, what)
 
 
@@ -192,26 +193,6 @@ def _writer_layout_bits(text: str):
     words = np.frombuffer(text.encode("ascii"), "<u2", offset=start).reshape(-1, width // 2)
     cells = words - np.frombuffer(b"0," * (width // 2 - 1) + b"0\n", "<u2")
     return None if (cells > 1).any() else cells.astype(np.int8)
-
-
-def _canonical_bits(lines: List[str]):
-    """The 0/1 matrix of ``lines`` when every line is exactly ``[01](,[01])*``
-    with the width of the first, else None."""
-    if not lines or len(lines[0]) % 2 == 0:
-        return None
-    width = len(lines[0]) + 1          # the line and its newline
-    joined = "\n".join(lines) + "\n"
-    if len(joined) != width * len(lines) or not joined.isascii():
-        return None
-    chars = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(lines), width)
-    # each of the len(lines) newlines not in the last column sits on a cell or
-    # a separator and fails a check below, so passing them fixes every width
-    if not (chars[:, 1:-1:2] == ord(",")).all():
-        return None
-    cells = chars[:, 0:-1:2] - np.uint8(ord("0"))
-    if (cells > 1).any():
-        return None
-    return cells.view(np.int8)
 
 
 def _parse_bits_lines(path, text: str, what: str) -> np.ndarray:

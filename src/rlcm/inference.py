@@ -107,25 +107,27 @@ def empirical_gamma(data: ResponseData) -> NDArray[np.float64]:
 
 
 def _pattern_stats(data: ResponseData):
+    """Each distinct pattern's count and its row of ``[bits | 1]``."""
     codes, counts = np.unique(data.codes, return_counts=True)
-    bits = bit_matrix(codes, data.n_items).astype(np.float64)
-    return counts.astype(np.float64), bits
+    bits_one = np.ones((len(codes), data.n_items + 1))
+    bits_one[:, :-1] = bit_matrix(codes, data.n_items)
+    return counts.astype(np.float64), bits_one
 
 
-def _likelihood_matrix(bits: NDArray, theta_values: NDArray) -> NDArray:
-    """P(pattern | class) for each row of ``bits`` and each column of theta,
-    as one GEMM in the log domain.
+def _likelihood_matrix(bits_one: NDArray, theta_values: NDArray) -> NDArray:
+    """P(pattern | class) for each row of ``bits_one`` = ``[bits | 1]`` and
+    each column of theta, as one GEMM in the log domain.
 
     With c = theta clipped to [THETA_CLAMP, 1 - THETA_CLAMP], log P is
-    ``bits @ (log c - log(1 - c)) + sum_j log(1 - c_j)``.  The direct exp
-    needs no log-sum-exp shift: every factor is at least THETA_CLAMP, so an
-    entry is at least THETA_CLAMP**J >= 1e-240 for J <= MAX_ITEMS = 20, far
-    above the double underflow at about 1e-308.
+    ``bits @ (log c - log(1 - c)) + sum_j log(1 - c_j)``, the constant term
+    carried by the ones column.  The direct exp needs no log-sum-exp shift:
+    every factor is at least THETA_CLAMP, so an entry is at least
+    THETA_CLAMP**J >= 1e-240 for J <= MAX_ITEMS = 20, far above the double
+    underflow at about 1e-308.
     """
     clamped = np.clip(theta_values, THETA_CLAMP, 1.0 - THETA_CLAMP)
     log_off = np.log1p(-clamped)
-    log_like = bits @ (np.log(clamped) - log_off)
-    log_like += log_off.sum(axis=0)
+    log_like = bits_one @ np.vstack([np.log(clamped) - log_off, log_off.sum(axis=0)])
     return np.exp(log_like, out=log_like)
 
 
@@ -137,8 +139,8 @@ def loglik(data: ResponseData, theta: ThetaMatrix, p: ProportionVector) -> float
         raise DimensionError("theta and data disagree on item count")
     if theta.n_attributes != p.n_attributes:
         raise DimensionError("theta and proportions disagree on attribute count")
-    counts, bits = _pattern_stats(data)
-    like = _likelihood_matrix(bits, theta.values)
+    counts, bits_one = _pattern_stats(data)
+    like = _likelihood_matrix(bits_one, theta.values)
     return float(counts @ np.log(like @ p.probs))
 
 
@@ -196,15 +198,13 @@ def _expected_counts(bits_one, counts, like, mixture, p):
     return p[:, None] * fused[:, :-1], p * fused[:, -1]
 
 
-def _run_em(counts, bits, bits_one, items, coefs, p, n_subjects, max_iters, tol):
-    """EM from one start; ``items`` pairs each item's family with its design.
-    The likelihood takes ``bits`` itself: a view of ``bits_one`` is strided,
-    so each GEMM would copy it."""
+def _run_em(counts, bits_one, items, coefs, p, n_subjects, max_iters, tol):
+    """EM from one start; ``items`` pairs each item's family with its design."""
     trace = []
     converged = False
     for iteration in range(max_iters + 1):
         theta_vals = np.vstack([fam.row(d, c) for (fam, d), c in zip(items, coefs)])
-        like = _likelihood_matrix(bits, theta_vals)
+        like = _likelihood_matrix(bits_one, theta_vals)
         mixture = like @ p
         ll = float(counts @ np.log(mixture))
         if not np.isfinite(ll):
@@ -262,8 +262,7 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
             if getattr(params, "family", None) != fam:
                 raise ValueError(f"item {j} initialization is not a {fam} parameter set")
 
-    counts, bits = _pattern_stats(data)
-    bits_one = np.hstack([bits, np.ones((len(bits), 1))])
+    counts, bits_one = _pattern_stats(data)
     items = [(FAMILY[fam], ItemDesign(q.entries[j])) for j, fam in enumerate(families)]
     best = None
     failures = []
@@ -283,7 +282,7 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
             coefs = [fam.init(design, rng) for fam, design in items]
         try:
             trace, converged, coefs, p_fit = _run_em(
-                counts, bits, bits_one, items, coefs, p0, data.n_subjects,
+                counts, bits_one, items, coefs, p0, data.n_subjects,
                 config.max_iters, config.tol)
         except EmError as exc:
             failures.append(f"restart {index}: {exc}")

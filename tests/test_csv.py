@@ -41,7 +41,6 @@ def _both_ways(data: bytes):
         arrays = [_array(path)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fileio, "_writer_layout_bits", lambda text: None)
-            patch.setattr(fileio, "_canonical_bits", lambda lines: None)
             per_line = {name: _outcome(reader, path, summary)
                         for name, (reader, summary) in READERS.items()}
             arrays.append(_array(path))
@@ -150,10 +149,15 @@ def test_writer_layout_never_reaches_the_line_list(tmp_path, monkeypatch, n_item
     fileio.write_qmatrix_csv(q_path, q)
     for path in (response_path, q_path):
         path.write_bytes(mark + path.read_bytes())
-    monkeypatch.setattr(fileio, "_canonical_bits", _refuse)
+    checks = []
+    array_check = fileio._writer_layout_bits
+    monkeypatch.setattr(fileio, "_writer_layout_bits",
+                        lambda text: checks.append(text) or array_check(text))
     monkeypatch.setattr(fileio, "_parse_bits_lines", _refuse)
     assert np.array_equal(fileio.read_response_csv(response_path).codes, data.codes)
     assert np.array_equal(fileio.read_qmatrix_csv(q_path).entries, q.entries)
+    # the line list is checked by a second call on its rejoined lines
+    assert len(checks) == 2, "a file in the writer's layout was split into lines"
 
 
 @pytest.mark.parametrize("data", [

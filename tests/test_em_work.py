@@ -172,7 +172,7 @@ def test_rrum_item_at_its_bounds_costs_one_value_call(monkeypatch):
 def _expected_count_inputs(rng, theta_values):
     n_items, n_classes = theta_values.shape
     bits = bit_matrix(rng.integers(0, 1 << n_items, size=300), n_items).astype(np.float64)
-    like = inference._likelihood_matrix(bits, theta_values)
+    like = inference._likelihood_matrix(np.hstack([bits, np.ones((300, 1))]), theta_values)
     p = rng.dirichlet(np.ones(n_classes))
     return bits, rng.integers(1, 50, size=300).astype(np.float64), like, like @ p, p
 

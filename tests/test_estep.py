@@ -35,6 +35,11 @@ def _max_rel_dev(a, b) -> float:
     return float((np.abs(a - b) / np.abs(b)).max())
 
 
+def _with_ones(bits):
+    """``[bits | 1]``, the rows the GEMM likelihood takes."""
+    return np.hstack([bits, np.ones((len(bits), 1))])
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_gemm_likelihood_matches_reference(family):
     rng = np.random.default_rng(sum(map(ord, family)))
@@ -46,7 +51,7 @@ def test_gemm_likelihood_matches_reference(family):
         q = QMatrix(q)
         theta = theta_from_params(q, draw_monotone_item_params(rng, family, q))
         bits = bit_matrix(np.arange(1 << n_items), n_items).astype(np.float64)
-        like = inference._likelihood_matrix(bits, theta.values)
+        like = inference._likelihood_matrix(_with_ones(bits), theta.values)
         assert like.shape == (1 << n_items, 1 << n_attributes)
         assert _max_rel_dev(like, reference_likelihood(bits, theta.values)) <= 1e-12
 
@@ -55,7 +60,7 @@ def test_entries_beyond_the_clamp_match_reference():
     rng = np.random.default_rng(3)
     values = rng.choice([0.0, 1e-15, 0.3, 1.0 - 1e-15, 1.0], size=(12, 8))
     bits = bit_matrix(rng.integers(0, 1 << 12, size=500), 12).astype(np.float64)
-    like = inference._likelihood_matrix(bits, values)
+    like = inference._likelihood_matrix(_with_ones(bits), values)
     assert _max_rel_dev(like, reference_likelihood(bits, values)) <= 1e-12
 
 
@@ -66,8 +71,8 @@ def test_every_entry_at_the_clamp_keeps_loglik_finite():
     theta = ThetaMatrix(np.tile([[0.0, 1.0]], (n_items, 1)))
     p = ProportionVector([0.5, 0.5])
     data = ResponseData(np.array([0, (1 << n_items) - 1] * 3), n_items)
-    counts, bits = inference._pattern_stats(data)
-    like = inference._likelihood_matrix(bits, theta.values)
+    counts, bits_one = inference._pattern_stats(data)
+    like = inference._likelihood_matrix(bits_one, theta.values)
     assert (like > 0).all() and like.min() == pytest.approx(THETA_CLAMP ** n_items, rel=1e-9)
     value = loglik(data, theta, p)
     assert math.isfinite(value)
@@ -96,7 +101,8 @@ def test_em_fit_reaches_the_reference_fit(monkeypatch, family):
     data = simulate(theta, random_proportions(rng, 3), 3000, seed=5)
     config = EmConfig(max_iters=40, tol=1e-300, restarts=2, seed=7)
     fast = _fit(monkeypatch, inference._likelihood_matrix, data, q, families, config)
-    slow = _fit(monkeypatch, reference_likelihood, data, q, families, config)
+    slow = _fit(monkeypatch, lambda bits_one, values:
+                reference_likelihood(bits_one[:, :-1], values), data, q, families, config)
     assert np.argmax(fast.restart_logliks) == np.argmax(slow.restart_logliks)
     np.testing.assert_allclose(fast.restart_logliks, slow.restart_logliks, rtol=1e-9, atol=0)
     np.testing.assert_allclose(fast.loglik_trace, slow.loglik_trace, rtol=1e-9, atol=0)
