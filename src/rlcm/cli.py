@@ -3,9 +3,9 @@
 Exit codes for ``check`` are a stable contract: 0 when the sufficient
 conditions certify identifiability, 2 when the design is incomplete
 (hence non-identifiable), 3 when the checks are inconclusive, 1 on
-input errors.  Every other subcommand exits 0 on success and 1 on any
-error.  All randomness is controlled by explicit ``--seed`` flags
-(default 0), so every invocation is reproducible.
+input errors, usage errors included.  Every other subcommand exits 0 on
+success and 1 on any error.  All randomness is controlled by explicit
+``--seed`` flags (default 0), so every invocation is reproducible.
 """
 
 from __future__ import annotations
@@ -219,8 +219,13 @@ def _cmd_verify_transform(args) -> int:
     return EXIT_OK if residual <= 1e-12 else EXIT_INPUT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it; subparsers are of this class too
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rlcm",
         description="Identifiability analysis, marginal-table algebra, "
                     "simulation and EM fitting for Q-restricted latent "
@@ -230,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the JSON schemas of all file formats and exit")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add_common(sp, seed=True, out=True, display=False, em=False):
+    def add_common(sp, run, seed=True, out=True, display=False, em=False):
+        sp.set_defaults(run=run)
         if em:
             defaults = EmConfig()
             sp.add_argument("--restarts", type=int, default=defaults.restarts)
@@ -250,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", required=True, help="Q-matrix CSV")
     sp.add_argument("--theta", help="theta-matrix JSON")
     sp.add_argument("--params", help="item-params JSON")
-    add_common(sp, seed=False)
+    add_common(sp, _cmd_check, seed=False)
 
     sp = sub.add_parser("counterexample",
                         help="construct a verified non-identifiable parameter pair")
@@ -266,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="mass ratio between partner profiles (c1-only mode)")
     sp.add_argument("--anchors", help="two comma-separated zero-class anchors "
                                       "for items 1 and 2 (c1-only mode)")
-    add_common(sp, seed=False)
+    add_common(sp, _cmd_counterexample, seed=False)
 
     sp = sub.add_parser("verify-pair", help="re-verify a stored pair with the "
                                             "enumeration oracle")
     sp.add_argument("--pair", required=True)
-    add_common(sp, seed=False)
+    add_common(sp, _cmd_verify_pair, seed=False)
 
     sp = sub.add_parser("tmatrix", help="emit the marginal table (and, with --p, "
                                         "the response distribution) as CSV")
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", help="theta-matrix JSON")
     sp.add_argument("--params", help="item-params JSON (needs --q)")
     sp.add_argument("--p", help="proportion-vector JSON")
-    add_common(sp, seed=False, display=True)
+    add_common(sp, _cmd_tmatrix, seed=False, display=True)
 
     sp = sub.add_parser("simulate", help="draw response data")
     sp.add_argument("--q", help="Q-matrix CSV")
@@ -287,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--params", help="item-params JSON (needs --q)")
     sp.add_argument("--p", required=True, help="proportion-vector JSON")
     sp.add_argument("--n", type=int, required=True)
-    add_common(sp)
+    add_common(sp, _cmd_simulate)
 
     sp = sub.add_parser("fit", help="EM-fit item parameters and proportions")
     sp.add_argument("--q", required=True)
     sp.add_argument("--data", required=True, help="response CSV")
     sp.add_argument("--families", required=True,
                     help="one family, or J comma-separated families")
-    add_common(sp, em=True)
+    add_common(sp, _cmd_fit, em=True)
 
     sp = sub.add_parser("experiment", help="recovery error across sample sizes")
     sp.add_argument("--q", required=True)
@@ -303,41 +309,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--families", required=True)
     sp.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
     sp.add_argument("--replications", type=int, default=5)
-    add_common(sp, em=True)
+    add_common(sp, _cmd_experiment, em=True)
 
     sp = sub.add_parser("verify-transform",
                         help="check the shift-transform identity on random input")
     sp.add_argument("--j", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    add_common(sp, out=False)
+    add_common(sp, _cmd_verify_transform, out=False)
 
     return parser
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "counterexample": _cmd_counterexample,
-    "verify-pair": _cmd_verify_pair,
-    "tmatrix": _cmd_tmatrix,
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "experiment": _cmd_experiment,
-    "verify-transform": _cmd_verify_transform,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.schema:
-        print(json.dumps(fileio.SCHEMAS, indent=2))
-        return EXIT_OK
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
-        return _HANDLERS[args.subcommand](args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        args = parser.parse_args(argv)
+        if args.schema:
+            print(json.dumps(fileio.SCHEMAS, indent=2))
+            return EXIT_OK
+        if args.subcommand is None:
+            parser.error("a subcommand is required")
+        return args.run(args)
+    except (ValueError, OverflowError, OSError, RuntimeError, MemoryError) as exc:
         # numpy's MemoryError names the allocation it could not make
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -129,8 +129,6 @@ def _build(where, make, *args, **kwargs):
     """``make(*args, **kwargs)``; a model's ValueError gains the location prefix."""
     try:
         return make(*args, **kwargs)
-    except FileFormatError:
-        raise
     except (ValueError, OverflowError) as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 

@@ -10,6 +10,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
@@ -51,13 +52,15 @@ class ResponseData:
     n_items: int
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = np.asarray(self.codes)
         if codes.ndim != 1 or codes.size < 1:
             raise DimensionError("response data needs at least one subject")
+        if codes.dtype.kind not in "iu":
+            raise TypeError(f"response codes must be integers, got dtype {codes.dtype}")
         _check_item_count(self.n_items)
         if (codes < 0).any() or (codes >= (1 << self.n_items)).any():
             raise ValueError("response encoding out of range for item count")
-        object.__setattr__(self, "codes", _freeze(codes))
+        object.__setattr__(self, "codes", _freeze(codes.astype(np.int64, copy=False)))
 
     @classmethod
     def from_matrix(cls, matrix) -> "ResponseData":
@@ -70,7 +73,7 @@ class ResponseData:
         # a BLAS product, exact: a code is below 2**MAX_ITEMS, and float32
         # holds every integer below 2**24
         weights = np.exp2(np.arange(matrix.shape[1], dtype=np.float32))
-        return cls(matrix.astype(np.float32) @ weights, matrix.shape[1])
+        return cls((matrix.astype(np.float32) @ weights).astype(np.int64), matrix.shape[1])
 
     def to_matrix(self) -> NDArray[np.int8]:
         return bit_matrix(self.codes, self.n_items)
@@ -161,10 +164,15 @@ class EmConfig:
     init_p: Optional[ProportionVector] = None
 
     def __post_init__(self):
+        for name in ("max_iters", "restarts", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if self.restarts < 1:
-            raise ValueError("need at least one restart")
+            raise ValueError("restarts must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
 

@@ -42,10 +42,6 @@ class TMatrix:
             raise DimensionError("marginal table must be two-dimensional")
         object.__setattr__(self, "values", _freeze(values))
 
-    @property
-    def n_items(self) -> int:
-        return int(self.values.shape[0]).bit_length() - 1
-
 
 @dataclass(frozen=True)
 class TransformMatrix:
@@ -62,10 +58,6 @@ class TransformMatrix:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.float64)))
         object.__setattr__(self, "theta_star", _freeze(np.asarray(self.theta_star, dtype=np.float64)))
-
-    @property
-    def n_items(self) -> int:
-        return self.theta_star.size
 
 
 def _product_table(off, on) -> NDArray[np.float64]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -62,6 +63,9 @@ class TestCheck:
     def test_incomplete_exit_2(self, workdir, capsys):
         q = _write_q(workdir / "q.csv", [[1, 1], [0, 1]])
         assert main(["check", "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["verdict"] == "non-identifiable-incomplete"
+        assert captured.err == ""
 
     def test_with_params_c2_decides(self, workdir, capsys):
         q = _write_q(workdir / "q.csv",
@@ -279,6 +283,85 @@ def test_out_of_memory_is_one_error_line(workdir, capsys, monkeypatch, command, 
     assert err == "error: Unable to allocate 745. GiB for an array with shape " \
                   "(100000000000, 1) and data type float64\n"
     assert "Traceback" not in err
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def _subcommands():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
+class TestUsageErrors:
+    """Every wrong call leaves through main as one error line and exit 1."""
+
+    @pytest.mark.parametrize("extra", [[], ["--bogus"]])
+    @pytest.mark.parametrize("sub", _subcommands())
+    def test_every_subcommand_without_its_flags(self, capsys, sub, extra):
+        assert main([sub] + extra) == 1
+        _one_error_line(capsys)
+
+    def test_bare_rlcm(self, capsys):
+        assert main([]) == 1
+        assert _one_error_line(capsys) == "error: rlcm: a subcommand is required\n"
+
+    def test_missing_flag_is_no_verdict(self, capsys):
+        # argparse's own exit status would be 2, which check reserves for "incomplete"
+        assert main(["check"]) == 1
+        assert _one_error_line(capsys) == \
+            "error: rlcm check: the following arguments are required: --q\n"
+
+    def test_malformed_number(self, capsys):
+        assert main(["fit", "--q", "q.csv", "--data", "d.csv", "--families", "DINA",
+                     "--restarts", "x"]) == 1
+        assert _one_error_line(capsys) == \
+            "error: rlcm fit: argument --restarts: invalid int value: 'x'\n"
+
+    @pytest.mark.parametrize("command", [
+        "simulate --n 10000000000000000000000000 --out {out} --q {q} --params {params} --p {p}",
+        "fit --q {q} --data {data} --families DINA --restarts 1000000000000000000000000000000",
+    ], ids=["simulate", "fit"])
+    def test_integer_too_large(self, workdir, capsys, command):
+        _, q, _, params, _, p = _simulate_inputs(workdir)
+        data = workdir / "data.csv"
+        data.write_text("0,1\n1,0\n")
+        files = {"q": q, "params": params, "p": p, "data": data, "out": workdir / "out.csv"}
+        assert main([a.format(**files) for a in command.split()]) == 1
+        assert "too large" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rlcm")
+
+
+@pytest.mark.parametrize("command, message", [
+    ("check --q {q} --theta {theta}", "theta dimensions do not match the Q-matrix"),
+    ("counterexample --mode incomplete --params {params} --p {p}",
+     "--mode incomplete requires --q"),
+    ("counterexample --mode incomplete --q {q} --params {params}",
+     "--mode incomplete requires --p"),
+    ("counterexample --mode c1-only --k 2 --params {params}",
+     "--mode c1-only requires --k, --params and --anchors"),
+    ("counterexample --mode c1-only --k 2 --params {params} --anchors 0.1,0.2,0.3",
+     "--anchors must hold two comma-separated reals"),
+])
+def test_input_error_is_named(workdir, capsys, command, message):
+    theta = workdir / "theta.json"
+    fileio.write_theta_json(theta, ThetaMatrix([[0.1, 0.8]]))
+    files = {"q": _write_q(workdir / "q.csv", [[1, 1], [0, 1]]), "theta": theta,
+             "params": _write_params(workdir / "params.json", [DinaParams(0.2, 0.1)] * 2, 2),
+             "p": _write_p(workdir / "p.json", [0.25] * 4)}
+    assert main([a.format(**files) for a in command.split()]) == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
 
 
 def test_simulate_without_out_never_draws(workdir, capsys, monkeypatch):

@@ -122,6 +122,16 @@ class TestQMatrix:
             q.entries[0, 0] = 0
 
 
+@pytest.mark.parametrize("make, a, b", [
+    (QMatrix, [[1, 0], [0, 1]], [[0, 1], [1, 0]]),
+    (ProportionVector, [0.5, 0.5], [0.25, 0.75]),
+])
+def test_equality_compares_the_stored_values(make, a, b):
+    assert make(a) == make(np.array(a))
+    assert make(a) != make(b)
+    assert make(a) != a
+
+
 class TestThetaMatrix:
     def test_probability_range_enforced(self):
         with pytest.raises(ValueError):

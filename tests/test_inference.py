@@ -57,6 +57,13 @@ class TestResponseData:
         with pytest.raises(ValueError):
             ResponseData(np.array([4]), 2)
 
+    @pytest.mark.parametrize("codes", [np.array([0.5, 2.9]), np.array(["1", "2"]),
+                                       np.array([1.0, 2.0]), np.array([True, False])])
+    def test_rejects_codes_that_are_not_integers(self, codes):
+        # a cast would truncate 2.9 to 2 and parse "1" as 1
+        with pytest.raises(TypeError, match="response codes must be integers"):
+            ResponseData(codes, 2)
+
     @pytest.mark.parametrize("matrix", [
         np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int8),
         np.array([[False, True], [True, True]]),
@@ -311,6 +318,26 @@ class TestEmFit:
         assert np.abs(theta_hat_a - theta_hat_b).max() > 0.05
 
 
+class TestEmConfig:
+    @pytest.mark.parametrize("field, value, error", [
+        ("max_iters", -1, ValueError),
+        ("restarts", 0, ValueError),
+        ("tol", float("nan"), ValueError),
+        ("seed", -1, ValueError),
+        ("max_iters", 2.5, TypeError),
+        ("restarts", 2.0, TypeError),
+        ("seed", 1.5, TypeError),
+    ])
+    def test_rejects_at_construction(self, field, value, error):
+        with pytest.raises(error, match=field):
+            EmConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = EmConfig(max_iters=np.int64(3), restarts=np.int32(1), seed=np.uint8(2))
+        q, params, theta, p = _dina_setup(copies=1)
+        assert em_fit(simulate(theta, p, 50, 0), q, ["DINA"] * 2, config).restarts_used == 1
+
+
 class TestConsistencyExperiment:
     def test_smoke_single_replication(self):
         q, params, theta, p = _dina_setup()
@@ -329,6 +356,12 @@ class TestConsistencyExperiment:
             consistency_experiment(
                 q, ["DINA"] * 2, params, p, n_grid=[100], replications=1,
                 seed=3, em_config=EmConfig(max_iters=50, restarts=1, seed=0))
+
+    def test_rejects_zero_replications(self):
+        q, params, theta, p = _dina_setup()
+        with pytest.raises(ValueError, match="at least one replication"):
+            consistency_experiment(q, ["DINA"] * 6, params, p, n_grid=[200],
+                                   replications=0, seed=5)
 
     def test_to_dict_shape(self):
         q, params, theta, p = _dina_setup()
