@@ -63,6 +63,17 @@ def _load_theta(args, q: Optional[QMatrix] = None) -> ThetaMatrix:
     return fileio._build(args.params, theta_from_params, q, params)
 
 
+def _count(text: str) -> int:
+    """A count flag's value: an integer below 2**63, so that numpy can hold it."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value >= 2**63:
+        raise argparse.ArgumentTypeError(f"{text} is too large; at most 2**63 - 1")
+    return value
+
+
 def _parse_families(spec: str, n_items: int) -> Tuple[str, ...]:
     names = [s.strip().upper() for s in spec.split(",")]
     if len(names) == 1:
@@ -192,8 +203,7 @@ def _cmd_experiment(args) -> int:
     fileio._build(args.params, theta_from_params, q, params)
     p = fileio.read_proportion_json(args.p)
     families = _parse_families(args.families, q.n_items)
-    n_grid = [int(n) for n in args.n_grid.split(",")]
-    table = consistency_experiment(q, families, params, p, n_grid,
+    table = consistency_experiment(q, families, params, p, args.n_grid,
                                    args.replications, args.seed, _em_config(args))
     fileio.write_experiment_json(args.out, table)
     for n, err in table.medians().items():
@@ -239,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(run=run)
         if em:
             defaults = EmConfig()
-            sp.add_argument("--restarts", type=int, default=defaults.restarts)
-            sp.add_argument("--max-iters", type=int, default=defaults.max_iters)
+            sp.add_argument("--restarts", type=_count, default=defaults.restarts)
+            sp.add_argument("--max-iters", type=_count, default=defaults.max_iters)
             sp.add_argument("--tol", type=float, default=defaults.tol)
         if seed:
             sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -292,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", help="theta-matrix JSON")
     sp.add_argument("--params", help="item-params JSON (needs --q)")
     sp.add_argument("--p", required=True, help="proportion-vector JSON")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_count, required=True)
     add_common(sp, _cmd_simulate)
 
     sp = sub.add_parser("fit", help="EM-fit item parameters and proportions")
@@ -307,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--params", required=True, help="true item-params JSON")
     sp.add_argument("--p", required=True, help="true proportion-vector JSON")
     sp.add_argument("--families", required=True)
-    sp.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
-    sp.add_argument("--replications", type=int, default=5)
+    sp.add_argument("--n-grid", type=lambda text: [_count(n) for n in text.split(",")],
+                    required=True, help="comma-separated sample sizes")
+    sp.add_argument("--replications", type=_count, default=5)
     add_common(sp, _cmd_experiment, em=True)
 
     sp = sub.add_parser("verify-transform",

@@ -164,17 +164,24 @@ class EmConfig:
     init_p: Optional[ProportionVector] = None
 
     def __post_init__(self):
-        for name in ("max_iters", "restarts", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        # a bool is a number to Python, but none of these knobs is a flag
+        for name, least in (("max_iters", 0), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise TypeError(f"tol must be a real number, got {self.tol!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.init_params is not None and not (
+                isinstance(self.init_params, (tuple, list))
+                and all(isinstance(item, ItemParams) for item in self.init_params)):
+            raise TypeError("init_params must be a tuple of item parameter objects, "
+                            f"got {self.init_params!r}")
+        if self.init_p is not None and not isinstance(self.init_p, ProportionVector):
+            raise TypeError(f"init_p must be a ProportionVector, got {self.init_p!r}")
 
 
 @dataclass(frozen=True)
@@ -267,16 +274,20 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
         if len(config.init_params) != q.n_items:
             raise DimensionError("explicit initialization has the wrong item count")
         for j, (params, fam) in enumerate(zip(config.init_params, families)):
-            if getattr(params, "family", None) != fam:
+            if params.family != fam:
                 raise ValueError(f"item {j} initialization is not a {fam} parameter set")
+    if config.init_p is not None and config.init_p.probs.size != 1 << q.n_attributes:
+        raise DimensionError(f"init_p has {config.init_p.probs.size} classes, "
+                             f"expected {1 << q.n_attributes}")
 
     counts, bits_one = _pattern_stats(data)
     items = [(FAMILY[fam], ItemDesign(q.entries[j])) for j, fam in enumerate(families)]
     best = None
     failures = []
     restart_logliks = []
-    for index, seed_seq in enumerate(np.random.SeedSequence(config.seed).spawn(config.restarts)):
-        rng = np.random.default_rng(seed_seq)
+    root = np.random.SeedSequence(config.seed)
+    for index in range(config.restarts):
+        rng = np.random.default_rng(root.spawn(1)[0])  # = spawn(restarts)[index]
         if index == 0 and config.init_p is not None:
             p0 = config.init_p.probs.copy()
         else:

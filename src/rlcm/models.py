@@ -37,6 +37,7 @@ from .core import (
 
 EQ_TOL = 1e-10  # equality within this, strictness means margin beyond it
 THETA_CLAMP = 1e-12   # keeps logs finite during fitting
+MAX_STEPS = 50        # Newton candidates per M-step
 
 
 class InvalidParameterError(ValueError):
@@ -44,12 +45,7 @@ class InvalidParameterError(ValueError):
 
 
 def _sigmoid(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def _subset_sums(beta: Mapping[frozenset, float], attrs) -> NDArray[np.float64]:
@@ -110,12 +106,12 @@ def _two_rate_update(pos: NDArray, tot: NDArray, mask: NDArray,
     return high, low
 
 
-def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
+def _damped_newton(value, grad_neghess, coef, project=None):
     """Maximize by Newton steps, halving until the objective improves.
 
     A step tries scales 1, 1/2, ..., 2**-26 (the last above 1e-8), one
     ``value`` call each, and takes the first candidate that gains more than
-    1e-12, so the objective never decreases; ``max_steps`` bounds the
+    the margin max(1e-12, 1e-15 * |objective|); ``MAX_STEPS`` bounds the
     candidates.  The ascent ends, without evaluating, at a scale whose
     predicted gain ``scale * grad @ step`` is at most twice that margin, or
     at a candidate that is the current point (as when ``project`` maps the
@@ -123,22 +119,23 @@ def _damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
     """
     current = value(coef)
     used = 0
-    while used < max_steps:
+    while used < MAX_STEPS:
         grad, neghess = grad_neghess(coef)
         try:
             step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
         except np.linalg.LinAlgError:
             break
         gain = grad @ step
-        for scale in 0.5 ** np.arange(min(27, max_steps - used)):
+        margin = max(1e-12, 1e-15 * abs(current))
+        for scale in 0.5 ** np.arange(min(27, MAX_STEPS - used)):
             candidate = coef + scale * step
             if project is not None:
                 candidate = project(candidate)
-            if scale * gain <= 2e-12 or np.array_equal(candidate, coef):
+            if scale * gain <= 2 * margin or np.array_equal(candidate, coef):
                 return coef
             used += 1
             val = value(candidate)
-            if np.isfinite(val) and val > current + 1e-12:
+            if np.isfinite(val) and val > current + margin:
                 coef, current = candidate, val
                 break
         else:

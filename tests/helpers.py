@@ -340,6 +340,36 @@ def reference_damped_newton(value, grad_neghess, coef, project=None, max_steps=5
     return coef
 
 
+def relative_margin_damped_newton(value, grad_neghess, coef, project=None, max_steps=50):
+    """``reference_damped_newton`` with the M-step's acceptance margin
+    relative to the objective: a candidate is taken when it gains more than
+    max(1e-12, 1e-15 * |objective|).  Every scale down to 2**-26 is tried,
+    without the M-step's two stops."""
+    current = value(coef)
+    used = 0
+    while used < max_steps:
+        grad, neghess = grad_neghess(coef)
+        try:
+            step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
+        except np.linalg.LinAlgError:
+            break
+        margin = max(1e-12, 1e-15 * abs(current))
+        for scale in 0.5 ** np.arange(27):
+            if used == max_steps:
+                return coef
+            used += 1
+            candidate = coef + scale * step
+            if project is not None:
+                candidate = project(candidate)
+            val = value(candidate)
+            if np.isfinite(val) and val > current + margin:
+                coef, current = candidate, val
+                break
+        else:
+            break
+    return coef
+
+
 def reference_expected_counts(bits, counts, like, mixture, p):
     """Expected positives per (class, item) and class sizes through the
     N x 2**K posterior weights: the E-step counts before they became one

@@ -323,17 +323,42 @@ class TestUsageErrors:
         assert _one_error_line(capsys) == \
             "error: rlcm fit: argument --restarts: invalid int value: 'x'\n"
 
-    @pytest.mark.parametrize("command", [
-        "simulate --n 10000000000000000000000000 --out {out} --q {q} --params {params} --p {p}",
-        "fit --q {q} --data {data} --families DINA --restarts 1000000000000000000000000000000",
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate --n 10000000000000000000000000 --out {out} --q {q} --params {params} --p {p}",
+         "--n"),
+        ("fit --q {q} --data {data} --families DINA --restarts 1000000000000000000000000000000",
+         "--restarts"),
     ], ids=["simulate", "fit"])
-    def test_integer_too_large(self, workdir, capsys, command):
+    def test_integer_too_large(self, workdir, capsys, command, flag):
         _, q, _, params, _, p = _simulate_inputs(workdir)
         data = workdir / "data.csv"
         data.write_text("0,1\n1,0\n")
         files = {"q": q, "params": params, "p": p, "data": data, "out": workdir / "out.csv"}
         assert main([a.format(**files) for a in command.split()]) == 1
-        assert "too large" in _one_error_line(capsys)
+        line = _one_error_line(capsys)
+        assert "too large" in line and f"argument {flag}: " in line
+
+    @pytest.mark.parametrize("value, message", [
+        (str(2**63), "is too large"), ("abc", "invalid int value: 'abc'"),
+        ("1e3", "invalid int value: '1e3'")])
+    @pytest.mark.parametrize("argv, prefix", [
+        (["simulate", "--p", "p.json", "--n"], ""),
+        (["fit", "--q", "q.csv", "--data", "d.csv", "--families", "DINA", "--restarts"], ""),
+        (["fit", "--q", "q.csv", "--data", "d.csv", "--families", "DINA", "--max-iters"], ""),
+        (["experiment", "--q", "q.csv", "--params", "i.json", "--p", "p.json",
+          "--families", "DINA", "--n-grid", "100", "--replications"], ""),
+        (["experiment", "--q", "q.csv", "--params", "i.json", "--p", "p.json",
+          "--families", "DINA", "--n-grid"], "100,200,"),
+    ], ids=["n", "restarts", "max-iters", "replications", "n-grid"])
+    def test_every_count_flag_is_named(self, capsys, argv, prefix, value, message):
+        # the value is checked while parsing, before any file is read
+        assert main(argv + [prefix + value]) == 1
+        line = _one_error_line(capsys)
+        assert f"argument {argv[-1]}: " in line and message in line
+
+    def test_largest_count_is_accepted_by_the_parser(self):
+        args = build_parser().parse_args(["simulate", "--p", "p.json", "--n", str(2**63 - 1)])
+        assert args.n == 2**63 - 1
 
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
     def test_help_exits_0(self, capsys, argv):

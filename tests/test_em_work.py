@@ -2,8 +2,10 @@
 
 The damped-Newton M-step evaluates one candidate per ``value`` call, and
 ends without evaluating once a step can no longer gain
-(``helpers.reference_damped_newton`` is the loop that tried every scale
-down to 2**-26), and the expected counts come from one GEMM
+(``helpers.relative_margin_damped_newton`` is the loop that tries every
+scale down to 2**-26 with the same acceptance margin, and
+``helpers.reference_damped_newton`` the one with the older absolute
+margin), and the expected counts come from one GEMM
 (``helpers.reference_expected_counts`` is the form through the posterior
 weights).  Each fast path must agree with its reference, and the M-step
 must not drift back to evaluating candidates that cannot be taken.
@@ -18,10 +20,12 @@ from rlcm.core import bit_matrix
 from rlcm.models import FAMILIES, FAMILY, ItemDesign
 
 from helpers import (
+    _sigmoid as masked_sigmoid,
     draw_monotone_params,
     random_proportions,
     reference_damped_newton,
     reference_expected_counts,
+    relative_margin_damped_newton,
 )
 
 MAX_STEPS = (1, 2, 3, 5, 26, 27, 28, 50)
@@ -32,7 +36,7 @@ def _newton_problem(monkeypatch, family, design, coef, pos, tot):
     to the Newton solver."""
     problem = {}
 
-    def capture(value, grad_neghess, coef, project=None, max_steps=50):
+    def capture(value, grad_neghess, coef, project=None):
         problem.update(value=value, grad_neghess=grad_neghess, coef=coef, project=project)
         return coef
 
@@ -77,11 +81,16 @@ def test_ladder_matches_one_candidate_at_a_time(monkeypatch):
             events.append("g")
             return problem["grad_neghess"](c)
 
+        monkeypatch.setattr(models, "MAX_STEPS", max_steps)
         newton = models._damped_newton(value, problem["grad_neghess"], problem["coef"],
-                                       problem["project"], max_steps=max_steps)
-        loop = reference_damped_newton(counted_value, grad_neghess, problem["coef"],
-                                       problem["project"], max_steps=max_steps)
+                                       problem["project"])
+        loop = relative_margin_damped_newton(counted_value, grad_neghess, problem["coef"],
+                                             problem["project"], max_steps=max_steps)
         assert np.array_equal(newton, loop), (draw, family, max_steps)
+        # against the absolute 1e-12 margin, the objective loses only rounding
+        old = value(reference_damped_newton(value, problem["grad_neghess"], problem["coef"],
+                                            problem["project"], max_steps=max_steps))
+        assert value(newton) >= old - 1e-15 * abs(old), (draw, family, max_steps)
         # per Newton step, the candidates the loop tried
         tried = [len(s) for s in "".join(events[1:]).split("g")[1:]]
         halved += any(n > 1 for n in tried[:-1])
@@ -91,7 +100,7 @@ def test_ladder_matches_one_candidate_at_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize("max_steps", MAX_STEPS)
-def test_ladder_matches_at_every_scale(max_steps):
+def test_ladder_matches_at_every_scale(monkeypatch, max_steps):
     # -|c|^2 with Newton steps 1.5 * 2**k too long: every step first improves
     # at scale 2**-k, and for k = 27 no scale of the ladder improves
     start = np.array([1.0, -0.5])
@@ -99,12 +108,13 @@ def test_ladder_matches_at_every_scale(max_steps):
     def value(c):
         return -(c ** 2).sum()
 
+    monkeypatch.setattr(models, "MAX_STEPS", max_steps)
     for k in range(29):
         def grad_neghess(c, stretch=1.5 * 2.0 ** k):
             return -2.0 * stretch * c, 2.0 * np.eye(c.size)
 
-        newton = models._damped_newton(value, grad_neghess, start, max_steps=max_steps)
-        loop = reference_damped_newton(value, grad_neghess, start, max_steps=max_steps)
+        newton = models._damped_newton(value, grad_neghess, start)
+        loop = relative_margin_damped_newton(value, grad_neghess, start, max_steps=max_steps)
         assert np.array_equal(newton, loop), k
         assert np.array_equal(newton, start) == (k > 26 or k >= max_steps), k
 
@@ -115,7 +125,7 @@ def _counted_updates(monkeypatch, family, design, coefs, pos, tot):
     newton = models._damped_newton
     runs = []
 
-    def counted(value, grad_neghess, coef, project=None, max_steps=50):
+    def counted(value, grad_neghess, coef, project=None):
         def counted_value(c):
             assert np.ndim(c) == 1, "one candidate per value call"
             events.append("v")
@@ -125,7 +135,7 @@ def _counted_updates(monkeypatch, family, design, coefs, pos, tot):
             events.append("g")
             return grad_neghess(c)
 
-        return newton(counted_value, counted_grad_neghess, coef, project, max_steps)
+        return newton(counted_value, counted_grad_neghess, coef, project)
 
     with monkeypatch.context() as patch:
         patch.setattr(models, "_damped_newton", counted)
@@ -152,6 +162,33 @@ def test_one_value_call_per_candidate_and_none_past_convergence(monkeypatch, fam
         # restarted from its own result, the ascent costs only its start
         [(events, again)] = _counted_updates(monkeypatch, family, design, [coef], pos, tot)
         assert events == "vg" and np.array_equal(again, coef), (draw, events)
+
+
+@pytest.mark.parametrize("family", ["LLM", "RRUM"])
+def test_converged_restart_costs_at_most_two_value_calls(monkeypatch, family):
+    # the margin grows with the objective, so a restart at the optimum tries
+    # no scale whose gain is rounding; with the absolute 1e-12 margin, 47 of
+    # these 2,400 restarts over both families cost 2 to 5 calls
+    for m in range(1, 7):
+        rng = np.random.default_rng(100 + m)
+        design = ItemDesign(np.ones(m, dtype=int))
+        for draw in range(200):
+            tot = rng.uniform(5.0, 500.0, design.n_groups) * (8.0 if draw % 2 else 1.0)
+            pos = tot * FAMILY[family].row(design, FAMILY[family].init(design, rng))
+            [(_, coef)] = _counted_updates(monkeypatch, family, design,
+                                           [FAMILY[family].init(design, rng)], pos, tot)
+            [(events, _)] = _counted_updates(monkeypatch, family, design, [coef], pos, tot)
+            assert events.count("v") <= 2, (m, draw, events)
+
+
+def test_sigmoid_matches_the_masked_form():
+    edge = -745.1332191019411  # exp(edge) is the smallest subnormal double
+    x = np.concatenate([np.linspace(-800.0, 800.0, 200_000),
+                        [0.0, -0.0, edge, np.nextafter(edge, -np.inf), np.nextafter(edge, 0.0),
+                         -708.3964185322641, 36.7368005696771, 37.0]])
+    one_line, masked = models._sigmoid(x), masked_sigmoid(x)
+    np.testing.assert_allclose(one_line, masked, rtol=4e-15, atol=0)
+    assert np.array_equal(one_line == 0, masked == 0) and (masked == 0).any()
 
 
 def test_rrum_item_at_its_bounds_costs_one_value_call(monkeypatch):

@@ -1,9 +1,12 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rlcm import (
     DimensionError,
@@ -24,6 +27,7 @@ from rlcm import (
     simulate,
     theta_from_params,
 )
+from rlcm import inference
 from rlcm.models import _two_rate_update
 
 from helpers import random_proportions, random_theta, reference_simulate, stacked_identity
@@ -318,6 +322,23 @@ class TestEmFit:
         assert np.abs(theta_hat_a - theta_hat_b).max() > 0.05
 
 
+_NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(), st.none(),
+                          st.lists(st.integers(), max_size=2))
+# for every field, values of the wrong type and values out of range
+WRONG_KNOBS = {
+    "max_iters": st.one_of(_NOT_INTEGERS, st.integers(max_value=-1)),
+    "restarts": st.one_of(_NOT_INTEGERS, st.integers(max_value=0)),
+    "seed": st.one_of(_NOT_INTEGERS, st.integers(max_value=-1)),
+    "tol": st.one_of(st.booleans(), st.text(), st.lists(st.floats(), max_size=2),
+                     st.floats(max_value=0.0), st.just(float("nan"))),
+    "init_params": st.one_of(st.integers(), st.text(), st.floats(),
+                             st.lists(st.one_of(st.floats(), st.none()), min_size=1),
+                             st.just((DinaParams(0.2, 0.1), "DINA"))),
+    "init_p": st.one_of(st.integers(), st.text(), st.lists(st.floats(0.0, 1.0), min_size=1),
+                        st.just(np.full(4, 0.25)), st.just(DinaParams(0.2, 0.1))),
+}
+
+
 class TestEmConfig:
     @pytest.mark.parametrize("field, value, error", [
         ("max_iters", -1, ValueError),
@@ -327,10 +348,27 @@ class TestEmConfig:
         ("max_iters", 2.5, TypeError),
         ("restarts", 2.0, TypeError),
         ("seed", 1.5, TypeError),
+        ("max_iters", True, TypeError),
+        ("restarts", True, TypeError),
+        ("init_p", [0.25] * 4, TypeError),
+        ("init_params", 3, TypeError),
     ])
     def test_rejects_at_construction(self, field, value, error):
         with pytest.raises(error, match=field):
             EmConfig(**{field: value})
+
+    @given(st.sampled_from(sorted(WRONG_KNOBS)).flatmap(
+        lambda field: st.tuples(st.just(field), WRONG_KNOBS[field])))
+    def test_contract_every_wrong_knob_raises_at_construction(self, case):
+        field, value = case
+        with pytest.raises((TypeError, ValueError), match=field):
+            EmConfig(**{field: value})
+
+    def test_init_p_of_another_size_is_named(self):
+        q, _, theta, p = _dina_setup()
+        with pytest.raises(DimensionError, match="init_p has 8 classes, expected 4"):
+            em_fit(simulate(theta, p, 50, 0), q, ["DINA"] * 6,
+                   EmConfig(init_p=ProportionVector(np.full(8, 0.125))))
 
     def test_accepts_numpy_integers(self):
         config = EmConfig(max_iters=np.int64(3), restarts=np.int32(1), seed=np.uint8(2))
@@ -371,3 +409,43 @@ class TestConsistencyExperiment:
         doc = table.to_dict()
         assert len(doc["rows"]) == 4
         assert set(doc["median_overall_error"]) == {"200", "400"}
+
+
+class TestRestartSeeds:
+    def test_restarts_draw_the_children_of_one_spawn(self, monkeypatch):
+        q, _, theta, p = _dina_setup()
+        data = simulate(theta, p, 500, seed=3)
+        config = EmConfig(max_iters=20, restarts=5, seed=7)
+        lazy = em_fit(data, q, ["DINA"] * 6, config)
+        children = iter(np.random.SeedSequence(7).spawn(5))
+
+        class SpawnedUpFront:
+            def __init__(self, seed):
+                assert seed == 7
+
+            def spawn(self, n):
+                return [next(children) for _ in range(n)]
+
+        monkeypatch.setattr(np.random, "SeedSequence", SpawnedUpFront)
+        eager = em_fit(data, q, ["DINA"] * 6, config)
+        assert eager.restart_logliks == lazy.restart_logliks
+        assert len(set(lazy.restart_logliks)) == 5
+
+    def test_restart_seeds_are_not_spawned_before_the_first_fit(self, monkeypatch):
+        class FirstFit(Exception):
+            pass
+
+        def first_fit(*args):
+            raise FirstFit
+
+        monkeypatch.setattr(inference, "_run_em", first_fit)
+        q, _, theta, p = _dina_setup()
+        data = simulate(theta, p, 100, seed=3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstFit):
+                em_fit(data, q, ["DINA"] * 6, EmConfig(restarts=200_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
