@@ -19,17 +19,20 @@ from rlcm import (
     theta_from_params,
     verdict,
 )
+from rlcm.cli import _count
 from rlcm.core import QMatrix
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=int, default=2, help="attribute count")
-    parser.add_argument("--n-grid", default="2000,10000,50000")
-    parser.add_argument("--replications", type=int, default=5)
+    parser.add_argument("--n-grid", default=[2000, 10000, 50000],
+                        type=lambda text: [_count(n) for n in text.split(",")],
+                        help="comma-separated sample sizes")
+    parser.add_argument("--replications", type=_count, default=5)
     parser.add_argument("--slip", type=float, default=0.2)
     parser.add_argument("--guess", type=float, default=0.1)
-    parser.add_argument("--restarts", type=int, default=10)
+    parser.add_argument("--restarts", type=_count, default=10)
     parser.add_argument("--seed", type=int, default=717)
     args = parser.parse_args()
 
@@ -43,9 +46,8 @@ def main() -> None:
     print(f"design: {q.n_items} items x {args.k} attributes, "
           f"verdict = {report.verdict.value}")
 
-    n_grid = [int(n) for n in args.n_grid.split(",")]
     table = consistency_experiment(
-        q, ["DINA"] * q.n_items, params, p, n_grid, args.replications,
+        q, ["DINA"] * q.n_items, params, p, args.n_grid, args.replications,
         seed=args.seed, em_config=EmConfig(restarts=args.restarts))
 
     print(f"{'N':>8}  {'median max-abs error':>22}")

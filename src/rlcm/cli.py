@@ -51,9 +51,7 @@ def _load_theta(args, q: Optional[QMatrix] = None) -> ThetaMatrix:
     --params on ``q``, or on the Q-matrix read from --q."""
     if args.theta:
         theta = fileio.read_theta_json(args.theta)
-        if q is not None and (theta.n_items != q.n_items
-                              or theta.n_attributes != q.n_attributes):
-            raise ValueError("theta dimensions do not match the Q-matrix")
+        core._check_agreement(theta=theta, Q=q)
         return theta
     if not args.params or (q is None and not args.q):
         raise ValueError("provide --theta, or --q together with --params")

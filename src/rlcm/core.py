@@ -11,7 +11,8 @@ weight-graded order is available as a display permutation only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -101,8 +102,53 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class QMatrix:
+def _numeric_array(values, what: str, dtype=None) -> np.ndarray:
+    """``values`` as an array of ``dtype``; text, bytes and bools are a TypeError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "USb":
+        raise TypeError(f"{what} must be numbers, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=dtype)
+
+
+def _number(name: str, value, kind=numbers.Real):
+    """``value`` if it is a ``kind``, else a TypeError naming ``name``: a
+    bool too, since no field checked here is a flag."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise TypeError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
+def _check_profile_count(size: int, what: str) -> None:
+    """``size`` must be 2**K with 1 <= K <= MAX_ATTRIBUTES; ``what`` names it."""
+    k = int(size).bit_length() - 1
+    if k < 1 or size != 1 << k:
+        raise DimensionError(f"{what} {size} is not 2**K for K >= 1")
+    if k > MAX_ATTRIBUTES:
+        raise SizeLimitError(f"attribute count {k} exceeds {MAX_ATTRIBUTES}")
+
+
+def _check_agreement(**records) -> None:
+    """DimensionError naming each record's size unless the records agree on J and on K."""
+    for size, what, letter in (("n_items", "item", "J"), ("n_attributes", "attribute", "K")):
+        sizes = {name: getattr(r, size) for name, r in records.items() if hasattr(r, size)}
+        if len(set(sizes.values())) > 1:
+            raise DimensionError(f"{what} counts disagree: " + ", ".join(
+                f"{name} has {letter}={n}" for name, n in sizes.items()))
+
+
+class _Record:
+    """Frozen arrays, equal to a record of the same type by ``np.array_equal``; unhashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class QMatrix(_Record):
     """J x K binary design matrix linking items to attributes.
 
     Row j gives the attribute requirements of item j.  Every entry is 0/1
@@ -113,7 +159,7 @@ class QMatrix:
     entries: NDArray[np.int8]
 
     def __post_init__(self):
-        entries = np.asarray(self.entries)
+        entries = _numeric_array(self.entries, "Q-matrix entries")
         if entries.ndim != 2:
             raise DimensionError("Q-matrix must be two-dimensional")
         n_items, n_attributes = entries.shape
@@ -145,12 +191,9 @@ class QMatrix:
         weights = (1 << np.arange(self.n_attributes)).astype(np.int64)
         return self.entries.astype(np.int64) @ weights
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and np.array_equal(self.entries, other.entries)
 
-
-@dataclass(frozen=True)
-class ThetaMatrix:
+@dataclass(frozen=True, eq=False)
+class ThetaMatrix(_Record):
     """J x 2**K table of per-item positive-response values by profile column.
 
     Columns are indexed by the integer profile encoding.  A probability
@@ -162,19 +205,15 @@ class ThetaMatrix:
     is_probability: bool = True
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _numeric_array(self.values, "theta entries", np.float64)
+        if not isinstance(self.is_probability, (bool, np.bool_)):
+            raise TypeError(f"is_probability must be a bool, got {self.is_probability!r}")
         if values.ndim != 2:
             raise DimensionError("theta table must be two-dimensional")
         n_items, n_cols = values.shape
         if n_items < 1 or n_items > MAX_ITEMS:
             raise SizeLimitError(f"item count {n_items} outside [1, {MAX_ITEMS}]")
-        n_attributes = int(n_cols).bit_length() - 1
-        if n_cols != 1 << n_attributes or n_attributes < 1:
-            raise DimensionError(
-                f"theta column count {n_cols} is not 2**K for K >= 1"
-            )
-        if n_attributes > MAX_ATTRIBUTES:
-            raise SizeLimitError(f"attribute count {n_attributes} exceeds {MAX_ATTRIBUTES}")
+        _check_profile_count(n_cols, "theta column count")
         if not np.isfinite(values).all():
             raise ValueError("theta table contains non-finite entries")
         if self.is_probability and ((values < 0).any() or (values > 1).any()):
@@ -189,16 +228,9 @@ class ThetaMatrix:
     def n_attributes(self) -> int:
         return int(self.values.shape[1]).bit_length() - 1
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ThetaMatrix)
-            and self.is_probability == other.is_probability
-            and np.array_equal(self.values, other.values)
-        )
 
-
-@dataclass(frozen=True)
-class ProportionVector:
+@dataclass(frozen=True, eq=False)
+class ProportionVector(_Record):
     """Distribution over the 2**K attribute profiles, all entries in (0, 1).
 
     Inputs whose sum deviates from 1 by at most 1e-9 are renormalized so
@@ -210,14 +242,10 @@ class ProportionVector:
     SUM_TOLERANCE = 1e-9
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = _numeric_array(self.probs, "proportions", np.float64)
         if probs.ndim != 1:
             raise DimensionError("proportion vector must be one-dimensional")
-        n_attributes = int(probs.size).bit_length() - 1
-        if probs.size != 1 << n_attributes or n_attributes < 1:
-            raise DimensionError(f"length {probs.size} is not 2**K for K >= 1")
-        if n_attributes > MAX_ATTRIBUTES:
-            raise SizeLimitError(f"attribute count {n_attributes} exceeds {MAX_ATTRIBUTES}")
+        _check_profile_count(probs.size, "length")
         if not np.isfinite(probs).all():
             raise ValueError("proportions contain non-finite entries")
         if (probs <= 0).any() or (probs >= 1).any():
@@ -231,6 +259,3 @@ class ProportionVector:
     @property
     def n_attributes(self) -> int:
         return int(self.probs.size).bit_length() - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProportionVector) and np.array_equal(self.probs, other.probs)

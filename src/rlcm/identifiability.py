@@ -29,6 +29,7 @@ from .core import (
     ProportionVector,
     QMatrix,
     ThetaMatrix,
+    _check_agreement,
     enumerate_profiles,
 )
 from .models import EQ_TOL, DinaParams, check_monotonicity, theta_from_params
@@ -151,8 +152,7 @@ def check_c2(q: QMatrix, theta: ThetaMatrix,
     assign the single-attribute class e_k a response probability that
     differs from the zero class by more than the equality tolerance.
     """
-    if theta.n_items != q.n_items or theta.n_attributes != q.n_attributes:
-        raise DimensionError("theta does not match Q")
+    _check_agreement(theta=theta, Q=q)
     blocks = tuple((int(a), int(b)) for a, b in blocks)
     if len(blocks) != q.n_attributes:
         raise ValueError(
@@ -276,8 +276,7 @@ def parameter_distance(a: ParameterSet, b: ParameterSet) -> float:
     """Max of the max-abs table difference and max-abs proportion difference."""
     theta_a, p_a = a
     theta_b, p_b = b
-    if theta_a.values.shape != theta_b.values.shape or p_a.probs.size != p_b.probs.size:
-        raise DimensionError("parameter sets have different shapes")
+    _check_agreement(theta_a=theta_a, p_a=p_a, theta_b=theta_b, p_b=p_b)
     return max(
         float(np.abs(theta_a.values - theta_b.values).max()),
         float(np.abs(p_a.probs - p_b.probs).max()),
@@ -343,10 +342,7 @@ def incomplete_counterexample(q: QMatrix, theta: ThetaMatrix,
             "design is complete; every profile has a distinct column under "
             "the conjunctive ideal response, so this construction does not apply"
         )
-    if theta.n_items != q.n_items or theta.n_attributes != q.n_attributes:
-        raise DimensionError("theta does not match Q")
-    if p.n_attributes != q.n_attributes:
-        raise DimensionError("proportions do not match Q")
+    _check_agreement(theta=theta, p=p, Q=q)
     found = _identical_columns(theta.values)
     if found is None:
         raise NotApplicableError(

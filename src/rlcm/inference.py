@@ -25,7 +25,10 @@ from .core import (
     QMatrix,
     ThetaMatrix,
     bit_matrix,
+    _check_agreement,
     _freeze,
+    _number,
+    _Record,
 )
 from .identifiability import Verdict, verdict
 from .models import FAMILIES, FAMILY, THETA_CLAMP, ItemDesign, ItemParams, theta_from_params
@@ -44,8 +47,8 @@ def _check_item_count(n_items: int) -> None:
         raise DimensionError(f"item count {n_items} outside [1, {MAX_ITEMS}]")
 
 
-@dataclass(frozen=True)
-class ResponseData:
+@dataclass(frozen=True, eq=False)
+class ResponseData(_Record):
     """N observed response patterns, stored as integer encodings."""
 
     codes: NDArray[np.int64]
@@ -57,6 +60,7 @@ class ResponseData:
             raise DimensionError("response data needs at least one subject")
         if codes.dtype.kind not in "iu":
             raise TypeError(f"response codes must be integers, got dtype {codes.dtype}")
+        _number("n_items", self.n_items, numbers.Integral)
         _check_item_count(self.n_items)
         if (codes < 0).any() or (codes >= (1 << self.n_items)).any():
             raise ValueError("response encoding out of range for item count")
@@ -88,8 +92,7 @@ def simulate(theta: ThetaMatrix, p: ProportionVector, n_subjects: int,
     """Draw subjects: a class from p, then one Bernoulli response per item."""
     if not theta.is_probability:
         raise ValueError("simulation requires a probability table")
-    if theta.n_attributes != p.n_attributes:
-        raise DimensionError("theta and proportions disagree on attribute count")
+    _check_agreement(theta=theta, p=p)
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")
     rng = np.random.default_rng(seed)
@@ -138,10 +141,7 @@ def loglik(data: ResponseData, theta: ThetaMatrix, p: ProportionVector) -> float
     """Observed-data log-likelihood, aggregated over distinct patterns."""
     if not theta.is_probability:
         raise ValueError("log-likelihood requires a probability table")
-    if theta.n_items != data.n_items:
-        raise DimensionError("theta and data disagree on item count")
-    if theta.n_attributes != p.n_attributes:
-        raise DimensionError("theta and proportions disagree on attribute count")
+    _check_agreement(data=data, theta=theta, p=p)
     counts, bits_one = _pattern_stats(data)
     like = _likelihood_matrix(bits_one, theta.values)
     return float(counts @ np.log(like @ p.probs))
@@ -164,16 +164,10 @@ class EmConfig:
     init_p: Optional[ProportionVector] = None
 
     def __post_init__(self):
-        # a bool is a number to Python, but none of these knobs is a flag
         for name, least in (("max_iters", 0), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise TypeError(f"tol must be a real number, got {self.tol!r}")
-        if not self.tol > 0:
+            if _number(name, getattr(self, name), numbers.Integral) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not _number("tol", self.tol) > 0:
             raise ValueError("tol must be positive")
         if self.init_params is not None and not (
                 isinstance(self.init_params, (tuple, list))
@@ -262,8 +256,7 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
         below tolerance before the iteration cap.
     """
     config = config or EmConfig()
-    if data.n_items != q.n_items:
-        raise DimensionError("data and Q disagree on item count")
+    _check_agreement(data=data, Q=q, init_p=config.init_p)
     families = tuple(families)
     if len(families) != q.n_items:
         raise DimensionError(f"expected {q.n_items} family names, got {len(families)}")
@@ -276,9 +269,6 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
         for j, (params, fam) in enumerate(zip(config.init_params, families)):
             if params.family != fam:
                 raise ValueError(f"item {j} initialization is not a {fam} parameter set")
-    if config.init_p is not None and config.init_p.probs.size != 1 << q.n_attributes:
-        raise DimensionError(f"init_p has {config.init_p.probs.size} classes, "
-                             f"expected {1 << q.n_attributes}")
 
     counts, bits_one = _pattern_stats(data)
     items = [(FAMILY[fam], ItemDesign(q.entries[j])) for j, fam in enumerate(families)]

@@ -18,6 +18,7 @@ dataclass and one entry.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -30,6 +31,8 @@ from .core import (
     DimensionError,
     QMatrix,
     ThetaMatrix,
+    _check_agreement,
+    _number,
     bit_matrix,
     enumerate_profiles,
     zeta_transform,
@@ -225,7 +228,7 @@ class _TwoRate(_Item):
     fields = {"s": _NUMBER, "g": _NUMBER}
 
     def __post_init__(self):
-        s, g = self.s, self.g
+        s, g = (_number(f"{self.family}: {name}", getattr(self, name)) for name in "sg")
         if not (0.0 < s < 1.0 and 0.0 < g < 1.0):
             raise InvalidParameterError(
                 f"{self.family}: s and g must lie in (0, 1), got s={s}, g={g}")
@@ -293,7 +296,10 @@ class GdinaParams(_Item):
     fields = {"beta": _SUBSETS}
 
     def __post_init__(self):
-        canon = {frozenset(int(a) for a in key): float(v) for key, v in self.beta.items()}
+        if not isinstance(self.beta, Mapping):
+            raise TypeError(f"GDINA: beta must map attribute subsets to reals, got {self.beta!r}")
+        canon = {frozenset(int(_number("GDINA: attribute", a, numbers.Integral)) for a in key):
+                 float(_number("GDINA: beta value", v)) for key, v in self.beta.items()}
         if len(canon) != len(self.beta):
             raise InvalidParameterError("GDINA: duplicate attribute subsets in beta")
         if frozenset() not in canon:
@@ -302,7 +308,7 @@ class GdinaParams(_Item):
             raise InvalidParameterError("GDINA: attribute indices must be non-negative")
         object.__setattr__(self, "beta", MappingProxyType(canon))
         sums = self.partial_sums()
-        bad = (sums < -1e-12) | (sums > 1 + 1e-12)
+        bad = ~((sums >= -1e-12) & (sums <= 1 + 1e-12))   # NaN too
         if bad.any():
             raise InvalidParameterError(
                 f"GDINA: partial sum {sums[bad][0]:.6g} outside [0, 1]"
@@ -374,9 +380,9 @@ class LlmParams(_Item):
     fields = {"beta0": _NUMBER, "beta": _NUMBERS}
 
     def __post_init__(self):
-        beta = tuple(float(b) for b in self.beta)
+        beta = tuple(float(_number("LLM: slope", b)) for b in self.beta)
         object.__setattr__(self, "beta", beta)
-        if not np.isfinite([self.beta0, *beta]).all():
+        if not np.isfinite([_number("LLM: beta0", self.beta0), *beta]).all():
             raise InvalidParameterError("LLM: coefficients must be finite")
 
     def coef(self, design: ItemDesign, item: int) -> NDArray[np.float64]:
@@ -437,9 +443,9 @@ class RrumParams(_Item):
     fields = {"pi": _NUMBER, "r": _NUMBERS}
 
     def __post_init__(self):
-        r = tuple(float(v) for v in self.r)
+        r = tuple(float(_number("RRUM: penalty", v)) for v in self.r)
         object.__setattr__(self, "r", r)
-        if not 0.0 < self.pi <= 1.0:
+        if not 0.0 < _number("RRUM: pi", self.pi) <= 1.0:
             raise InvalidParameterError(f"RRUM: pi must lie in (0, 1], got {self.pi}")
         if any(not 0.0 < v < 1.0 for v in r):
             raise InvalidParameterError("RRUM: every penalty must lie strictly in (0, 1)")
@@ -570,11 +576,7 @@ def check_monotonicity(q: QMatrix, theta: ThetaMatrix) -> MonotonicityReport:
     """
     if not theta.is_probability:
         raise ValueError("monotonicity check expects a probability table")
-    if theta.n_items != q.n_items or theta.n_attributes != q.n_attributes:
-        raise DimensionError(
-            f"theta shape {theta.values.shape} does not match Q "
-            f"{q.n_items}x{q.n_attributes}"
-        )
+    _check_agreement(theta=theta, Q=q)
     profiles = enumerate_profiles(q.n_attributes)
     codes = q.row_codes
     violations = []
@@ -617,8 +619,7 @@ def dina_params_from_theta(q: QMatrix, theta: ThetaMatrix) -> list:
     Requires every row to be two-valued by capability group; used to seed
     estimation at an explicitly constructed parameter point.
     """
-    if theta.n_items != q.n_items or theta.n_attributes != q.n_attributes:
-        raise DimensionError("theta does not match Q")
+    _check_agreement(theta=theta, Q=q)
     out = []
     for j in range(q.n_items):
         row = theta.values[j]

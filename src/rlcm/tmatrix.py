@@ -23,15 +23,17 @@ from .core import (
     SizeLimitError,
     ThetaMatrix,
     check_table_size,
+    _check_agreement,
     _freeze,
+    _Record,
     zeta_transform,
 )
 
 MAX_DENSE_TRANSFORM_ITEMS = 12
 
 
-@dataclass(frozen=True)
-class TMatrix:
+@dataclass(frozen=True, eq=False)
+class TMatrix(_Record):
     """2**J x 2**K marginal table, rows by pattern, columns by profile."""
 
     values: NDArray[np.float64]
@@ -43,8 +45,8 @@ class TMatrix:
         object.__setattr__(self, "values", _freeze(values))
 
 
-@dataclass(frozen=True)
-class TransformMatrix:
+@dataclass(frozen=True, eq=False)
+class TransformMatrix(_Record):
     """Lower-triangular 2**J x 2**J shift action with unit diagonal.
 
     Entry (r, r') is zero unless r' is dominated by r, one on the
@@ -109,11 +111,7 @@ def response_distribution(theta: ThetaMatrix, p: ProportionVector) -> NDArray[np
     """
     if not theta.is_probability:
         raise ValueError("response distribution requires a probability table")
-    if theta.values.shape[1] != p.probs.size:
-        raise DimensionError(
-            f"theta has {theta.values.shape[1]} columns, proportions have "
-            f"{p.probs.size} entries"
-        )
+    _check_agreement(theta=theta, p=p)
     check_table_size(theta.n_items, theta.n_attributes)
     lo = theta.n_items // 2
     low, high = theta.values[:lo], theta.values[lo:]

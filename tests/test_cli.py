@@ -369,7 +369,7 @@ class TestUsageErrors:
 
 
 @pytest.mark.parametrize("command, message", [
-    ("check --q {q} --theta {theta}", "theta dimensions do not match the Q-matrix"),
+    ("check --q {q} --theta {theta}", "item counts disagree: theta has J=1, Q has J=2"),
     ("counterexample --mode incomplete --params {params} --p {p}",
      "--mode incomplete requires --q"),
     ("counterexample --mode incomplete --q {q} --params {params}",
@@ -387,6 +387,16 @@ def test_input_error_is_named(workdir, capsys, command, message):
              "p": _write_p(workdir / "p.json", [0.25] * 4)}
     assert main([a.format(**files) for a in command.split()]) == 1
     assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+def test_theta_entry_beyond_float_range_is_one_error_line(workdir, capsys):
+    # the entry reaches ThetaMatrix as an object array, which is not rejected
+    # by dtype; the float cast overflows, and the reader names the file
+    big = workdir / "big.json"
+    fileio.write_theta_json(big, ThetaMatrix([[0.1, 0.8]]))
+    big.write_text(big.read_text().replace("0.8", "1" * 400))
+    assert main(["check", "--q", _write_q(workdir / "q.csv", [[1]]), "--theta", str(big)]) == 1
+    assert _one_error_line(capsys) == f"error: {big}: int too large to convert to float\n"
 
 
 def test_simulate_without_out_never_draws(workdir, capsys, monkeypatch):

@@ -7,9 +7,12 @@ from rlcm import (
     DimensionError,
     ProportionVector,
     QMatrix,
+    ResponseData,
     SizeLimitError,
     ThetaMatrix,
     bit_matrix,
+    build_tmatrix,
+    build_transform,
     dominates,
     enumerate_profiles,
     weight_graded_order,
@@ -125,11 +128,31 @@ class TestQMatrix:
 @pytest.mark.parametrize("make, a, b", [
     (QMatrix, [[1, 0], [0, 1]], [[0, 1], [1, 0]]),
     (ProportionVector, [0.5, 0.5], [0.25, 0.75]),
+    (ThetaMatrix, [[0.1, 0.8]], [[0.1, 0.9]]),
+    pytest.param(lambda probability: ThetaMatrix([[0.1, 0.8]], bool(probability)),
+                 True, False, id="ThetaMatrix-is_probability"),
+    pytest.param(lambda v: build_tmatrix(ThetaMatrix(v)), [[0.1, 0.8]], [[0.1, 0.9]],
+                 id="TMatrix"),
+    pytest.param(build_transform, [0.1, 0.2], [0.1, 0.3], id="TransformMatrix"),
+    pytest.param(lambda codes: ResponseData(np.asarray(codes), 2), [0, 1, 2], [0, 1],
+                 id="ResponseData-lengths"),
+    pytest.param(lambda codes: ResponseData(np.asarray(codes), 2), [0, 1, 2], [0, 1, 3],
+                 id="ResponseData-codes"),
 ])
 def test_equality_compares_the_stored_values(make, a, b):
     assert make(a) == make(np.array(a))
     assert make(a) != make(b)
     assert make(a) != a
+
+
+@pytest.mark.parametrize("record", [
+    QMatrix([[1]]), ThetaMatrix([[0.1, 0.8]]), ProportionVector([0.5, 0.5]),
+    build_tmatrix(ThetaMatrix([[0.1, 0.8]])), build_transform([0.1]),
+    ResponseData(np.array([0, 1]), 1),
+], ids=lambda record: type(record).__name__)
+def test_records_are_unhashable(record):
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
 
 
 class TestThetaMatrix:

@@ -366,7 +366,7 @@ class TestEmConfig:
 
     def test_init_p_of_another_size_is_named(self):
         q, _, theta, p = _dina_setup()
-        with pytest.raises(DimensionError, match="init_p has 8 classes, expected 4"):
+        with pytest.raises(DimensionError, match="attribute counts disagree: Q has K=2, init_p has K=3"):
             em_fit(simulate(theta, p, 50, 0), q, ["DINA"] * 6,
                    EmConfig(init_p=ProportionVector(np.full(8, 0.125))))
 
