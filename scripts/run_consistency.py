@@ -36,20 +36,22 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=717)
     args = parser.parse_args()
 
-    q = QMatrix(np.vstack([np.eye(args.k, dtype=int)] * 3))
-    params = [DinaParams(args.slip, args.guess)] * q.n_items
-    rng = np.random.default_rng(args.seed)
-    raw = 1.0 + rng.uniform(-0.1, 0.1, size=1 << args.k)
-    p = ProportionVector(raw / raw.sum())
+    # every value is checked before anything is printed
+    try:
+        q = QMatrix(np.vstack([np.eye(args.k, dtype=int)] * 3))
+        params = [DinaParams(args.slip, args.guess)] * q.n_items
+        rng = np.random.default_rng(args.seed)
+        raw = 1.0 + rng.uniform(-0.1, 0.1, size=1 << args.k)
+        p = ProportionVector(raw / raw.sum())
+        report = verdict(q, theta_from_params(q, params))
+        table = consistency_experiment(
+            q, ["DINA"] * q.n_items, params, p, args.n_grid, args.replications,
+            seed=args.seed, em_config=EmConfig(restarts=args.restarts))
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    report = verdict(q, theta_from_params(q, params))
     print(f"design: {q.n_items} items x {args.k} attributes, "
           f"verdict = {report.verdict.value}")
-
-    table = consistency_experiment(
-        q, ["DINA"] * q.n_items, params, p, args.n_grid, args.replications,
-        seed=args.seed, em_config=EmConfig(restarts=args.restarts))
-
     print(f"{'N':>8}  {'median max-abs error':>22}")
     for n, err in table.medians().items():
         print(f"{n:>8}  {err:>22.5f}")

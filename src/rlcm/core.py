@@ -103,10 +103,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _numeric_array(values, what: str, dtype=None) -> np.ndarray:
-    """``values`` as an array of ``dtype``; text, bytes and bools are a TypeError."""
+    """``values`` as an array of ``dtype``; text, bytes and bools are a TypeError,
+    also as ``object`` entries (whose ints beyond float range reach the cast)."""
     arr = np.asarray(values)
     if arr.dtype.kind in "USb":
         raise TypeError(f"{what} must be numbers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "O":
+        for v in arr.flat:
+            if isinstance(v, (str, bytes, bool, np.bool_)):
+                raise TypeError(f"{what} must be numbers, got {v!r}")
     return np.asarray(arr, dtype=dtype)
 
 

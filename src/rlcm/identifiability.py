@@ -32,7 +32,8 @@ from .core import (
     _check_agreement,
     enumerate_profiles,
 )
-from .models import EQ_TOL, DinaParams, check_monotonicity, theta_from_params
+from .models import (EQ_TOL, DinaParams, InvalidParameterError, check_monotonicity,
+                     theta_from_params)
 from .tmatrix import response_distribution
 
 
@@ -403,17 +404,13 @@ def c1_only_counterexample(n_attributes: int, extra_rows,
     items 3 onward, replaces the zero-class response probabilities of
     items 1 and 2 by the two anchors, and solves the resulting four-case
     system for the capable-class probabilities and the shifted
-    proportions.  Every constructed probability must land strictly inside
-    (0, 1) with the capable value above the anchor; otherwise the chosen
-    anchors are infeasible and an error names the offending quantity.
-    The returned pair is re-verified by exhaustive enumeration.
+    proportions.  Items 1 and 2 of the second set are ``DinaParams`` and
+    its proportions a ``ProportionVector``, so they obey those rules; when
+    the chosen anchors break one, the error names item 1, item 2 or the
+    proportions.  The returned pair is re-verified by exhaustive
+    enumeration.
     """
     q = c1_only_design(n_attributes, extra_rows)
-    n_items = q.n_items
-    if len(dina_params) != n_items:
-        raise DimensionError(
-            f"expected {n_items} slip/guess pairs for this design, got {len(dina_params)}"
-        )
     if not all(isinstance(pp, DinaParams) for pp in dina_params):
         raise NotApplicableError("the construction is stated for conjunctive items only")
     rho = float(rho)
@@ -457,38 +454,20 @@ def c1_only_counterexample(n_attributes: int, extra_rows,
             "denominator for the shifted proportions vanishes: "
             "(high1 - anchor1)(high2 - anchor2) + rho (low1 - anchor1)(low2 - anchor2) = 0"
         )
-    alt_high1 = anchor1 + cross / v
-    alt_high2 = anchor2 + cross / u
-    for name, value in (
-        ("item-1 capable value", alt_high1),
-        ("item-2 capable value", alt_high2),
-    ):
-        if not 0.0 < value < 1.0:
-            raise ConstructionInfeasibleError(f"constructed {name} = {value} lies outside (0, 1)")
-    if alt_high1 <= anchor1 + 1e-12:
-        raise ConstructionInfeasibleError(
-            f"constructed item-1 capable value {alt_high1} does not exceed its anchor {anchor1}"
-        )
-    if alt_high2 <= anchor2 + 1e-12:
-        raise ConstructionInfeasibleError(
-            f"constructed item-2 capable value {alt_high2} does not exceed its anchor {anchor2}"
-        )
+    alt_items = []
+    for item, anchor, d in ((1, anchor1, v), (2, anchor2, u)):
+        try:
+            alt_items.append(DinaParams(s=1.0 - (anchor + cross / d), g=anchor))
+        except InvalidParameterError as exc:
+            raise ConstructionInfeasibleError(f"constructed item {item}: {exc}") from None
+    alt_theta = theta_from_params(q, alt_items + list(dina_params[2:]))
 
-    scale = u * v / cross
     alt_probs = probs.copy()
-    alt_probs[base | 1] = scale * probs[base | 1]
+    alt_probs[base | 1] *= u * v / cross
     alt_probs[base] = probs[base] + probs[base | 1] - alt_probs[base | 1]
-    if (alt_probs <= 0).any() or (alt_probs >= 1).any():
-        bad = int(np.flatnonzero((alt_probs <= 0) | (alt_probs >= 1))[0])
-        raise ConstructionInfeasibleError(
-            f"constructed proportion for profile {bad} = {alt_probs[bad]} "
-            f"lies outside (0, 1)"
-        )
+    try:
+        alt_p = ProportionVector(alt_probs)
+    except ValueError as exc:
+        raise ConstructionInfeasibleError(f"constructed proportions: {exc}") from None
 
-    alt_values = theta.values.copy()
-    has_attr1 = (profiles & 1) == 1
-    alt_values[0] = np.where(has_attr1, alt_high1, anchor1)
-    alt_values[1] = np.where(has_attr1, alt_high2, anchor2)
-    alt_theta = ThetaMatrix(alt_values)
-
-    return NonIdentifiablePair.build((theta, p), (alt_theta, ProportionVector(alt_probs)))
+    return NonIdentifiablePair.build((theta, p), (alt_theta, alt_p))

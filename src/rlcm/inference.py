@@ -377,14 +377,14 @@ def consistency_experiment(q: QMatrix, families: Sequence[str],
     covered by the sufficient identifiability conditions; in that case
     errors need not shrink with the sample size.
     """
+    if replications < 1:
+        raise ValueError("need at least one replication")
     theta_true = theta_from_params(q, list(true_params))
     report = verdict(q, theta_true)
     if report.verdict is not Verdict.IDENTIFIABLE:
         warnings.warn(
             f"design verdict is {report.verdict.value}; recovery errors may "
             f"not converge", stacklevel=2)
-    if replications < 1:
-        raise ValueError("need at least one replication")
     master = np.random.default_rng(seed)
     draw = master.integers(0, 2**62, size=(len(n_grid), replications, 2))
     records = []

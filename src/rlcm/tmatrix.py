@@ -25,6 +25,7 @@ from .core import (
     check_table_size,
     _check_agreement,
     _freeze,
+    _numeric_array,
     _Record,
     zeta_transform,
 )
@@ -33,20 +34,27 @@ MAX_DENSE_TRANSFORM_ITEMS = 12
 
 
 @dataclass(frozen=True, eq=False)
-class TMatrix(_Record):
-    """2**J x 2**K marginal table, rows by pattern, columns by profile."""
+class _Table(_Record):
+    """A two-dimensional float table ``values``, named in errors by ``what``."""
 
     values: NDArray[np.float64]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _numeric_array(self.values, f"{self.what} entries", np.float64)
         if values.ndim != 2:
-            raise DimensionError("marginal table must be two-dimensional")
+            raise DimensionError(f"{self.what} must be two-dimensional")
         object.__setattr__(self, "values", _freeze(values))
 
 
 @dataclass(frozen=True, eq=False)
-class TransformMatrix(_Record):
+class TMatrix(_Table):
+    """2**J x 2**K marginal table, rows by pattern, columns by profile."""
+
+    what = "marginal table"
+
+
+@dataclass(frozen=True, eq=False)
+class TransformMatrix(_Table):
     """Lower-triangular 2**J x 2**J shift action with unit diagonal.
 
     Entry (r, r') is zero unless r' is dominated by r, one on the
@@ -54,12 +62,7 @@ class TransformMatrix(_Record):
     r and r' differ.
     """
 
-    values: NDArray[np.float64]
-    theta_star: NDArray[np.float64]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.float64)))
-        object.__setattr__(self, "theta_star", _freeze(np.asarray(self.theta_star, dtype=np.float64)))
+    what = "shift transform"
 
 
 def _product_table(off, on) -> NDArray[np.float64]:
@@ -167,4 +170,4 @@ def build_transform(theta_star) -> TransformMatrix:
         )
     factors = [np.array([[1.0, 0.0], [-c, 1.0]]) for c in shift]
     dense = reduce(np.kron, factors[::-1])
-    return TransformMatrix(dense, shift)
+    return TransformMatrix(dense)

@@ -17,17 +17,21 @@ import numpy as np
 import rlcm
 
 from rlcm import (
+    ConstructionInfeasibleError,
     DimensionError,
     DinaParams,
     DinoParams,
     GdinaParams,
     InvalidParameterError,
     LlmParams,
+    NonIdentifiablePair,
     ProportionVector,
     QMatrix,
     RrumParams,
     ThetaMatrix,
+    c1_only_design,
     dominates,
+    theta_from_params,
 )
 from rlcm.core import check_table_size
 from rlcm.models import THETA_CLAMP
@@ -422,6 +426,58 @@ def reference_identical_columns(values):
             if np.array_equal(values[:, a], values[:, b]):
                 return a, b
     return None
+
+
+def reference_c1_only_counterexample(n_attributes, extra_rows, dina_params, rho,
+                                     anchor_guess) -> NonIdentifiablePair:
+    """The c1-only pair with its second member written out by hand: capable
+    values and proportions range-checked one by one, items 1 and 2 filled
+    with ``np.where``.  ``c1_only_counterexample`` before it built that
+    member through ``DinaParams``, ``theta_from_params`` and
+    ``ProportionVector``, kept as its oracle."""
+    q = c1_only_design(n_attributes, extra_rows)
+    if len(dina_params) != q.n_items:
+        raise DimensionError(
+            f"expected {q.n_items} slip/guess pairs for this design, got {len(dina_params)}")
+    rho = float(rho)
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    theta = theta_from_params(q, list(dina_params))
+    profiles = np.arange(1 << n_attributes)
+    has_attr1 = (profiles & 1) == 1
+    base = profiles[~has_attr1]
+    pair_mass = 1.0 / (1 << (n_attributes - 1))
+    probs = np.empty(1 << n_attributes)
+    probs[base] = pair_mass * rho / (1.0 + rho)
+    probs[base | 1] = pair_mass / (1.0 + rho)
+
+    high1, low1 = 1.0 - dina_params[0].s, dina_params[0].g
+    high2, low2 = 1.0 - dina_params[1].s, dina_params[1].g
+    anchor1, anchor2 = (float(a) for a in anchor_guess)
+    for value in (anchor1, anchor2):
+        if not 0.0 < value < 1.0:
+            raise ConstructionInfeasibleError(f"anchor {value} lies outside (0, 1)")
+    u = (high1 - anchor1) + rho * (low1 - anchor1)
+    v = (high2 - anchor2) + rho * (low2 - anchor2)
+    cross = (high1 - anchor1) * (high2 - anchor2) + rho * (low1 - anchor1) * (low2 - anchor2)
+    if min(abs(u), abs(v), abs(cross)) < 1e-12:
+        raise ConstructionInfeasibleError("a denominator vanishes")
+    alt_high1 = anchor1 + cross / v
+    alt_high2 = anchor2 + cross / u
+    for value, anchor in ((alt_high1, anchor1), (alt_high2, anchor2)):
+        if not 0.0 < value < 1.0 or value <= anchor + 1e-12:
+            raise ConstructionInfeasibleError(f"capable value {value} is infeasible")
+
+    alt_probs = probs.copy()
+    alt_probs[base | 1] = (u * v / cross) * probs[base | 1]
+    alt_probs[base] = probs[base] + probs[base | 1] - alt_probs[base | 1]
+    if (alt_probs <= 0).any() or (alt_probs >= 1).any():
+        raise ConstructionInfeasibleError("a proportion lies outside (0, 1)")
+    alt_values = theta.values.copy()
+    alt_values[0] = np.where(has_attr1, alt_high1, anchor1)
+    alt_values[1] = np.where(has_attr1, alt_high2, anchor2)
+    return NonIdentifiablePair.build((theta, ProportionVector(probs)),
+                                     (ThetaMatrix(alt_values), ProportionVector(alt_probs)))
 
 
 def child_env() -> dict:

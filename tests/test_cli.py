@@ -378,6 +378,8 @@ class TestUsageErrors:
      "--mode c1-only requires --k, --params and --anchors"),
     ("counterexample --mode c1-only --k 2 --params {params} --anchors 0.1,0.2,0.3",
      "--anchors must hold two comma-separated reals"),
+    ("experiment --q {q} --params {params} --p {p} --families DINA,DINA,DINA --n-grid 100",
+     "expected 1 or 2 family names, got 3"),
 ])
 def test_input_error_is_named(workdir, capsys, command, message):
     theta = workdir / "theta.json"
@@ -387,6 +389,15 @@ def test_input_error_is_named(workdir, capsys, command, message):
              "p": _write_p(workdir / "p.json", [0.25] * 4)}
     assert main([a.format(**files) for a in command.split()]) == 1
     assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+def test_params_of_another_k_is_named(workdir, capsys):
+    # not an input of test_input_error_is_named: the line names the file's path
+    q = _write_q(workdir / "q.csv", [[1, 1], [0, 1]])
+    params = _write_params(workdir / "params.json", [DinaParams(0.2, 0.1)] * 2, 3)
+    assert main(["check", "--q", q, "--params", params]) == 1
+    assert _one_error_line(capsys) == \
+        f"error: {params}: item parameters declare K=3, expected K=2\n"
 
 
 def test_theta_entry_beyond_float_range_is_one_error_line(workdir, capsys):

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from rlcm import (
     ConstructionInfeasibleError,
+    DimensionError,
     DinaParams,
     InternalConsistencyError,
     LlmParams,
@@ -36,6 +37,7 @@ from helpers import (
     brute_gap,
     draw_monotone_params,
     random_theta,
+    reference_c1_only_counterexample,
     reference_identical_columns,
     stacked_identity,
 )
@@ -360,6 +362,65 @@ class TestC1OnlyCounterexample:
     def test_wrong_param_count(self):
         with pytest.raises(Exception):
             c1_only_counterexample(2, [[1]], self.PARAMS[:4], 1.0, (0.12, 0.08))
+
+    @pytest.mark.parametrize("anchors, message", [
+        ((1.2, 0.08), r"anchor for item 1 = 1.2 lies outside \(0, 1\)"),
+        ((0.12, 0.0), r"anchor for item 2 = 0.0 lies outside \(0, 1\)"),
+        # (high1 + rho * low1) / (1 + rho) = 0.45 zeroes the item-2 denominator
+        ((0.45, 0.08), "denominator for the item-2 capable value vanishes"),
+        # 0.75 * (0.8 - a2) + 0.05 * (0.1 - a2) = 0 at a2 = 0.75625
+        ((0.05, 0.75625), "denominator for the shifted proportions vanishes"),
+    ], ids=["anchor-1", "anchor-2", "item-2-denominator", "proportion-denominator"])
+    def test_infeasible_anchors_are_named(self, anchors, message):
+        with pytest.raises(ConstructionInfeasibleError, match=message):
+            c1_only_counterexample(2, [[1]], self.PARAMS, 1.0, anchors)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+    def test_rho_must_be_positive(self, rho):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            c1_only_counterexample(2, [[1]], self.PARAMS, rho, (0.12, 0.08))
+
+    def test_extra_rows_of_another_width(self):
+        with pytest.raises(DimensionError, match="extra rows must have 1 columns"):
+            c1_only_counterexample(2, [[1, 0]], self.PARAMS, 1.0, (0.12, 0.08))
+
+    def test_items_beyond_their_range_are_named(self):
+        # a2 = 0.5 puts item 1's constructed capable value above 1 (s < 0);
+        # swapping the anchors does the same to item 2
+        with pytest.raises(ConstructionInfeasibleError, match="constructed item 1: DINA"):
+            c1_only_counterexample(2, [[1]], self.PARAMS, 1.0, (0.12, 0.5))
+        with pytest.raises(ConstructionInfeasibleError, match="constructed item 2: DINA"):
+            c1_only_counterexample(2, [[1]], self.PARAMS, 1.0, (0.5, 0.12))
+
+    def test_matches_the_hand_written_second_member(self):
+        # K, extra rows, rates, rho and anchors drawn; about a third of the
+        # draws are accepted, the rest rejected on an anchor or an item
+        rng = np.random.default_rng(14)
+        accepted = 0
+        for _ in range(1000):
+            k = int(rng.integers(2, 4))
+            extra = rng.integers(0, 2, size=(int(rng.integers(0, 3)), k - 1))
+            extra[extra.sum(axis=1) == 0, 0] = 1
+            rates = rng.uniform(0.01, 0.45, size=(2 * k + len(extra), 2))
+            params = [DinaParams(float(s), float(g)) for s, g in rates]
+            anchors = rng.uniform(-0.05, 0.6, size=2)
+            anchors[rng.random(2) < 0.03] += 1.0
+            args = (k, extra, params, float(np.exp(rng.uniform(-2, 2))), tuple(anchors))
+            outcomes = []
+            for build in (c1_only_counterexample, reference_c1_only_counterexample):
+                try:
+                    outcomes.append(build(*args))
+                except ConstructionInfeasibleError:
+                    outcomes.append(None)
+            pair, reference = outcomes
+            assert (pair is None) == (reference is None), args
+            if pair is not None:
+                accepted += 1
+                assert pair.first == reference.first
+                assert np.array_equal(pair.second[1].probs, reference.second[1].probs)
+                assert np.abs(pair.second[0].values - reference.second[0].values).max() \
+                    <= 2.3e-16
+        assert 200 < accepted < 800
 
 
 class TestIdealResponseInjectivity:

@@ -1,11 +1,12 @@
 """Every public record rejects, at construction, what it cannot honour.
 
 For each field of ``QMatrix``, ``ThetaMatrix``, ``ProportionVector``,
-``ResponseData`` and the five item parameter classes, Hypothesis draws
+``ResponseData``, ``TMatrix``, ``TransformMatrix`` and the five item
+parameter classes, Hypothesis draws
 values of the wrong type and values out of range.  Each must raise
 ``ValueError`` (``DimensionError`` is one) or ``TypeError`` when the record
 is built, never later and never silently: text is not parsed and a bool is
-not read as 0 or 1.  ``EmConfig`` has the same contract in
+not read as 0 or 1, also as an element of an ``object`` array.  ``EmConfig`` has the same contract in
 ``tests/test_inference.py``.
 """
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlcm import (
+    DimensionError,
     DinaParams,
     DinoParams,
     GdinaParams,
@@ -24,6 +26,8 @@ from rlcm import (
     ResponseData,
     RrumParams,
     ThetaMatrix,
+    TMatrix,
+    TransformMatrix,
 )
 
 # one valid value for every field; a case replaces one of them
@@ -37,6 +41,8 @@ VALID = {
     GdinaParams: {"beta": {frozenset(): 0.1, frozenset({0}): 0.5}},
     LlmParams: {"beta0": -0.5, "beta": (1.0, 0.0)},
     RrumParams: {"pi": 0.9, "r": (0.5, 0.3)},
+    TMatrix: {"values": [[1.0, 1.0], [0.1, 0.8]]},
+    TransformMatrix: {"values": [[1.0, 0.0], [-0.1, 1.0]]},
 }
 
 _NUMERIC_TEXT = st.one_of(st.floats(0.01, 0.99).map(str), st.sampled_from(["0", "1"]))
@@ -76,6 +82,13 @@ def _wrong_typed_grid(rows=st.integers(1, 3), cols=st.integers(1, 4)):
     return _WRONG_ENTRY.flatmap(lambda entry: _grid(entry, rows, cols))
 
 
+def _object_array_with_a_wrong_entry(valid):
+    """``valid`` as an ``object`` array with one entry a bool, text or bytes: no
+    common dtype then tells the entries apart."""
+    return _one_entry_replaced(valid, _WRONG_ENTRY.flatmap(lambda entry: entry)).map(
+        lambda out: np.array(out, dtype=object))
+
+
 WRONG = {
     (QMatrix, "entries"): st.one_of(
         _wrong_typed_grid(),
@@ -86,6 +99,7 @@ WRONG = {
         st.just(np.ones((1, 2, 2), dtype=int)), st.just([[]]), st.none()),
     (ThetaMatrix, "values"): st.one_of(
         _wrong_typed_grid(cols=st.sampled_from([2, 4])),
+        _object_array_with_a_wrong_entry([[0.1, 0.8], [0.2, 0.9]]),
         _one_entry_replaced([[0.1, 0.8], [0.2, 0.9]], _BAD_FLOAT),
         _NOT_POWER_OF_TWO.flatmap(lambda c: _grid(st.floats(0, 1), cols=st.just(c))),
         st.lists(st.floats(0, 1), max_size=4),
@@ -95,6 +109,7 @@ WRONG = {
     (ProportionVector, "probs"): st.one_of(
         _wrong_typed_grid(rows=st.just(1), cols=st.sampled_from([2, 4])).map(lambda g: g[0]),
         _one_entry_replaced([0.25] * 4, st.one_of(_BAD_FLOAT, st.just(0.0))),
+        _object_array_with_a_wrong_entry([0.25] * 4),
         _NOT_POWER_OF_TWO.map(lambda n: [1.0 / n] * n),
         st.lists(st.floats(0.01, 0.2), min_size=4, max_size=4),   # sums far below 1
         st.just([[0.5, 0.5]]), st.just([]), st.none()),
@@ -133,6 +148,11 @@ WRONG = {
         _NUMERIC_TEXT.filter(lambda text: len(text) > 1), st.integers(), st.none(),
         st.lists(st.sampled_from([True, "0.5", b"1", None]), min_size=1).map(tuple),
         st.lists(st.one_of(_BAD_FLOAT, st.sampled_from([0.0, 1.0])), min_size=1).map(tuple)),
+    **{(cls, "values"): st.one_of(
+        _wrong_typed_grid(), _object_array_with_a_wrong_entry(VALID[cls]["values"]),
+        st.lists(st.floats(-1, 1), max_size=4),                  # one-dimensional
+        st.just(np.ones((2, 2, 2))), st.just(0.5), st.none())
+       for cls in (TMatrix, TransformMatrix)},
 }
 
 
@@ -164,11 +184,24 @@ def test_contract_every_wrong_field_raises_at_construction(cls, field, data):
     lambda: GdinaParams({frozenset(): 0.1, frozenset({1.5}): 0.2}),
     lambda: ResponseData(np.array([0, 1]), n_items=True),
     lambda: ThetaMatrix([[0.1, 0.8]], is_probability="false"),
+    lambda: ThetaMatrix(np.array([["0.5", "0.25"]], dtype=object)),
+    lambda: ProportionVector(np.array(["0.5", "0.5"], dtype=object)),
+    lambda: ThetaMatrix(np.array([[True, 0.5]], dtype=object)),
+    lambda: TMatrix([["0.5"]]),
 ], ids=["theta-text", "proportions-text", "theta-bool", "q-bool", "llm-beta0-bool",
         "llm-beta-text", "rrum-pi-bool", "gdina-value-bool", "gdina-fractional-attribute",
-        "response-n_items-bool", "theta-is_probability-text"])
+        "response-n_items-bool", "theta-is_probability-text", "theta-object-text",
+        "proportions-object-text", "theta-object-bool", "tmatrix-text"])
 def test_text_and_bools_are_a_type_error(make):
     with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize("make", [lambda: TransformMatrix([1.0, 2.0]),
+                                  lambda: TMatrix([0.5, 0.25])],
+                         ids=["transform", "tmatrix"])
+def test_one_dimensional_tables_are_a_dimension_error(make):
+    with pytest.raises(DimensionError, match="must be two-dimensional"):
         make()
 
 

@@ -1,5 +1,7 @@
-"""The example scripts still run against the current API (small sizes)."""
+"""The example scripts and the README's Python examples still run against the
+current API (small sizes)."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +36,31 @@ def test_consistency_script_names_a_bad_count(flag, value):
     assert f"argument {flag}: invalid int value" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--replications", "0"], "need at least one replication"),
+    (["--restarts", "0"], "restarts must be at least 1, got 0"),
+    (["--k", "0"], "Q-matrix needs at least one item and one attribute"),
+    (["--k", "7"], "Q-matrix 21x7 exceeds caps J<=20, K<=20"),
+    (["--slip", "0.9", "--guess", "0.5"], "DINA: requires 1 - s > g, got s=0.9, g=0.5"),
+], ids=["replications", "restarts", "k-0", "k-7", "slip-guess"])
+def test_consistency_script_names_a_value_out_of_range(argv, message):
+    result = subprocess.run([sys.executable, str(REPO / "scripts" / "run_consistency.py"),
+                             "--n-grid", "100", *argv],
+                            capture_output=True, text=True, env=child_env(), timeout=120)
+    assert result.returncode == 2
+    errors = [line for line in result.stderr.splitlines() if "error" in line]
+    assert errors == [f"run_consistency.py: error: {message}"]
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (REPO / "README.md").read_text(),
+                        flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        result = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                                text=True, env=child_env(), timeout=120)
+        assert result.returncode == 0, result.stderr
