@@ -33,7 +33,7 @@ def main() -> None:
     parser.add_argument("--slip", type=float, default=0.2)
     parser.add_argument("--guess", type=float, default=0.1)
     parser.add_argument("--restarts", type=_count, default=10)
-    parser.add_argument("--seed", type=int, default=717)
+    parser.add_argument("--seed", type=_count, default=717)
     args = parser.parse_args()
 
     # every value is checked before anything is printed

@@ -25,6 +25,7 @@ from rlcm import (
     theta_from_params,
     verdict,
 )
+from rlcm.cli import _count
 
 
 def main() -> None:
@@ -35,7 +36,7 @@ def main() -> None:
     parser.add_argument("--anchors", default="0.2,0.2",
                         help="alternative zero-class probabilities for items 1 and 2")
     parser.add_argument("--n", type=int, default=50_000)
-    parser.add_argument("--seed", type=int, default=99)
+    parser.add_argument("--seed", type=_count, default=99)
     args = parser.parse_args()
 
     anchors = tuple(float(a) for a in args.anchors.split(","))

@@ -62,11 +62,14 @@ def _load_theta(args, q: Optional[QMatrix] = None) -> ThetaMatrix:
 
 
 def _count(text: str) -> int:
-    """A count flag's value: an integer below 2**63, so that numpy can hold it."""
+    """A count or seed flag's value: an integer in [0, 2**63), so that numpy
+    can hold it."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative; expected 0 or more")
     if value >= 2**63:
         raise argparse.ArgumentTypeError(f"{text} is too large; at most 2**63 - 1")
     return value
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-iters", type=_count, default=defaults.max_iters)
             sp.add_argument("--tol", type=float, default=defaults.tol)
         if seed:
-            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            sp.add_argument("--seed", type=_count, default=DEFAULT_SEED)
         if out:
             sp.add_argument("--out", type=str, default=None)
         if display:

@@ -104,7 +104,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _numeric_array(values, what: str, dtype=None) -> np.ndarray:
     """``values`` as an array of ``dtype``; text, bytes and bools are a TypeError,
-    also as ``object`` entries (whose ints beyond float range reach the cast)."""
+    also as ``object`` entries (whose ints beyond float range reach the cast)
+    and as bools in a list or tuple, which numpy would cast with the numbers."""
+    if isinstance(values, (list, tuple)):
+        _reject_bools(values, what)
     arr = np.asarray(values)
     if arr.dtype.kind in "USb":
         raise TypeError(f"{what} must be numbers, got dtype {arr.dtype}")
@@ -113,6 +116,16 @@ def _numeric_array(values, what: str, dtype=None) -> np.ndarray:
             if isinstance(v, (str, bytes, bool, np.bool_)):
                 raise TypeError(f"{what} must be numbers, got {v!r}")
     return np.asarray(arr, dtype=dtype)
+
+
+def _reject_bools(values, what: str) -> None:
+    """A bool, or an array of bools, in nested lists and tuples is a TypeError."""
+    kinds = set(map(type, values))
+    for v in values if kinds & {bool, np.bool_, np.ndarray, list, tuple} else ():
+        if isinstance(v, (list, tuple)):
+            _reject_bools(v, what)
+        elif isinstance(v, (bool, np.bool_)) or getattr(v, "dtype", None) == np.bool_:
+            raise TypeError(f"{what} must be numbers, got {v!r}")
 
 
 def _number(name: str, value, kind=numbers.Real):

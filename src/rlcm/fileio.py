@@ -133,6 +133,13 @@ def _build(where, make, *args, **kwargs):
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
+def _build_table(where, record, values: list, **kwargs):
+    """``record`` of schema-checked JSON numbers, handed over as an array: the
+    schema has rejected booleans already, so the record's walk of lists for
+    them is not needed."""
+    return _build(where, lambda: record(np.asarray(values), **kwargs))
+
+
 def _check_sizes(path, doc: dict, **stored) -> None:
     """The sizes ``doc`` declares must be those of the values it stores."""
     if any(doc[key] != size for key, size in stored.items()):
@@ -245,8 +252,8 @@ def write_qmatrix_csv(path, q: QMatrix) -> None:
 
 def read_theta_json(path) -> ThetaMatrix:
     doc = _read(path, "theta-matrix")
-    theta = _build(path, ThetaMatrix, doc["values"],
-                   is_probability=doc.get("is_probability", True))
+    theta = _build_table(path, ThetaMatrix, doc["values"],
+                         is_probability=doc.get("is_probability", True))
     _check_sizes(path, doc, J=theta.n_items, K=theta.n_attributes)
     return theta
 
@@ -264,7 +271,7 @@ def write_theta_json(path, theta: ThetaMatrix) -> None:
 
 def read_proportion_json(path) -> ProportionVector:
     doc = _read(path, "proportion-vector")
-    p = _build(path, ProportionVector, doc["probs"])
+    p = _build_table(path, ProportionVector, doc["probs"])
     _check_sizes(path, doc, K=p.n_attributes)
     return p
 
@@ -327,8 +334,8 @@ def read_pair_json(path) -> NonIdentifiablePair:
 
     def member(key: str):
         where = f"{path}: {key}"
-        return (_build(where, ThetaMatrix, doc[key]["theta"]),
-                _build(where, ProportionVector, doc[key]["p"]))
+        return (_build_table(where, ThetaMatrix, doc[key]["theta"]),
+                _build_table(where, ProportionVector, doc[key]["p"]))
 
     first, second = member("first"), member("second")
     _check_sizes(path, doc, J=first[0].n_items, K=first[0].n_attributes)

@@ -20,6 +20,7 @@ from numpy.typing import NDArray
 
 from .core import (
     MAX_ITEMS,
+    MAX_TABLE_BYTES,
     DimensionError,
     ProportionVector,
     QMatrix,
@@ -31,11 +32,20 @@ from .core import (
     _Record,
 )
 from .identifiability import Verdict, verdict
-from .models import FAMILIES, FAMILY, THETA_CLAMP, ItemDesign, ItemParams, theta_from_params
+from .models import (
+    FAMILIES,
+    FAMILY,
+    THETA_CLAMP,
+    ItemDesign,
+    ItemLayout,
+    ItemParams,
+    theta_from_params,
+)
 from .tmatrix import superset_sums
 
 P_FLOOR = 1e-10       # keeps every latent class alive
 TRACE_TOL = 1e-8      # trace may decrease by at most this per step
+LOCKSTEP_ROWS = 16    # restarts that run EM together
 
 
 class EmError(RuntimeError):
@@ -207,29 +217,50 @@ def _expected_counts(bits_one, counts, like, mixture, p):
     return p[:, None] * fused[:, :-1], p * fused[:, -1]
 
 
-def _run_em(counts, bits_one, items, coefs, p, n_subjects, max_iters, tol):
-    """EM from one start; ``items`` pairs each item's family with its design."""
-    trace = []
-    converged = False
+def _run_em(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
+    """EM from a block of starts in lockstep; each start pairs a coefficient
+    list with class proportions.
+
+    Each restart keeps its own E-step; each family's M-step updates the
+    rows of every live restart at once.  A restart leaves the block when it
+    meets ``tol``, reaches ``max_iters`` or its log-likelihood turns
+    non-finite.  Returns per start its (trace, converged, coefficients,
+    proportions), or the EmError that ended it.
+    """
+    sizes = [c.size for c in starts[0][0]]
+    coefs = layout.pack([c for c, _ in starts])
+    p = np.array([p0 for _, p0 in starts])
+    live = list(range(len(starts)))
+    traces = [[] for _ in starts]
+    outcomes = [None] * len(starts)
     for iteration in range(max_iters + 1):
-        theta_vals = np.vstack([fam.row(d, c) for (fam, d), c in zip(items, coefs)])
-        like = _likelihood_matrix(bits_one, theta_vals)
-        mixture = like @ p
-        ll = float(counts @ np.log(mixture))
-        if not np.isfinite(ll):
-            raise EmError(f"non-finite log-likelihood at iteration {iteration}")
-        trace.append(ll)
-        if len(trace) > 1 and trace[-1] - trace[-2] < tol:
-            converged = True
-            break
-        if iteration == max_iters:
-            break
-        pos, tot = _expected_counts(bits_one, counts, like, mixture, p)
-        p = np.maximum(tot / n_subjects, P_FLOOR)
-        p = p / p.sum()
-        coefs = [fam.update(design, c, pos[:, j], tot)
-                 for j, ((fam, design), c) in enumerate(zip(items, coefs))]
-    return trace, converged, coefs, p
+        values = layout.values(coefs)
+        counted = np.empty((len(live), 2, layout.n_groups))
+        keep = np.zeros(len(live), dtype=bool)
+        for row, start in enumerate(live):
+            like = _likelihood_matrix(bits_one, values[row][layout.index])
+            mixture = like @ p[row]
+            ll = float(counts @ np.log(mixture))
+            if not np.isfinite(ll):
+                outcomes[start] = EmError(f"non-finite log-likelihood at iteration {iteration}")
+                continue
+            trace = traces[start]
+            trace.append(ll)
+            converged = len(trace) > 1 and trace[-1] - trace[-2] < tol
+            if converged or iteration == max_iters:
+                outcomes[start] = (trace, converged, layout.unpack(coefs, row, sizes), p[row])
+                continue
+            pos, tot = _expected_counts(bits_one, counts, like, mixture, p[row])
+            fresh = np.maximum(tot / n_subjects, P_FLOOR)
+            p[row] = fresh / fresh.sum()
+            counted[row] = layout.group_counts(pos, tot)
+            keep[row] = True
+        if not keep.any():
+            return outcomes
+        live = [start for start, kept in zip(live, keep) if kept]
+        p, counted = p[keep], counted[keep]
+        coefs = [fam.update(stack, coef[keep], counted[:, 0, part], counted[:, 1, part])
+                 for (fam, stack, _, part), coef in zip(layout.families, coefs)]
 
 
 def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
@@ -271,40 +302,50 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
                 raise ValueError(f"item {j} initialization is not a {fam} parameter set")
 
     counts, bits_one = _pattern_stats(data)
-    items = [(FAMILY[fam], ItemDesign(q.entries[j])) for j, fam in enumerate(families)]
+    designs = [ItemDesign(row) for row in q.entries]
+    layout = ItemLayout(designs, families)
+    # a block's stacked state per restart: proportions, group values and
+    # counts, and the Newton arrays of groups x (items + coefficients)
+    n_classes = 1 << q.n_attributes
+    state = 8 * (n_classes + layout.n_groups * (q.n_items + q.n_attributes + 4))
+    block = max(1, min(LOCKSTEP_ROWS, MAX_TABLE_BYTES // state))
     best = None
     failures = []
     restart_logliks = []
     root = np.random.SeedSequence(config.seed)
-    for index in range(config.restarts):
-        rng = np.random.default_rng(root.spawn(1)[0])  # = spawn(restarts)[index]
-        if index == 0 and config.init_p is not None:
-            p0 = config.init_p.probs.copy()
-        else:
-            p0 = rng.dirichlet(np.full(1 << q.n_attributes, 10.0))
-            p0 = np.maximum(p0, P_FLOOR)
-            p0 = p0 / p0.sum()
-        if index == 0 and config.init_params is not None:
-            coefs = [params.coef(design, j) for j, ((_, design), params)
-                     in enumerate(zip(items, config.init_params))]
-        else:
-            coefs = [fam.init(design, rng) for fam, design in items]
-        try:
-            trace, converged, coefs, p_fit = _run_em(
-                counts, bits_one, items, coefs, p0, data.n_subjects,
-                config.max_iters, config.tol)
-        except EmError as exc:
-            failures.append(f"restart {index}: {exc}")
-            restart_logliks.append(float("nan"))
-            continue
-        restart_logliks.append(trace[-1])
-        if best is None or trace[-1] > best[0][-1]:
-            best = (trace, converged, coefs, p_fit)
+    for first in range(0, config.restarts, block):
+        starts = []
+        # child i of the root is restart i's, spawned with its block
+        for index, child in enumerate(root.spawn(min(block, config.restarts - first)), first):
+            rng = np.random.default_rng(child)
+            if index == 0 and config.init_p is not None:
+                p0 = config.init_p.probs.copy()
+            else:
+                p0 = rng.dirichlet(np.full(n_classes, 10.0))
+                p0 = np.maximum(p0, P_FLOOR)
+                p0 = p0 / p0.sum()
+            if index == 0 and config.init_params is not None:
+                coefs = [params.coef(design, j) for j, (design, params)
+                         in enumerate(zip(designs, config.init_params))]
+            else:
+                coefs = [FAMILY[fam].init(design, rng) for fam, design in zip(families, designs)]
+            starts.append((coefs, p0))
+        outcomes = _run_em(counts, bits_one, layout, starts, data.n_subjects,
+                           config.max_iters, config.tol)
+        for index, outcome in enumerate(outcomes, first):
+            if isinstance(outcome, EmError):
+                failures.append(f"restart {index}: {outcome}")
+                restart_logliks.append(float("nan"))
+                continue
+            restart_logliks.append(outcome[0][-1])
+            if best is None or outcome[0][-1] > best[0][-1]:
+                best = outcome
     if best is None:
         raise EmError("all restarts failed: " + "; ".join(failures))
 
     trace, converged, coefs, p_fit = best
-    params = tuple(fam.from_coef(design, c) for (fam, design), c in zip(items, coefs))
+    params = tuple(FAMILY[fam].from_coef(design, c)
+                   for fam, design, c in zip(families, designs, coefs))
     return FitResult(
         theta_hat=theta_from_params(q, list(params)),
         p_hat=ProportionVector(p_fit),

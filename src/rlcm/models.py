@@ -13,7 +13,9 @@ maps onto those groups.  Each family is one frozen parameter dataclass in
 ``FAMILY``: its fields and their checks, params <-> coefficients, theta
 row, EM M-step and random start, and the JSON fields from which its item
 schema, ``to_dict`` and ``from_dict`` follow.  A new family is one such
-dataclass and one entry.
+dataclass and one entry.  The theta row and the M-step work on a
+``FamilyStack``, every (restart, item) row of the family at once; the
+parameters, their coefficients and the random start are per item.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numbers
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -33,7 +35,6 @@ from .core import (
     ThetaMatrix,
     _check_agreement,
     _number,
-    bit_matrix,
     enumerate_profiles,
     zeta_transform,
 )
@@ -70,89 +71,244 @@ class ItemDesign:
         q_row = np.asarray(q_row)
         self.n_attributes = q_row.size
         self.required = [int(k) for k in np.flatnonzero(q_row)]
-        m = len(self.required)
-        self.n_groups = 1 << m
+        self.n_groups = 1 << len(self.required)
         profiles = enumerate_profiles(self.n_attributes)
         group_ids = np.zeros(profiles.size, dtype=np.int64)
         for i, attr in enumerate(self.required):
             group_ids |= ((profiles >> attr) & 1) << i
         self.group_ids = group_ids
-        self.capable = group_ids == self.n_groups - 1
-        self.touched = group_ids != 0
-        gbits = bit_matrix(np.arange(self.n_groups), m).astype(np.float64)
-        self.logit_design = np.hstack([np.ones((self.n_groups, 1)), gbits])
-        self.loglink_design = np.hstack([np.ones((self.n_groups, 1)), 1.0 - gbits])
-
-    def group_sums(self, pos: NDArray, tot: NDArray):
-        gpos = np.bincount(self.group_ids, weights=pos, minlength=self.n_groups)
-        gtot = np.bincount(self.group_ids, weights=tot, minlength=self.n_groups)
-        return gpos, gtot
 
 
-def _two_rate_update(pos: NDArray, tot: NDArray, mask: NDArray,
-                     current: Tuple[float, float]) -> Tuple[float, float]:
-    """Weighted rates for the two capability groups, high kept above low.
+class FamilyStack:
+    """The items of one family, their groups concatenated item after item.
 
-    With the masks fixed this is plain counting; if the unconstrained
-    rates invert, both groups collapse to the pooled rate, the boundary
-    of the constrained region.
+    Group g is group ``group[g]`` of item ``item[g]``, and item i's groups
+    begin at ``starts[i]``: ``np.add.reduceat(a, starts, axis=-1)`` sums
+    an array over groups item by item, so groups are never padded.
+    ``capable`` and ``touched`` mark the groups with every and with any
+    required attribute, and ``complement`` maps each group to the one with
+    the other required attributes.
+
+    A link family's design row of group g is 1, then one 0/1 entry per
+    required attribute: its bit in g (``logit_design``) or the bit's absence
+    (``loglink_design``), padded with zeros to the widest item (``widths``
+    holds each item's count).  So each entry of ``x.T @ r`` and
+    ``x.T @ (w * x)`` sums r or w over the groups that hold one or two
+    given bits: a sum over the supersets of one group within the item (of
+    the complement groups for the log link).  One butterfly per bit k
+    (``butterflies``: the shift 2**k and the groups without the bit) forms
+    all of them, and ``grad_index`` and ``hess_index`` name each entry's
+    group.  A padded entry names the zero slot past the last group, so a
+    padded coefficient has zero gradient and never moves.
     """
-    high, low = current
-    pos1, tot1 = float(pos[mask].sum()), float(tot[mask].sum())
-    pos0, tot0 = float(pos[~mask].sum()), float(tot[~mask].sum())
-    if tot1 > 0:
-        high = pos1 / tot1
-    if tot0 > 0:
-        low = pos0 / tot0
-    if high <= low:
-        high = low = (pos1 + pos0) / (tot1 + tot0)
-    return high, low
+
+    def __init__(self, designs: Sequence[ItemDesign]):
+        sizes = np.array([d.n_groups for d in designs])
+        self.widths = np.array([len(d.required) for d in designs])
+        self.starts = np.cumsum(sizes) - sizes
+        self.item = np.repeat(np.arange(len(designs)), sizes)
+        self.group = np.arange(sizes.sum()) - self.starts[self.item]
+        self.capable = self.group == sizes[self.item] - 1
+        self.touched = self.group != 0
+        self.complement = self.starts[self.item] + ((sizes[self.item] - 1) ^ self.group)
+        # entry (i, g) of an (items, groups) array, flattened, for each group's item
+        self.own = self.item * self.item.size + np.arange(self.item.size)
+        width = self.widths.max()
+        bits = (self.group[:, None] >> np.arange(width)) & 1
+        real = np.arange(width) < self.widths[self.item, None]
+        ones = np.ones((sizes.sum(), 1))
+        self.logit_design = np.hstack([ones, bits])
+        self.loglink_design = np.hstack([ones, real & (bits == 0)])
+        # a group without bit k takes in the one 2**k further on, in its item
+        self.butterflies = [(1 << k, (real[:, k] & (bits[:, k] == 0))[:-(1 << k)])
+                            for k in range(width)]
+        # design column 0 is the empty group, column a the group of bit a - 1
+        mask = np.r_[0, 1 << np.arange(width)]
+        used = np.arange(width + 1) <= self.widths[:, None]
+        self.grad_index = np.where(used, self.starts[:, None] + mask, self.item.size)
+        self.hess_index = np.where(used[:, :, None] & used[:, None, :],
+                                   self.starts[:, None, None] + (mask[:, None] | mask),
+                                   self.item.size)
+
+
+class ItemLayout:
+    """A test's items stacked family by family.
+
+    ``families`` holds, per family in order of first use, its class, its
+    ``FamilyStack``, its items and its slice of the concatenated groups of
+    all stacks.  ``index[j, a]`` is the position there of item j's group of
+    profile a, so ``values[index]`` is the J x 2**K table of group values.
+    Coefficients are held per family as a (restarts, items, width) array,
+    zero-padded to the family's widest item.
+    """
+
+    def __init__(self, designs: Sequence[ItemDesign], names: Sequence[str]):
+        self.designs = designs
+        self.families = []
+        index = np.empty((len(designs), designs[0].group_ids.size), dtype=np.int64)
+        offset = 0
+        for name in dict.fromkeys(names):
+            items = [j for j, other in enumerate(names) if other == name]
+            stack = FamilyStack([designs[j] for j in items])
+            for j, start in zip(items, stack.starts):
+                index[j] = designs[j].group_ids + (offset + start)
+            part = slice(offset, offset + stack.item.size)
+            self.families.append((FAMILY[name], stack, items, part))
+            offset = part.stop
+        self.index = index
+        self.n_groups = offset
+        # expected counts [positives | totals], classes x 2J, to their groups
+        self._count_index = np.hstack([index.T, index.T + offset]).ravel()
+
+    def pack(self, coefs: Sequence[Sequence[NDArray]]) -> list:
+        """Per family, the stack of each restart's coefficient list."""
+        out = []
+        for _, _, items, _ in self.families:
+            stacked = np.zeros((len(coefs), len(items), max(coefs[0][j].size for j in items)))
+            for r, restart in enumerate(coefs):
+                for i, j in enumerate(items):
+                    stacked[r, i, :restart[j].size] = restart[j]
+            out.append(stacked)
+        return out
+
+    def unpack(self, stacked: Sequence[NDArray], row: int, sizes: Sequence[int]) -> list:
+        """Row ``row``'s coefficient list, item j's first ``sizes[j]`` entries."""
+        coefs = [None] * len(self.designs)
+        for (_, _, items, _), family in zip(self.families, stacked):
+            for i, j in enumerate(items):
+                coefs[j] = family[row, i, :sizes[j]].copy()
+        return coefs
+
+    def values(self, stacked: Sequence[NDArray]) -> NDArray[np.float64]:
+        """Each row's response probability in every group, (rows, groups)."""
+        out = np.empty((len(stacked[0]), self.n_groups))
+        for (fam, stack, _, part), coef in zip(self.families, stacked):
+            out[:, part] = fam.row(stack, coef)
+        return out
+
+    def group_counts(self, pos: NDArray, tot: NDArray) -> NDArray[np.float64]:
+        """Expected positives and totals of every group, a (2, groups) array,
+        from the per-class positives (classes x items) and class sizes."""
+        weights = np.hstack([pos, np.broadcast_to(tot[:, None], pos.shape)])
+        return np.bincount(self._count_index, weights.ravel(), 2 * self.n_groups).reshape(2, -1)
 
 
 def _damped_newton(value, grad_neghess, coef, project=None):
-    """Maximize by Newton steps, halving until the objective improves.
+    """Maximize each row of ``coef`` on its own by Newton steps, halving until
+    its objective improves.
 
-    A step tries scales 1, 1/2, ..., 2**-26 (the last above 1e-8), one
-    ``value`` call each, and takes the first candidate that gains more than
-    the margin max(1e-12, 1e-15 * |objective|); ``MAX_STEPS`` bounds the
-    candidates.  The ascent ends, without evaluating, at a scale whose
-    predicted gain ``scale * grad @ step`` is at most twice that margin, or
-    at a candidate that is the current point (as when ``project`` maps the
-    step back onto it): every smaller scale would give that point too.
+    ``value`` maps a (rows, d) stack of coefficients to each row's
+    objective, ``grad_neghess`` to each row's gradient and negative Hessian.
+    A step tries scales 1, 1/2, ..., 2**-26 (the last above 1e-8) and takes
+    the first candidate that gains more than the margin max(1e-12, 1e-15 *
+    |objective|); ``MAX_STEPS`` bounds a row's candidates.  A row's ascent
+    ends, without evaluating, at a scale whose predicted gain ``scale * grad
+    @ step`` is at most twice that margin, or at a candidate that is the
+    current point (as when ``project`` maps the step back onto it): every
+    smaller scale would give that point too.  It also ends at a step with no
+    improving candidate, and at a singular system.  One ``value`` call
+    evaluates the next scale of every row still trying one; every other row
+    carries its current coefficients.
     """
+    coef = coef.copy()
     current = value(coef)
-    used = 0
-    while used < MAX_STEPS:
+    used = np.zeros(len(coef), dtype=np.int64)
+    going = np.ones(len(coef), dtype=bool)
+    ridge = 1e-10 * np.eye(coef.shape[1])
+    scales = 0.5 ** np.arange(27)
+    while True:
+        going &= used < MAX_STEPS
+        if not going.any():
+            return coef
         grad, neghess = grad_neghess(coef)
-        try:
-            step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
-        except np.linalg.LinAlgError:
-            break
-        gain = grad @ step
-        margin = max(1e-12, 1e-15 * abs(current))
-        for scale in 0.5 ** np.arange(min(27, MAX_STEPS - used)):
-            candidate = coef + scale * step
+        step, trying = _newton_steps(neghess + ridge, grad, going)
+        margin = np.maximum(1e-12, 1e-15 * np.abs(current))
+        # scales from the first whose predicted gain is too small are not tried
+        small = (grad * step).sum(axis=1)[:, None] * scales <= 2 * margin[:, None]
+        limit = np.minimum(27 - small.sum(axis=1), MAX_STEPS - used)
+        going = np.zeros_like(going)
+        for k, scale in enumerate(scales):
+            trying &= k < limit
+            candidate = np.where(trying[:, None], coef + scale * step, coef)
             if project is not None:
                 candidate = project(candidate)
-            if scale * gain <= 2 * margin or np.array_equal(candidate, coef):
-                return coef
-            used += 1
-            val = value(candidate)
-            if np.isfinite(val) and val > current + margin:
-                coef, current = candidate, val
+            trying &= (candidate != coef).any(axis=1)
+            if not trying.any():
                 break
-        else:
-            break
-    return coef
+            used += trying
+            val = value(candidate)
+            better = trying & np.isfinite(val) & (val > current + margin)
+            coef[better], current[better] = candidate[better], val[better]
+            going |= better
+            trying &= ~better
 
 
-def _binomial_objective(link, x, gpos, gtot):
-    """Group log-likelihood of coefficients c, mu = link(x @ c) clipped."""
-    def value(c):
-        mu = np.clip(link(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
-        return (np.log(mu) * gpos).sum() + (np.log1p(-mu) * (gtot - gpos)).sum()
+def _newton_steps(system, grad, rows):
+    """Each selected row's Newton step, zero elsewhere, and the selected rows
+    whose system could be solved."""
+    step = np.zeros_like(grad)
+    solved = rows.copy()
+    try:
+        step[rows] = np.linalg.solve(system[rows], grad[rows, :, None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular system fails the batch
+        for i in np.flatnonzero(rows):
+            try:
+                step[i] = np.linalg.solve(system[i], grad[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+    return step, solved
 
-    return value
+
+def _linear(x, stack, coef):
+    """``x[g] @ c`` for every group g and the coefficients c of its item, for
+    each restart of ``coef``, a (restarts, items, width) array: one product
+    of every item's coefficients with every group's row, read at each
+    group's own item."""
+    return (coef @ x.T).reshape(len(coef), -1)[:, stack.own]
+
+
+class _Binomial:
+    """A link family's M-step on all rows of its stack: each (restart, item)
+    row maximizes its group log-likelihood of mu = link(x @ c), from a
+    (restarts, items, width) start; x is the stack's log-link design with
+    ``absent``, else its logit design."""
+
+    def __init__(self, link, absent, stack, coef, gpos, gtot):
+        self.link, self.absent, self.stack, self.shape = link, absent, stack, coef.shape
+        self.x = stack.loglink_design if absent else stack.logit_design
+        self.gpos, self.gneg = gpos, gtot - gpos
+
+    def eta(self, c):
+        """The linear predictor of every group of a (rows, width) stack."""
+        return _linear(self.x, self.stack, c.reshape(self.shape))
+
+    def mu(self, c):
+        return np.clip(self.link(self.eta(c)), THETA_CLAMP, 1.0 - THETA_CLAMP)
+
+    def value(self, c):
+        mu = self.mu(c)
+        terms = np.stack([np.log(mu) * self.gpos, np.log1p(-mu) * self.gneg])
+        return np.add.reduceat(terms, self.stack.starts, axis=2).sum(axis=0).ravel()
+
+    def derivatives(self, resid, weight):
+        """Per row, ``x.T @ resid`` and ``x.T @ (weight * x)`` over its item's
+        groups (see ``FamilyStack``)."""
+        stack, width = self.stack, self.shape[-1]
+        sums = np.zeros((2, len(resid), stack.item.size + 1))
+        sums[:, :, :-1] = [resid, weight]
+        if self.absent:
+            sums[:, :, :-1] = sums[:, :, stack.complement]
+        groups = sums[..., :-1]
+        for shift, low in stack.butterflies:
+            groups[..., :-shift] += np.where(low, groups[..., shift:], 0.0)
+        grad, neghess = sums[0][:, stack.grad_index], sums[1][:, stack.hess_index]
+        return grad.reshape(-1, width), neghess.reshape(-1, width, width)
+
+    def ascend(self, grad_neghess, coef, project=None):
+        rows = coef.reshape(-1, self.shape[-1])
+        if project is not None:
+            rows = project(rows)
+        return _damped_newton(self.value, grad_neghess, rows, project).reshape(self.shape)
 
 
 class JsonField(NamedTuple):
@@ -239,12 +395,21 @@ class _TwoRate(_Item):
         return np.array([1.0 - self.s, self.g])
 
     @classmethod
-    def row(cls, design: ItemDesign, coef) -> NDArray[np.float64]:
-        return np.where(getattr(design, cls.mask), coef[0], coef[1])
+    def row(cls, stack: FamilyStack, coef) -> NDArray[np.float64]:
+        return np.where(getattr(stack, cls.mask), coef[:, stack.item, 0], coef[:, stack.item, 1])
 
     @classmethod
-    def update(cls, design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
-        return np.array(_two_rate_update(pos, tot, getattr(design, cls.mask), coef))
+    def update(cls, stack: FamilyStack, coef, gpos, gtot) -> NDArray[np.float64]:
+        """Weighted rates of each item's two capability groups, high kept above
+        low: if the rates invert, both take the pooled rate, the boundary of
+        the constrained region."""
+        mask = getattr(stack, cls.mask)
+        sides = np.stack([gpos, gtot])[..., None] * np.stack([mask, ~mask], axis=-1)
+        pos, tot = np.add.reduceat(sides, stack.starts, axis=2)
+        rates = np.divide(pos, tot, out=coef.copy(), where=tot > 0)
+        pooled = rates[..., 0] <= rates[..., 1]
+        rates[pooled] = (pos[pooled].sum(axis=-1) / tot[pooled].sum(axis=-1))[:, None]
+        return rates
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:
@@ -339,13 +504,15 @@ class GdinaParams(_Item):
         return np.clip(_subset_sums(self.beta, design.required), 0.0, 1.0)
 
     @staticmethod
-    def row(design: ItemDesign, coef) -> NDArray[np.float64]:
-        return coef[design.group_ids]
+    def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
+        return coef[:, stack.item, stack.group]
 
     @staticmethod
-    def update(design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
-        gpos, gtot = design.group_sums(pos, tot)
-        return np.divide(gpos, gtot, out=coef.copy(), where=gtot > 0)
+    def update(stack: FamilyStack, coef, gpos, gtot) -> NDArray[np.float64]:
+        out = coef.copy()
+        out[:, stack.item, stack.group] = np.divide(
+            gpos, gtot, out=coef[:, stack.item, stack.group], where=gtot > 0)
+        return out
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:
@@ -394,22 +561,18 @@ class LlmParams(_Item):
         return np.concatenate([[self.beta0], np.asarray(self.beta)[design.required]])
 
     @staticmethod
-    def row(design: ItemDesign, coef) -> NDArray[np.float64]:
-        return _sigmoid(design.logit_design @ coef)[design.group_ids]
+    def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
+        return _sigmoid(_linear(stack.logit_design, stack, coef))
 
     @staticmethod
-    def update(design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
-        gpos, gtot = design.group_sums(pos, tot)
-        x = design.logit_design
-        value = _binomial_objective(_sigmoid, x, gpos, gtot)
+    def update(stack: FamilyStack, coef, gpos, gtot) -> NDArray[np.float64]:
+        fit = _Binomial(_sigmoid, False, stack, coef, gpos, gtot)
 
         def grad_neghess(c):
-            mu = _sigmoid(x @ c)
-            grad = x.T @ (gpos - gtot * mu)
-            weight = gtot * mu * (1.0 - mu)
-            return grad, (x.T * weight) @ x
+            mu = _sigmoid(fit.eta(c))
+            return fit.derivatives(gpos - gtot * mu, gtot * mu * (1.0 - mu))
 
-        return _damped_newton(value, grad_neghess, coef)
+        return fit.ascend(grad_neghess, coef)
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:
@@ -460,28 +623,27 @@ class RrumParams(_Item):
                                np.log(np.asarray(self.r)[design.required])])
 
     @staticmethod
-    def row(design: ItemDesign, coef) -> NDArray[np.float64]:
-        return np.exp(design.loglink_design @ coef)[design.group_ids]
+    def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
+        return np.exp(_linear(stack.loglink_design, stack, coef))
 
     @staticmethod
-    def update(design: ItemDesign, coef, pos, tot) -> NDArray[np.float64]:
-        # coef holds logs: intercept = log(baseline prob), slopes = log(penalties)
-        gpos, gtot = design.group_sums(pos, tot)
-        x = design.loglink_design
-        bound = np.r_[0.0, np.full(coef.size - 1, -1e-9)]
-        value = _binomial_objective(np.exp, x, gpos, gtot)
+    def update(stack: FamilyStack, coef, gpos, gtot) -> NDArray[np.float64]:
+        # coef holds logs: intercept = log(baseline prob), slopes = log(penalties);
+        # a padded slope stays at 0
+        fit = _Binomial(np.exp, True, stack, coef, gpos, gtot)
+        slope = np.arange(coef.shape[-1])
+        bound = np.where((slope > 0) & (slope <= stack.widths[:, None]), -1e-9, 0.0)
+        bound = np.tile(bound, (len(coef), 1))
 
         def project(c):
             return np.minimum(c, bound)
 
         def grad_neghess(c):
-            mu = np.clip(np.exp(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
+            mu = fit.mu(c)
             ratio = mu / (1.0 - mu)
-            grad = x.T @ (gpos - (gtot - gpos) * ratio)
-            weight = (gtot - gpos) * ratio / (1.0 - mu)
-            return grad, (x.T * weight) @ x
+            return fit.derivatives(gpos - fit.gneg * ratio, fit.gneg * ratio / (1.0 - mu))
 
-        return _damped_newton(value, grad_neghess, project(coef), project=project)
+        return fit.ascend(grad_neghess, coef, project)
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:
@@ -531,13 +693,14 @@ def theta_from_params(q: QMatrix, params: Sequence[ItemParams]) -> ThetaMatrix:
         raise DimensionError(
             f"expected {q.n_items} item parameter sets, got {len(params)}"
         )
-    rows = []
+    designs = [ItemDesign(row) for row in q.entries]
+    coefs = []
     for j, item in enumerate(params):
         if not isinstance(item, _Item):
             raise TypeError(f"unknown item parameter type {type(item).__name__}")
-        design = ItemDesign(q.entries[j])
-        rows.append(item.row(design, item.coef(design, j)))
-    return ThetaMatrix(np.vstack(rows))
+        coefs.append(item.coef(designs[j], j))
+    layout = ItemLayout(designs, [item.family for item in params])
+    return ThetaMatrix(layout.values(layout.pack([coefs]))[0][layout.index])
 
 
 @dataclass(frozen=True)
@@ -623,7 +786,8 @@ def dina_params_from_theta(q: QMatrix, theta: ThetaMatrix) -> list:
     out = []
     for j in range(q.n_items):
         row = theta.values[j]
-        capable = ItemDesign(q.entries[j]).capable
+        design = ItemDesign(q.entries[j])
+        capable = design.group_ids == design.n_groups - 1
         cap, non = row[capable], row[~capable]
         if cap.max() - cap.min() > 1e-9 or (non.size and non.max() - non.min() > 1e-9):
             raise ValueError(f"item {j} table row is not DINA-structured")

@@ -499,3 +499,178 @@ def reference_simulate(theta: ThetaMatrix, p: ProportionVector, n_subjects: int,
     bits = uniforms < theta.values[:, classes].T
     weights = (1 << np.arange(theta.n_items)).astype(np.int64)
     return bits.astype(np.int64) @ weights
+
+
+# The M-step one restart and one item at a time, and the EM loop one start at
+# a time: the library's path before each family's M-step stacked every
+# (restart, item) row, kept as its oracles.  An item is a family name and its
+# ``models.ItemDesign``.
+
+
+def reference_group_sums(design, pos, tot):
+    """Expected positives and totals of each of one item's groups."""
+    gpos = np.bincount(design.group_ids, weights=pos, minlength=design.n_groups)
+    gtot = np.bincount(design.group_ids, weights=tot, minlength=design.n_groups)
+    return gpos, gtot
+
+
+def reference_two_rate_update(pos, tot, mask, current):
+    """Weighted rates for the two capability groups, high kept above low;
+    if the unconstrained rates invert, both collapse to the pooled rate."""
+    high, low = current
+    pos1, tot1 = float(pos[mask].sum()), float(tot[mask].sum())
+    pos0, tot0 = float(pos[~mask].sum()), float(tot[~mask].sum())
+    if tot1 > 0:
+        high = pos1 / tot1
+    if tot0 > 0:
+        low = pos0 / tot0
+    if high <= low:
+        high = low = (pos1 + pos0) / (tot1 + tot0)
+    return high, low
+
+
+def one_vector_damped_newton(value, grad_neghess, coef, project=None, max_steps=None):
+    """The Newton ascent of one coefficient vector, with the library's margin,
+    stops and budget (``models.MAX_STEPS`` unless ``max_steps`` is given);
+    ``value`` maps one vector to a float."""
+    max_steps = rlcm.models.MAX_STEPS if max_steps is None else max_steps
+    current = value(coef)
+    used = 0
+    while used < max_steps:
+        grad, neghess = grad_neghess(coef)
+        try:
+            step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
+        except np.linalg.LinAlgError:
+            break
+        gain = grad @ step
+        margin = max(1e-12, 1e-15 * abs(current))
+        for scale in 0.5 ** np.arange(min(27, max_steps - used)):
+            candidate = coef + scale * step
+            if project is not None:
+                candidate = project(candidate)
+            if scale * gain <= 2 * margin or np.array_equal(candidate, coef):
+                return coef
+            used += 1
+            val = value(candidate)
+            if np.isfinite(val) and val > current + margin:
+                coef, current = candidate, val
+                break
+        else:
+            break
+    return coef
+
+
+def _item_designs(design):
+    """One item's logit and log-link design rows, one per group."""
+    gbits = rlcm.core.bit_matrix(np.arange(design.n_groups), len(design.required)).astype(np.float64)
+    ones = np.ones((design.n_groups, 1))
+    return np.hstack([ones, gbits]), np.hstack([ones, 1.0 - gbits])
+
+
+def reference_newton_problem(family, design, coef, pos, tot):
+    """The objective, derivatives, start and projection of one LLM or RRUM
+    item's M-step, for ``one_vector_damped_newton``."""
+    gpos, gtot = reference_group_sums(design, pos, tot)
+    logit, loglink = _item_designs(design)
+    x, link = (logit, rlcm.models._sigmoid) if family == "LLM" else (loglink, np.exp)
+
+    def value(c):
+        mu = np.clip(link(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
+        return (np.log(mu) * gpos).sum() + (np.log1p(-mu) * (gtot - gpos)).sum()
+
+    if family == "LLM":
+        def grad_neghess(c):
+            mu = rlcm.models._sigmoid(x @ c)
+            grad = x.T @ (gpos - gtot * mu)
+            weight = gtot * mu * (1.0 - mu)
+            return grad, (x.T * weight) @ x
+
+        return value, grad_neghess, coef, None
+
+    bound = np.r_[0.0, np.full(coef.size - 1, -1e-9)]
+
+    def project(c):
+        return np.minimum(c, bound)
+
+    def grad_neghess(c):
+        mu = np.clip(np.exp(x @ c), THETA_CLAMP, 1.0 - THETA_CLAMP)
+        ratio = mu / (1.0 - mu)
+        grad = x.T @ (gpos - (gtot - gpos) * ratio)
+        weight = (gtot - gpos) * ratio / (1.0 - mu)
+        return grad, (x.T * weight) @ x
+
+    return value, grad_neghess, project(coef), project
+
+
+def reference_item_row(family, design, coef):
+    """One item's theta row from its coefficients."""
+    logit, loglink = _item_designs(design)
+    if family in ("DINA", "DINO"):
+        mask = design.group_ids == design.n_groups - 1 if family == "DINA" \
+            else design.group_ids != 0
+        return np.where(mask, coef[0], coef[1])
+    if family == "GDINA":
+        return coef[design.group_ids]
+    if family == "LLM":
+        return rlcm.models._sigmoid(logit @ coef)[design.group_ids]
+    return np.exp(loglink @ coef)[design.group_ids]
+
+
+def reference_item_update(family, design, coef, pos, tot):
+    """One item's M-step from the per-class expected counts ``pos`` and
+    ``tot``."""
+    if family in ("DINA", "DINO"):
+        mask = design.group_ids == design.n_groups - 1 if family == "DINA" \
+            else design.group_ids != 0
+        return np.array(reference_two_rate_update(pos, tot, mask, coef))
+    if family == "GDINA":
+        gpos, gtot = reference_group_sums(design, pos, tot)
+        return np.divide(gpos, gtot, out=coef.copy(), where=gtot > 0)
+    value, grad_neghess, start, project = reference_newton_problem(family, design, coef, pos, tot)
+    return one_vector_damped_newton(value, grad_neghess, start, project)
+
+
+def reference_run_em(counts, bits_one, items, coefs, p, n_subjects, max_iters, tol):
+    """EM from one start, one item at a time; ``items`` pairs each item's
+    family name with its design.  Returns (trace, converged, coefs, p) and
+    raises ``EmError`` at a non-finite log-likelihood."""
+    inference = rlcm.inference
+    trace = []
+    converged = False
+    for iteration in range(max_iters + 1):
+        theta_vals = np.vstack([reference_item_row(fam, d, c) for (fam, d), c in zip(items, coefs)])
+        like = inference._likelihood_matrix(bits_one, theta_vals)
+        mixture = like @ p
+        ll = float(counts @ np.log(mixture))
+        if not np.isfinite(ll):
+            raise inference.EmError(f"non-finite log-likelihood at iteration {iteration}")
+        trace.append(ll)
+        if len(trace) > 1 and trace[-1] - trace[-2] < tol:
+            converged = True
+            break
+        if iteration == max_iters:
+            break
+        pos, tot = inference._expected_counts(bits_one, counts, like, mixture, p)
+        p = np.maximum(tot / n_subjects, inference.P_FLOOR)
+        p = p / p.sum()
+        coefs = [reference_item_update(fam, design, c, pos[:, j], tot)
+                 for j, ((fam, design), c) in enumerate(zip(items, coefs))]
+    return trace, converged, coefs, p
+
+
+def one_start_at_a_time(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
+    """``inference._run_em``'s block interface over ``reference_run_em``:
+    each start runs alone, and a failed one gives its ``EmError``."""
+    names = [None] * len(layout.designs)
+    for fam, _, items, _ in layout.families:
+        for j in items:
+            names[j] = fam.family
+    items = list(zip(names, layout.designs))
+    outcomes = []
+    for coefs, p in starts:
+        try:
+            outcomes.append(reference_run_em(counts, bits_one, items, coefs, p, n_subjects,
+                                             max_iters, tol))
+        except rlcm.inference.EmError as exc:
+            outcomes.append(exc)
+    return outcomes

@@ -340,7 +340,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("value, message", [
         (str(2**63), "is too large"), ("abc", "invalid int value: 'abc'"),
-        ("1e3", "invalid int value: '1e3'")])
+        ("1e3", "invalid int value: '1e3'"), ("-1", "-1 is negative")])
     @pytest.mark.parametrize("argv, prefix", [
         (["simulate", "--p", "p.json", "--n"], ""),
         (["fit", "--q", "q.csv", "--data", "d.csv", "--families", "DINA", "--restarts"], ""),
@@ -349,7 +349,9 @@ class TestUsageErrors:
           "--families", "DINA", "--n-grid", "100", "--replications"], ""),
         (["experiment", "--q", "q.csv", "--params", "i.json", "--p", "p.json",
           "--families", "DINA", "--n-grid"], "100,200,"),
-    ], ids=["n", "restarts", "max-iters", "replications", "n-grid"])
+        (["verify-transform", "--j", "2", "--k", "1", "--seed"], ""),
+        (["fit", "--q", "q.csv", "--data", "d.csv", "--families", "DINA", "--seed"], ""),
+    ], ids=["n", "restarts", "max-iters", "replications", "n-grid", "seed", "fit-seed"])
     def test_every_count_flag_is_named(self, capsys, argv, prefix, value, message):
         # the value is checked while parsing, before any file is read
         assert main(argv + [prefix + value]) == 1

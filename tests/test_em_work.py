@@ -1,7 +1,11 @@
 """Each EM iteration does only the work it needs, and reaches the same fit.
 
-The damped-Newton M-step evaluates one candidate per ``value`` call, and
-ends without evaluating once a step can no longer gain
+Restarts run EM in lockstep blocks, and each Newton family's M-step is one
+damped-Newton call on the stack of every (restart, item) row
+(``helpers.reference_run_em`` is the loop one start and one item at a time,
+``helpers.one_vector_damped_newton`` the ascent of one row).  The ascent
+evaluates one candidate per row per ``value`` call, and ends a row without
+evaluating once its step can no longer gain
 (``helpers.relative_margin_damped_newton`` is the loop that tries every
 scale down to 2**-26 with the same acceptance margin, and
 ``helpers.reference_damped_newton`` the one with the older absolute
@@ -11,39 +15,46 @@ weights).  Each fast path must agree with its reference, and the M-step
 must not drift back to evaluating candidates that cannot be taken.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rlcm import EmConfig, QMatrix, em_fit, simulate, theta_from_params
+from rlcm import EmConfig, QMatrix, em_fit, loglik, simulate, theta_from_params
 from rlcm import inference, models
 from rlcm.core import bit_matrix
-from rlcm.models import FAMILIES, FAMILY, ItemDesign
+from rlcm.models import FAMILIES, FAMILY, FamilyStack, ItemDesign
 
 from helpers import (
     _sigmoid as masked_sigmoid,
     draw_monotone_params,
+    one_start_at_a_time,
+    one_vector_damped_newton,
     random_proportions,
     reference_damped_newton,
     reference_expected_counts,
+    reference_group_sums,
+    reference_item_row,
+    reference_newton_problem,
     relative_margin_damped_newton,
 )
 
 MAX_STEPS = (1, 2, 3, 5, 26, 27, 28, 50)
 
 
-def _newton_problem(monkeypatch, family, design, coef, pos, tot):
-    """The objective, derivatives, start and projection one ``update`` hands
-    to the Newton solver."""
-    problem = {}
+def _one_row(value, grad_neghess, project=None):
+    """A one-vector problem as the stacked solver sees it: a stack of one row."""
+    return (lambda c: np.array([value(c[0])]),
+            lambda c: tuple(a[None] for a in grad_neghess(c[0])),
+            None if project is None else lambda c: project(c[0])[None])
 
-    def capture(value, grad_neghess, coef, project=None):
-        problem.update(value=value, grad_neghess=grad_neghess, coef=coef, project=project)
-        return coef
 
-    with monkeypatch.context() as patch:
-        patch.setattr(models, "_damped_newton", capture)
-        FAMILY[family].update(design, coef, pos, tot)
-    return problem
+def _stacked_newton(value, grad_neghess, coef, project=None):
+    """``models._damped_newton`` on the one-row stack of a one-vector problem."""
+    value, grad_neghess, project = _one_row(value, grad_neghess, project)
+    return models._damped_newton(value, grad_neghess, coef[None], project)[0]
 
 
 def _draw_update(rng, family, n_required):
@@ -67,10 +78,10 @@ def test_ladder_matches_one_candidate_at_a_time(monkeypatch):
     halved = exhausted = 0
     for draw in range(400):
         family = ("LLM", "RRUM")[draw % 2]
-        problem = _newton_problem(monkeypatch, family,
-                                  *_draw_update(rng, family, 1 + draw % 5))
+        value, grad, start, project = reference_newton_problem(
+            family, *_draw_update(rng, family, 1 + draw % 5))
+        problem = {"value": value, "grad_neghess": grad, "coef": start, "project": project}
         max_steps = MAX_STEPS[draw // 2 % len(MAX_STEPS)]
-        value = problem["value"]
         events = []
 
         def counted_value(c):
@@ -82,8 +93,8 @@ def test_ladder_matches_one_candidate_at_a_time(monkeypatch):
             return problem["grad_neghess"](c)
 
         monkeypatch.setattr(models, "MAX_STEPS", max_steps)
-        newton = models._damped_newton(value, problem["grad_neghess"], problem["coef"],
-                                       problem["project"])
+        newton = _stacked_newton(value, problem["grad_neghess"], problem["coef"],
+                                 problem["project"])
         loop = relative_margin_damped_newton(counted_value, grad_neghess, problem["coef"],
                                              problem["project"], max_steps=max_steps)
         assert np.array_equal(newton, loop), (draw, family, max_steps)
@@ -113,21 +124,23 @@ def test_ladder_matches_at_every_scale(monkeypatch, max_steps):
         def grad_neghess(c, stretch=1.5 * 2.0 ** k):
             return -2.0 * stretch * c, 2.0 * np.eye(c.size)
 
-        newton = models._damped_newton(value, grad_neghess, start)
+        newton = _stacked_newton(value, grad_neghess, start)
         loop = relative_margin_damped_newton(value, grad_neghess, start, max_steps=max_steps)
         assert np.array_equal(newton, loop), k
         assert np.array_equal(newton, start) == (k > 26 or k >= max_steps), k
 
 
 def _counted_updates(monkeypatch, family, design, coefs, pos, tot):
-    """Run ``update`` from each start; per call, its value ('v') and
-    grad_neghess ('g') calls in order, and its result."""
+    """Run one item's ``update`` from each start; per call, its value ('v')
+    and grad_neghess ('g') calls in order, and its result."""
     newton = models._damped_newton
+    stack = FamilyStack([design])
+    gpos, gtot = reference_group_sums(design, pos, tot)
     runs = []
 
     def counted(value, grad_neghess, coef, project=None):
         def counted_value(c):
-            assert np.ndim(c) == 1, "one candidate per value call"
+            assert c.shape == coef.shape, "one candidate per row per value call"
             events.append("v")
             return value(c)
 
@@ -141,8 +154,8 @@ def _counted_updates(monkeypatch, family, design, coefs, pos, tot):
         patch.setattr(models, "_damped_newton", counted)
         for coef in coefs:
             events = []
-            result = FAMILY[family].update(design, coef, pos, tot)
-            runs.append(("".join(events), result))
+            result = FAMILY[family].update(stack, coef[None, None], gpos[None], gtot[None])
+            runs.append(("".join(events), result[0, 0]))
     return runs
 
 
@@ -153,7 +166,7 @@ def test_one_value_call_per_candidate_and_none_past_convergence(monkeypatch, fam
     for draw in range(20):
         design = ItemDesign(np.ones(1 + draw % 5, dtype=int))
         tot = rng.uniform(5.0, 50.0, design.n_groups)
-        pos = tot * FAMILY[family].row(design, FAMILY[family].init(design, rng))
+        pos = tot * reference_item_row(family, design, FAMILY[family].init(design, rng))
         [(events, coef)] = _counted_updates(monkeypatch, family, design,
                                             [FAMILY[family].init(design, rng)], pos, tot)
         start, *steps = events.split("g")
@@ -174,7 +187,7 @@ def test_converged_restart_costs_at_most_two_value_calls(monkeypatch, family):
         design = ItemDesign(np.ones(m, dtype=int))
         for draw in range(200):
             tot = rng.uniform(5.0, 500.0, design.n_groups) * (8.0 if draw % 2 else 1.0)
-            pos = tot * FAMILY[family].row(design, FAMILY[family].init(design, rng))
+            pos = tot * reference_item_row(family, design, FAMILY[family].init(design, rng))
             [(_, coef)] = _counted_updates(monkeypatch, family, design,
                                            [FAMILY[family].init(design, rng)], pos, tot)
             [(events, _)] = _counted_updates(monkeypatch, family, design, [coef], pos, tot)
@@ -246,29 +259,187 @@ def test_fused_expected_counts_at_the_clamp():
 
 Q_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1],
           [1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
-DESIGNS = {family: [family] * len(Q_ROWS) for family in FAMILIES}
-DESIGNS["mixed"] = list(FAMILIES) * 2
+DESIGNS = {family: (Q_ROWS, [family] * len(Q_ROWS)) for family in FAMILIES}
+DESIGNS["mixed"] = (Q_ROWS, list(FAMILIES) * 2)
+# LLM and RRUM items that need 1, 2 and 3 attributes in one stack, so the
+# narrower ones carry padded coefficients
+DESIGNS["widths"] = ([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 1, 1], [1, 1, 1], [1, 1, 1],
+                      [0, 0, 1], [1, 0, 1]],
+                     ["LLM", "RRUM", "LLM", "RRUM", "LLM", "RRUM", "GDINA", "DINA"])
 # closed-form M-steps meet the reference to rounding; the Newton M-steps
 # carry the E-step's last-digit differences through their iterations
 THETA_TOL = {"DINA": 1e-8, "DINO": 1e-8, "GDINA": 1e-8, "LLM": 1e-6, "RRUM": 1e-6,
-             "mixed": 1e-6}
+             "mixed": 1e-6, "widths": 1e-6}
+# the stacked gradient and Hessian are sums in another order than the
+# oracle's BLAS products, so a step can differ in its last bits; where a
+# candidate gains about the acceptance margin (1.8e-12 here), that decides
+# whether one more tiny step is taken.  In the RRUM design this happens at
+# the third M-step of restart 0, and theta then differs by up to 3e-8
+# while the restart log-likelihoods agree to 2e-12 relative.  Measured
+# relative gaps: loglik gain 3.1e-9 (RRUM) and 1.5e-9 (widths, a gain of
+# only 8.5 nats), recovery error 1.2e-8 (RRUM); below 1e-9 elsewhere
+GAIN_RTOL = {"RRUM": 1e-8, "widths": 1e-8}
+RECOVERY_RTOL = {"RRUM": 3e-8}
+
+
+def _design_fit(design, config, run_em=None):
+    """A fit of the design's own simulated data, its truth and its data."""
+    rng = np.random.default_rng(13)
+    rows, families = DESIGNS[design]
+    q = QMatrix(rows)
+    params = [draw_monotone_params(rng, fam, row) for fam, row in zip(families, q.entries)]
+    theta, p = theta_from_params(q, params), random_proportions(rng, 3)
+    data = simulate(theta, p, 3000, seed=9)
+    with pytest.MonkeyPatch.context() as patch:
+        if run_em is not None:
+            patch.setattr(inference, "_run_em", run_em)
+        return em_fit(data, q, families, config), (theta, p), data
 
 
 @pytest.mark.parametrize("design", DESIGNS)
-def test_em_fit_reaches_the_reference_fit(monkeypatch, design):
-    rng = np.random.default_rng(13)
-    q = QMatrix(Q_ROWS)
-    families = DESIGNS[design]
-    params = [draw_monotone_params(rng, fam, row) for fam, row in zip(families, q.entries)]
-    data = simulate(theta_from_params(q, params), random_proportions(rng, 3), 3000, seed=9)
+def test_em_fit_reaches_the_reference_fit(design):
     config = EmConfig(max_iters=40, tol=1e-300, restarts=3, seed=7)
-    fast = em_fit(data, q, families, config)
-    with monkeypatch.context() as patch:
-        patch.setattr(models, "_damped_newton", reference_damped_newton)
-        patch.setattr(inference, "_expected_counts", lambda bits_one, *rest:
-                      reference_expected_counts(bits_one[:, :-1], *rest))
-        slow = em_fit(data, q, families, config)
+    fast, (theta, p), data = _design_fit(design, config)
+    slow, _, _ = _design_fit(design, config, one_start_at_a_time)
     assert np.argmax(fast.restart_logliks) == np.argmax(slow.restart_logliks)
     np.testing.assert_allclose(fast.restart_logliks, slow.restart_logliks, rtol=1e-9, atol=0)
     assert np.abs(fast.theta_hat.values - slow.theta_hat.values).max() <= THETA_TOL[design]
     assert np.abs(fast.p_hat.probs - slow.p_hat.probs).max() <= THETA_TOL[design]
+    # the benchmark's per-fit counts and quality figures
+    assert len(fast.loglik_trace) == len(slow.loglik_trace)
+    assert len(fast.restart_logliks) == len(slow.restart_logliks) == 3
+    gain, recovery = [], []
+    for fit in (fast, slow):
+        gain.append(loglik(data, fit.theta_hat, fit.p_hat) - loglik(data, theta, p))
+        recovery.append(max(np.abs(fit.theta_hat.values - theta.values).max(),
+                            np.abs(fit.p_hat.probs - p.probs).max()))
+    assert gain[0] == pytest.approx(gain[1], rel=GAIN_RTOL.get(design, 1e-9), abs=0)
+    assert recovery[0] == pytest.approx(recovery[1], rel=RECOVERY_RTOL.get(design, 1e-9), abs=0)
+
+
+def test_one_newton_call_per_family_per_iteration(monkeypatch):
+    newton = models._damped_newton
+    rows = []
+
+    def counted(value, grad_neghess, coef, project=None):
+        rows.append(len(coef))
+        return newton(value, grad_neghess, coef, project)
+
+    monkeypatch.setattr(models, "_damped_newton", counted)
+    config = EmConfig(max_iters=40, tol=1e-300, restarts=3, seed=7)
+    fit, _, _ = _design_fit("mixed", config)
+    assert len(fit.loglik_trace) == 41 and fit.restarts_used == 3
+    # LLM and RRUM, each with 2 items: every call stacks 3 restarts x 2 items
+    assert rows == [6] * (40 * 2)
+
+
+@pytest.mark.parametrize("design", ["mixed", "widths"])
+@pytest.mark.parametrize("block", [1, 2])
+def test_block_size_does_not_change_the_fit(monkeypatch, design, block):
+    config = EmConfig(max_iters=40, tol=1e-300, restarts=5, seed=3)
+    default, _, _ = _design_fit(design, config)
+    monkeypatch.setattr(inference, "LOCKSTEP_ROWS", block)
+    blocked, _, _ = _design_fit(design, config)
+    # every row's arithmetic is its own, and each restart keeps its own E-step,
+    # so the fits come out bit for bit the same here; 1e-12 leaves room for a
+    # BLAS whose kernels depend on the stack's size
+    np.testing.assert_allclose(blocked.restart_logliks, default.restart_logliks,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(blocked.theta_hat.values, default.theta_hat.values,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(blocked.p_hat.probs, default.p_hat.probs, rtol=0, atol=1e-12)
+
+
+def test_restarts_spawn_their_seeds_one_block_at_a_time(monkeypatch):
+    spawned = []
+    seed_sequence = np.random.SeedSequence
+
+    class Counted(seed_sequence):
+        def spawn(self, n):
+            spawned.append(n)
+            return super().spawn(n)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    monkeypatch.setattr(inference, "LOCKSTEP_ROWS", 2)
+    fit, _, _ = _design_fit("DINA", EmConfig(max_iters=5, restarts=5, seed=3))
+    assert spawned == [2, 2, 1] and fit.restarts_used == 5
+
+
+def test_a_restart_that_turns_non_finite_leaves_its_block(monkeypatch):
+    config = EmConfig(max_iters=40, tol=1e-300, restarts=3, seed=7)
+    clean, _, _ = _design_fit("mixed", config)
+    likelihood = inference._likelihood_matrix
+    calls = []
+
+    def restart_1_fails_at_iteration_5(bits_one, theta_values):
+        like = likelihood(bits_one, theta_values)
+        calls.append(None)
+        # within a block, each iteration runs the live restarts in order
+        return like * np.nan if len(calls) == 3 * 5 + 2 else like
+
+    monkeypatch.setattr(inference, "_likelihood_matrix", restart_1_fails_at_iteration_5)
+    fit, _, _ = _design_fit("mixed", config)
+    assert math.isnan(fit.restart_logliks[1]) and fit.restarts_used == 2
+    # restarts 0 and 2 run all 41 E-steps, restart 1 its first 6
+    assert len(calls) == 2 * 41 + 6
+    assert [fit.restart_logliks[i] for i in (0, 2)] == [clean.restart_logliks[i] for i in (0, 2)]
+    best = 0 if clean.restart_logliks[0] > clean.restart_logliks[2] else 2
+    assert fit.loglik_trace[-1] == clean.restart_logliks[best]
+
+
+def _row_problem(rng, kind, n_required, max_steps):
+    """One row's one-vector problem: an LLM or RRUM item's M-step, an RRUM
+    item whose optimum is at its bounds, or a singular system."""
+    if kind == "singular":
+        def grad_neghess(c):
+            return -c, -1e-10 * np.eye(c.size)   # the ridge makes it exactly 0
+
+        return (lambda c: -(c ** 2).sum(), grad_neghess,
+                rng.uniform(-1.0, 1.0, n_required + 1), None)
+    family = "LLM" if kind == "LLM" else "RRUM"
+    design, coef, pos, tot = _draw_update(rng, family, n_required)
+    if kind == "RRUM-bound":
+        pos = tot
+    if max_steps < 5:   # start far out, so that the budget runs out
+        coef = coef * 3.0 if family == "LLM" else coef - 2.0
+    return reference_newton_problem(family, design, coef, pos, tot)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 6),
+       max_steps=st.sampled_from(MAX_STEPS))
+def test_each_stacked_row_is_its_one_vector_ascent(seed, n_rows, max_steps):
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(["LLM", "RRUM", "RRUM-bound", "singular"], p=[0.4, 0.3, 0.2, 0.1],
+                       size=n_rows)
+    problems = [_row_problem(rng, kind, int(rng.integers(1, 4)), max_steps) for kind in kinds]
+    width = max(start.size for _, _, start, _ in problems)
+
+    def pad(a):
+        """A row's vector or matrix, zero-padded to the stack's width."""
+        out = np.zeros((width,) * a.ndim)
+        out[tuple(slice(0, n) for n in a.shape)] = a
+        return out
+
+    def value(c):
+        return np.array([v(row[:start.size]) for (v, _, start, _), row in zip(problems, c)])
+
+    def grad_neghess(c):
+        parts = [g(row[:start.size]) for (_, g, start, _), row in zip(problems, c)]
+        return (np.array([pad(grad) for grad, _ in parts]),
+                np.array([pad(hess) for _, hess in parts]))
+
+    def project(c):
+        return np.array([pad(p(row[:start.size]) if p else row[:start.size])
+                         for (_, _, start, p), row in zip(problems, c)])
+
+    starts = np.array([pad(start) for _, _, start, _ in problems])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "MAX_STEPS", max_steps)
+        stacked = models._damped_newton(value, grad_neghess, starts, project)
+    for row, (v, g, start, p), kind in zip(stacked, problems, kinds):
+        alone = one_vector_damped_newton(v, g, start, p, max_steps=max_steps)
+        assert np.array_equal(row[:start.size], alone), (kind, max_steps)
+        assert not row[start.size:].any(), "a padded coordinate moved"
+        if kind == "singular":
+            assert np.array_equal(row[:start.size], start)

@@ -28,9 +28,15 @@ from rlcm import (
     theta_from_params,
 )
 from rlcm import inference
-from rlcm.models import _two_rate_update
+from rlcm.models import FamilyStack, ItemDesign
 
-from helpers import random_proportions, random_theta, reference_simulate, stacked_identity
+from helpers import (
+    random_proportions,
+    random_theta,
+    reference_group_sums,
+    reference_simulate,
+    stacked_identity,
+)
 
 
 def _dina_setup(copies=3, s=0.2, g=0.1):
@@ -177,21 +183,27 @@ class TestLoglik:
         assert loglik(data, theta, p) > loglik(data, perturbed, p)
 
 
+def _dina_update(q_row, pos, tot, current):
+    """One DINA item's M-step from its per-class expected counts."""
+    design = ItemDesign(q_row)
+    gpos, gtot = reference_group_sums(design, pos, tot)
+    return DinaParams.update(FamilyStack([design]), np.array([[current]]), gpos[None], gtot[None])[0, 0]
+
+
 class TestTwoRateUpdate:
     def test_hard_posterior_counting(self):
-        # with 0/1 posteriors the update is plain counting per group
+        # with 0/1 posteriors the update is plain counting per group; the
+        # item requires attribute 0, so profiles 1 and 3 are capable
         pos = np.array([3.0, 10.0, 2.0, 40.0])
         tot = np.array([30.0, 20.0, 10.0, 50.0])
-        capable = np.array([False, True, False, True])
-        high, low = _two_rate_update(pos, tot, capable, ( 0.7, 0.2))
+        high, low = _dina_update([1, 0], pos, tot, (0.7, 0.2))
         assert high == pytest.approx(50.0 / 70.0)
         assert low == pytest.approx(5.0 / 40.0)
 
     def test_boundary_pooling(self):
         pos = np.array([8.0, 2.0])
         tot = np.array([10.0, 10.0])
-        capable = np.array([False, True])
-        high, low = _two_rate_update(pos, tot, capable, (0.7, 0.2))
+        high, low = _dina_update([1], pos, tot, (0.7, 0.2))
         assert high == low == pytest.approx(0.5)
 
 
@@ -253,13 +265,11 @@ class TestEmFit:
     def test_failed_restart_not_counted_and_written_as_null(self, monkeypatch, tmp_path):
         from rlcm import fileio, inference
         real_run_em = inference._run_em
-        calls = []
 
         def second_restart_fails(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 2:
-                raise EmError("injected failure")
-            return real_run_em(*args, **kwargs)
+            outcomes = real_run_em(*args, **kwargs)
+            outcomes[1] = EmError("injected failure")
+            return outcomes
 
         monkeypatch.setattr(inference, "_run_em", second_restart_fails)
         q, _, theta, p = _dina_setup()

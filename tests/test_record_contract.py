@@ -188,10 +188,15 @@ def test_contract_every_wrong_field_raises_at_construction(cls, field, data):
     lambda: ProportionVector(np.array(["0.5", "0.5"], dtype=object)),
     lambda: ThetaMatrix(np.array([[True, 0.5]], dtype=object)),
     lambda: TMatrix([["0.5"]]),
+    lambda: ThetaMatrix([[True, 0.5]]),
+    lambda: QMatrix([[True, 0], [0, 1]]),
+    lambda: ProportionVector((0.5, np.bool_(False))),
 ], ids=["theta-text", "proportions-text", "theta-bool", "q-bool", "llm-beta0-bool",
         "llm-beta-text", "rrum-pi-bool", "gdina-value-bool", "gdina-fractional-attribute",
         "response-n_items-bool", "theta-is_probability-text", "theta-object-text",
-        "proportions-object-text", "theta-object-bool", "tmatrix-text"])
+        "proportions-object-text", "theta-object-bool", "tmatrix-text",
+        "theta-list-bool-among-numbers", "q-list-bool-among-numbers",
+        "proportions-tuple-numpy-bool-among-numbers"])
 def test_text_and_bools_are_a_type_error(make):
     with pytest.raises(TypeError):
         make()

@@ -38,6 +38,16 @@ def test_consistency_script_names_a_bad_count(flag, value):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_scripts_name_a_negative_seed(script):
+    result = subprocess.run([sys.executable, str(REPO / "scripts" / script), "--seed", "-1"],
+                            capture_output=True, text=True, env=child_env(), timeout=120)
+    assert result.returncode == 2
+    assert "argument --seed: -1 is negative" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--replications", "0"], "need at least one replication"),
     (["--restarts", "0"], "restarts must be at least 1, got 0"),
