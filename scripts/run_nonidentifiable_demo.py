@@ -28,37 +28,51 @@ from rlcm import (
 from rlcm.cli import _count
 
 
+def _anchors(text: str) -> tuple:
+    """The --anchors value: two comma-separated reals."""
+    try:
+        first, second = (float(a) for a in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated reals, got {text!r}") from None
+    return first, second
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--slip", type=float, default=0.2)
     parser.add_argument("--guess", type=float, default=0.1)
     parser.add_argument("--rho", type=float, default=1.0)
-    parser.add_argument("--anchors", default="0.2,0.2",
+    parser.add_argument("--anchors", type=_anchors, default="0.2,0.2",
                         help="alternative zero-class probabilities for items 1 and 2")
-    parser.add_argument("--n", type=int, default=50_000)
+    parser.add_argument("--n", type=_count, default=50_000)
     parser.add_argument("--seed", type=_count, default=99)
     args = parser.parse_args()
 
-    anchors = tuple(float(a) for a in args.anchors.split(","))
-    q = c1_only_design(2, [[1]])
-    params = [DinaParams(args.slip, args.guess)] * q.n_items
-    report = verdict(q, theta_from_params(q, params))
+    # every value is checked before anything is printed
+    try:
+        q = c1_only_design(2, [[1]])
+        params = [DinaParams(args.slip, args.guess)] * q.n_items
+        report = verdict(q, theta_from_params(q, params))
+        pair = c1_only_counterexample(2, [[1]], params, args.rho, args.anchors)
+        gap = distributions_equal(pair.first, pair.second)
+        theta_a, p_a = pair.first
+        data = simulate(theta_a, p_a, args.n, seed=args.seed)
+        fits = {}
+        for label, (theta, p) in (("first", pair.first), ("second", pair.second)):
+            config = EmConfig(restarts=1, seed=args.seed,
+                              init_params=tuple(dina_params_from_theta(q, theta)),
+                              init_p=p)
+            fits[label] = em_fit(data, q, ["DINA"] * q.n_items, config)
+    except ValueError as exc:
+        parser.error(str(exc))
+
     print(f"design verdict: {report.verdict.value} "
           f"(C1 holds: {report.c1_holds}, C2 holds: {report.c2_holds})")
-
-    pair = c1_only_counterexample(2, [[1]], params, args.rho, anchors)
     print(f"constructed pair: parameter distance {pair.parameter_distance:.4f}, "
-          f"exhaustively verified distribution gap "
-          f"{distributions_equal(pair.first, pair.second):.2e}")
-
-    theta_a, p_a = pair.first
-    data = simulate(theta_a, p_a, args.n, seed=args.seed)
+          f"exhaustively verified distribution gap {gap:.2e}")
     print(f"simulated N={args.n} from the first member; fitting from each member:")
-    for label, (theta, p) in (("first", pair.first), ("second", pair.second)):
-        config = EmConfig(restarts=1, seed=args.seed,
-                          init_params=tuple(dina_params_from_theta(q, theta)),
-                          init_p=p)
-        fit = em_fit(data, q, ["DINA"] * q.n_items, config)
+    for label, fit in fits.items():
         item_errors = np.abs(fit.theta_hat.values - theta_a.values).max(axis=1)
         print(f"  init at {label:6s}: loglik {fit.loglik_trace[-1]:.2f}, "
               f"items 1-2 error vs truth "

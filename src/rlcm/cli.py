@@ -246,8 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the JSON schemas of all file formats and exit")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add_common(sp, run, seed=True, out=True, display=False, em=False):
+    def add_common(sp, run, seed=True, out=True, display=False, em=False, theta=False):
         sp.set_defaults(run=run)
+        if theta:
+            sp.add_argument("--theta", help="theta-matrix JSON")
+            sp.add_argument("--params", help="item-params JSON")
         if em:
             defaults = EmConfig()
             sp.add_argument("--restarts", type=_count, default=defaults.restarts)
@@ -265,16 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="render an identifiability verdict for a design")
     sp.add_argument("--q", required=True, help="Q-matrix CSV")
-    sp.add_argument("--theta", help="theta-matrix JSON")
-    sp.add_argument("--params", help="item-params JSON")
-    add_common(sp, _cmd_check, seed=False)
+    add_common(sp, _cmd_check, seed=False, theta=True)
 
     sp = sub.add_parser("counterexample",
                         help="construct a verified non-identifiable parameter pair")
     sp.add_argument("--mode", choices=("incomplete", "c1-only"), required=True)
     sp.add_argument("--q", help="Q-matrix CSV (incomplete mode)")
-    sp.add_argument("--theta", help="theta-matrix JSON (incomplete mode)")
-    sp.add_argument("--params", help="item-params JSON")
     sp.add_argument("--p", help="proportion-vector JSON (incomplete mode)")
     sp.add_argument("--k", type=int, help="attribute count (c1-only mode)")
     sp.add_argument("--extra-q", help="CSV of extra rows over attributes 2..K "
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="mass ratio between partner profiles (c1-only mode)")
     sp.add_argument("--anchors", help="two comma-separated zero-class anchors "
                                       "for items 1 and 2 (c1-only mode)")
-    add_common(sp, _cmd_counterexample, seed=False)
+    add_common(sp, _cmd_counterexample, seed=False, theta=True)
 
     sp = sub.add_parser("verify-pair", help="re-verify a stored pair with the "
                                             "enumeration oracle")
@@ -293,18 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tmatrix", help="emit the marginal table (and, with --p, "
                                         "the response distribution) as CSV")
     sp.add_argument("--q", help="Q-matrix CSV")
-    sp.add_argument("--theta", help="theta-matrix JSON")
-    sp.add_argument("--params", help="item-params JSON (needs --q)")
     sp.add_argument("--p", help="proportion-vector JSON")
-    add_common(sp, _cmd_tmatrix, seed=False, display=True)
+    add_common(sp, _cmd_tmatrix, seed=False, display=True, theta=True)
 
     sp = sub.add_parser("simulate", help="draw response data")
     sp.add_argument("--q", help="Q-matrix CSV")
-    sp.add_argument("--theta", help="theta-matrix JSON")
-    sp.add_argument("--params", help="item-params JSON (needs --q)")
     sp.add_argument("--p", required=True, help="proportion-vector JSON")
     sp.add_argument("--n", type=_count, required=True)
-    add_common(sp, _cmd_simulate)
+    add_common(sp, _cmd_simulate, theta=True)
 
     sp = sub.add_parser("fit", help="EM-fit item parameters and proportions")
     sp.add_argument("--q", required=True)

@@ -238,6 +238,7 @@ def _run_em(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
         counted = np.empty((len(live), 2, layout.n_groups))
         keep = np.zeros(len(live), dtype=bool)
         for row, start in enumerate(live):
+            like = None   # the last restart's matrix dies before this one's is formed
             like = _likelihood_matrix(bits_one, values[row][layout.index])
             mixture = like @ p[row]
             ll = float(counts @ np.log(mixture))

@@ -72,11 +72,15 @@ class ItemDesign:
         self.n_attributes = q_row.size
         self.required = [int(k) for k in np.flatnonzero(q_row)]
         self.n_groups = 1 << len(self.required)
+
+    @property
+    def group_ids(self) -> NDArray[np.int64]:
+        """Each profile's group, 2**K entries formed on each call."""
         profiles = enumerate_profiles(self.n_attributes)
         group_ids = np.zeros(profiles.size, dtype=np.int64)
         for i, attr in enumerate(self.required):
             group_ids |= ((profiles >> attr) & 1) << i
-        self.group_ids = group_ids
+        return group_ids
 
 
 class FamilyStack:
@@ -89,13 +93,13 @@ class FamilyStack:
     required attribute, and ``complement`` maps each group to the one with
     the other required attributes.
 
-    A link family's design row of group g is 1, then one 0/1 entry per
-    required attribute: its bit in g (``logit_design``) or the bit's absence
-    (``loglink_design``), padded with zeros to the widest item (``widths``
-    holds each item's count).  So each entry of ``x.T @ r`` and
-    ``x.T @ (w * x)`` sums r or w over the groups that hold one or two
-    given bits: a sum over the supersets of one group within the item (of
-    the complement groups for the log link).  One butterfly per bit k
+    A link family's ``design`` row of group g is 1, then one 0/1 entry per
+    required attribute, its bit in g, padded with zeros to the widest item
+    (``widths`` holds each item's count).  The log link reads the bit's
+    absence, which is the row of g's complement.  So each entry of
+    ``x.T @ r`` and ``x.T @ (w * x)`` sums r or w over the groups that hold
+    one or two given bits: a sum over the supersets of one group within the
+    item (of the complement groups for the log link).  One butterfly per bit k
     (``butterflies``: the shift 2**k and the groups without the bit) forms
     all of them, and ``grad_index`` and ``hess_index`` name each entry's
     group.  A padded entry names the zero slot past the last group, so a
@@ -116,9 +120,7 @@ class FamilyStack:
         width = self.widths.max()
         bits = (self.group[:, None] >> np.arange(width)) & 1
         real = np.arange(width) < self.widths[self.item, None]
-        ones = np.ones((sizes.sum(), 1))
-        self.logit_design = np.hstack([ones, bits])
-        self.loglink_design = np.hstack([ones, real & (bits == 0)])
+        self.design = np.hstack([np.ones((sizes.sum(), 1)), bits])
         # a group without bit k takes in the one 2**k further on, in its item
         self.butterflies = [(1 << k, (real[:, k] & (bits[:, k] == 0))[:-(1 << k)])
                             for k in range(width)]
@@ -137,7 +139,8 @@ class ItemLayout:
     ``families`` holds, per family in order of first use, its class, its
     ``FamilyStack``, its items and its slice of the concatenated groups of
     all stacks.  ``index[j, a]`` is the position there of item j's group of
-    profile a, so ``values[index]`` is the J x 2**K table of group values.
+    profile a, the layout's one profile-to-group map: ``values[index]`` is
+    the J x 2**K table of group values, and ``group_counts`` sums over it.
     Coefficients are held per family as a (restarts, items, width) array,
     zero-padded to the family's widest item.
     """
@@ -145,20 +148,17 @@ class ItemLayout:
     def __init__(self, designs: Sequence[ItemDesign], names: Sequence[str]):
         self.designs = designs
         self.families = []
-        index = np.empty((len(designs), designs[0].group_ids.size), dtype=np.int64)
+        self.index = np.empty((len(designs), 1 << designs[0].n_attributes), dtype=np.int64)
         offset = 0
         for name in dict.fromkeys(names):
             items = [j for j, other in enumerate(names) if other == name]
             stack = FamilyStack([designs[j] for j in items])
             for j, start in zip(items, stack.starts):
-                index[j] = designs[j].group_ids + (offset + start)
+                self.index[j] = designs[j].group_ids + (offset + start)
             part = slice(offset, offset + stack.item.size)
             self.families.append((FAMILY[name], stack, items, part))
             offset = part.stop
-        self.index = index
         self.n_groups = offset
-        # expected counts [positives | totals], classes x 2J, to their groups
-        self._count_index = np.hstack([index.T, index.T + offset]).ravel()
 
     def pack(self, coefs: Sequence[Sequence[NDArray]]) -> list:
         """Per family, the stack of each restart's coefficient list."""
@@ -189,8 +189,9 @@ class ItemLayout:
     def group_counts(self, pos: NDArray, tot: NDArray) -> NDArray[np.float64]:
         """Expected positives and totals of every group, a (2, groups) array,
         from the per-class positives (classes x items) and class sizes."""
-        weights = np.hstack([pos, np.broadcast_to(tot[:, None], pos.shape)])
-        return np.bincount(self._count_index, weights.ravel(), 2 * self.n_groups).reshape(2, -1)
+        index = self.index.ravel()
+        return np.stack([np.bincount(index, pos.T.ravel(), self.n_groups),
+                         np.bincount(index, np.tile(tot, len(self.index)), self.n_groups)])
 
 
 def _damped_newton(value, grad_neghess, coef, project=None):
@@ -259,28 +260,29 @@ def _newton_steps(system, grad, rows):
     return step, solved
 
 
-def _linear(x, stack, coef):
+def _linear(stack, coef, own):
     """``x[g] @ c`` for every group g and the coefficients c of its item, for
     each restart of ``coef``, a (restarts, items, width) array: one product
-    of every item's coefficients with every group's row, read at each
-    group's own item."""
-    return (coef @ x.T).reshape(len(coef), -1)[:, stack.own]
+    of every item's coefficients with every group's design row, read at
+    ``own``, each group's own item: ``stack.own`` for the logit design, and
+    ``stack.own[stack.complement]`` for the log-link one."""
+    return (coef @ stack.design.T).reshape(len(coef), -1)[:, own]
 
 
 class _Binomial:
     """A link family's M-step on all rows of its stack: each (restart, item)
     row maximizes its group log-likelihood of mu = link(x @ c), from a
-    (restarts, items, width) start; x is the stack's log-link design with
-    ``absent``, else its logit design."""
+    (restarts, items, width) start; x is the stack's design, read at each
+    group's complement with ``absent`` (the log link)."""
 
     def __init__(self, link, absent, stack, coef, gpos, gtot):
         self.link, self.absent, self.stack, self.shape = link, absent, stack, coef.shape
-        self.x = stack.loglink_design if absent else stack.logit_design
+        self.own = stack.own[stack.complement] if absent else stack.own
         self.gpos, self.gneg = gpos, gtot - gpos
 
     def eta(self, c):
         """The linear predictor of every group of a (rows, width) stack."""
-        return _linear(self.x, self.stack, c.reshape(self.shape))
+        return _linear(self.stack, c.reshape(self.shape), self.own)
 
     def mu(self, c):
         return np.clip(self.link(self.eta(c)), THETA_CLAMP, 1.0 - THETA_CLAMP)
@@ -562,7 +564,7 @@ class LlmParams(_Item):
 
     @staticmethod
     def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
-        return _sigmoid(_linear(stack.logit_design, stack, coef))
+        return _sigmoid(_linear(stack, coef, stack.own))
 
     @staticmethod
     def update(stack: FamilyStack, coef, gpos, gtot) -> NDArray[np.float64]:
@@ -624,7 +626,7 @@ class RrumParams(_Item):
 
     @staticmethod
     def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
-        return np.exp(_linear(stack.loglink_design, stack, coef))
+        return np.exp(_linear(stack, coef, stack.own[stack.complement]))
 
     @staticmethod
     def update(stack: FamilyStack, coef, gpos, gtot) -> NDArray[np.float64]:
@@ -700,7 +702,9 @@ def theta_from_params(q: QMatrix, params: Sequence[ItemParams]) -> ThetaMatrix:
             raise TypeError(f"unknown item parameter type {type(item).__name__}")
         coefs.append(item.coef(designs[j], j))
     layout = ItemLayout(designs, [item.family for item in params])
-    return ThetaMatrix(layout.values(layout.pack([coefs]))[0][layout.index])
+    table = layout.values(layout.pack([coefs]))[0][layout.index]
+    table.flags.writeable = False   # so that ThetaMatrix keeps it without a copy
+    return ThetaMatrix(table)
 
 
 @dataclass(frozen=True)

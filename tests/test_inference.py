@@ -349,6 +349,23 @@ WRONG_KNOBS = {
 }
 
 
+def test_em_fit_holds_one_likelihood_matrix():
+    rows = np.eye(12, dtype=int)[np.arange(20) % 12]
+    rows[12:, 0] = 1
+    q = QMatrix(rows)
+    theta = theta_from_params(q, [DinaParams(0.2, 0.1)] * q.n_items)
+    data = simulate(theta, random_proportions(np.random.default_rng(1), 12), 2000, seed=2)
+    like_bytes = np.unique(data.codes).size * 8 << q.n_attributes
+    tracemalloc.start()
+    try:
+        em_fit(data, q, ["DINA"] * q.n_items, EmConfig(max_iters=2, restarts=2, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one restart's patterns x 2**12 matrix must die before the next one's is formed
+    assert peak <= 1.5 * like_bytes
+
+
 class TestEmConfig:
     @pytest.mark.parametrize("field, value, error", [
         ("max_iters", -1, ValueError),

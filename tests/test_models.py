@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,27 @@ class TestThetaFromParams:
         assert list(FAMILY.items()) == [("DINA", DinaParams), ("DINO", DinoParams),
                                         ("GDINA", GdinaParams), ("LLM", LlmParams),
                                         ("RRUM", RrumParams)]
+
+
+class TestThetaMemory:
+    @pytest.mark.parametrize("family", ["DINA", "LLM"])
+    def test_traced_peak_is_a_few_tables(self, family):
+        # item 0 requires all 14 attributes, so its family stacks 2**14 groups
+        rows = np.eye(14, dtype=int)[np.arange(20) % 14]
+        rows[0] = 1
+        q = QMatrix(rows)
+        params = [DinaParams(0.1, 0.2) if family == "DINA" else
+                  LlmParams(-1.0, tuple(0.1 * row)) for row in q.entries]
+        tracemalloc.start()
+        try:
+            theta = theta_from_params(q, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 20 x 2**14 table is 2.5 MiB; with the one int64 profile-to-group
+        # map and the stack's 0/1 design the peak is about 3.2 tables
+        assert peak <= 4 * theta.values.nbytes
+        assert not theta.values.flags.writeable
 
 
 class TestReferenceRows:

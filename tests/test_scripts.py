@@ -66,6 +66,24 @@ def test_consistency_script_names_a_value_out_of_range(argv, message):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "0"], "need at least one subject, got 0"),
+    (["--slip", "0.9"], "DINA: requires 1 - s > g, got s=0.9, g=0.1"),
+    (["--rho", "0"], "rho must be positive, got 0.0"),
+    (["--anchors", "x"], "argument --anchors: expected two comma-separated reals, got 'x'"),
+    (["--anchors", "0.2"], "argument --anchors: expected two comma-separated reals, got '0.2'"),
+], ids=["n-0", "slip", "rho-0", "anchors-x", "anchors-one"])
+def test_demo_script_names_a_value_out_of_range(argv, message):
+    result = subprocess.run([sys.executable, str(REPO / "scripts" / "run_nonidentifiable_demo.py"),
+                             *argv],
+                            capture_output=True, text=True, env=child_env(), timeout=120)
+    assert result.returncode == 2
+    errors = [line for line in result.stderr.splitlines() if "error" in line]
+    assert errors == [f"run_nonidentifiable_demo.py: error: {message}"]
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_readme_python_examples_run():
     blocks = re.findall(r"^```python\n(.*?)^```", (REPO / "README.md").read_text(),
                         flags=re.M | re.S)
