@@ -19,7 +19,7 @@ from rlcm import (
     theta_from_params,
     verdict,
 )
-from rlcm.cli import _count
+from rlcm.cli import INPUT_ERRORS, _count, _error_text
 from rlcm.core import QMatrix
 
 
@@ -47,8 +47,8 @@ def main() -> None:
         table = consistency_experiment(
             q, ["DINA"] * q.n_items, params, p, args.n_grid, args.replications,
             seed=args.seed, em_config=EmConfig(restarts=args.restarts))
-    except ValueError as exc:
-        parser.error(str(exc))
+    except INPUT_ERRORS as exc:
+        parser.error(_error_text(exc))
 
     print(f"design: {q.n_items} items x {args.k} attributes, "
           f"verdict = {report.verdict.value}")

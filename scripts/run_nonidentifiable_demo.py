@@ -19,23 +19,12 @@ from rlcm import (
     c1_only_counterexample,
     c1_only_design,
     dina_params_from_theta,
-    distributions_equal,
     em_fit,
     simulate,
     theta_from_params,
     verdict,
 )
-from rlcm.cli import _count
-
-
-def _anchors(text: str) -> tuple:
-    """The --anchors value: two comma-separated reals."""
-    try:
-        first, second = (float(a) for a in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected two comma-separated reals, got {text!r}") from None
-    return first, second
+from rlcm.cli import INPUT_ERRORS, _anchors, _count, _error_text
 
 
 def main() -> None:
@@ -55,7 +44,6 @@ def main() -> None:
         params = [DinaParams(args.slip, args.guess)] * q.n_items
         report = verdict(q, theta_from_params(q, params))
         pair = c1_only_counterexample(2, [[1]], params, args.rho, args.anchors)
-        gap = distributions_equal(pair.first, pair.second)
         theta_a, p_a = pair.first
         data = simulate(theta_a, p_a, args.n, seed=args.seed)
         fits = {}
@@ -64,13 +52,13 @@ def main() -> None:
                               init_params=tuple(dina_params_from_theta(q, theta)),
                               init_p=p)
             fits[label] = em_fit(data, q, ["DINA"] * q.n_items, config)
-    except ValueError as exc:
-        parser.error(str(exc))
+    except INPUT_ERRORS as exc:
+        parser.error(_error_text(exc))
 
     print(f"design verdict: {report.verdict.value} "
           f"(C1 holds: {report.c1_holds}, C2 holds: {report.c2_holds})")
     print(f"constructed pair: parameter distance {pair.parameter_distance:.4f}, "
-          f"exhaustively verified distribution gap {gap:.2e}")
+          f"exhaustively verified distribution gap {pair.max_distribution_gap:.2e}")
     print(f"simulated N={args.n} from the first member; fitting from each member:")
     for label, fit in fits.items():
         item_errors = np.abs(fit.theta_hat.values - theta_a.values).max(axis=1)

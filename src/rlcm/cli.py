@@ -37,6 +37,13 @@ EXIT_INPUT_ERROR = 1
 EXIT_INCOMPLETE = 2
 EXIT_NOT_COVERED = 3
 
+# what each entry point reports as one error line, never as a traceback
+INPUT_ERRORS = (ValueError, OverflowError, OSError, RuntimeError, MemoryError)
+
+
+def _error_text(exc: BaseException) -> str:
+    return str(exc) or "out of memory"   # Python's own MemoryError has no text
+
 
 def _read_params(path, n_attributes: int) -> list:
     params, declared = fileio.read_item_params_json(path)
@@ -73,6 +80,16 @@ def _count(text: str) -> int:
     if value >= 2**63:
         raise argparse.ArgumentTypeError(f"{text} is too large; at most 2**63 - 1")
     return value
+
+
+def _anchors(text: str) -> Tuple[float, float]:
+    """The --anchors value: two comma-separated reals."""
+    try:
+        first, second = (float(a) for a in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated reals, got {text!r}") from None
+    return first, second
 
 
 def _parse_families(spec: str, n_items: int) -> Tuple[str, ...]:
@@ -120,15 +137,12 @@ def _cmd_counterexample(args) -> int:
 
     if args.k is None or not args.params or args.anchors is None:
         raise ValueError("--mode c1-only requires --k, --params and --anchors")
-    if args.extra_q:
-        extra = fileio.read_qmatrix_csv(args.extra_q).entries
-    else:
-        extra = np.zeros((0, args.k - 1), dtype=np.int64)
+    if args.k < 2:
+        raise ValueError(f"--mode c1-only needs --k of at least 2, got {args.k}")
     params = _read_params(args.params, args.k)
-    anchors = tuple(float(a) for a in args.anchors.split(","))
-    if len(anchors) != 2:
-        raise ValueError("--anchors must hold two comma-separated reals")
-    pair = c1_only_counterexample(args.k, extra, params, args.rho, anchors)
+    extra = (fileio.read_qmatrix_csv(args.extra_q).entries if args.extra_q
+             else np.zeros((0, args.k - 1), dtype=np.int64))
+    pair = c1_only_counterexample(args.k, extra, params, args.rho, args.anchors)
     return _emit_pair(pair, args.out)
 
 
@@ -246,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the JSON schemas of all file formats and exit")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add_common(sp, run, seed=True, out=True, display=False, em=False, theta=False):
+    def add_common(sp, run, seed=True, out=True, em=False, theta=False):
         sp.set_defaults(run=run)
         if theta:
             sp.add_argument("--theta", help="theta-matrix JSON")
@@ -260,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=_count, default=DEFAULT_SEED)
         if out:
             sp.add_argument("--out", type=str, default=None)
-        if display:
-            sp.add_argument("--display-order", choices=("binary", "weight"),
-                            default="binary",
-                            help="printed row/column order; storage is always "
-                                 "binary-counter")
 
     sp = sub.add_parser("check", help="render an identifiability verdict for a design")
     sp.add_argument("--q", required=True, help="Q-matrix CSV")
@@ -280,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(c1-only mode)")
     sp.add_argument("--rho", type=float, default=1.0,
                     help="mass ratio between partner profiles (c1-only mode)")
-    sp.add_argument("--anchors", help="two comma-separated zero-class anchors "
-                                      "for items 1 and 2 (c1-only mode)")
+    sp.add_argument("--anchors", type=_anchors, help="two comma-separated zero-class "
+                                                     "anchors for items 1 and 2 (c1-only mode)")
     add_common(sp, _cmd_counterexample, seed=False, theta=True)
 
     sp = sub.add_parser("verify-pair", help="re-verify a stored pair with the "
@@ -293,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
                                         "the response distribution) as CSV")
     sp.add_argument("--q", help="Q-matrix CSV")
     sp.add_argument("--p", help="proportion-vector JSON")
-    add_common(sp, _cmd_tmatrix, seed=False, display=True, theta=True)
+    sp.add_argument("--display-order", choices=("binary", "weight"), default="binary",
+                    help="printed row/column order; storage is always binary-counter")
+    add_common(sp, _cmd_tmatrix, seed=False, theta=True)
 
     sp = sub.add_parser("simulate", help="draw response data")
     sp.add_argument("--q", help="Q-matrix CSV")
@@ -337,9 +348,8 @@ def main(argv=None) -> int:
         if args.subcommand is None:
             parser.error("a subcommand is required")
         return args.run(args)
-    except (ValueError, OverflowError, OSError, RuntimeError, MemoryError) as exc:
-        # numpy's MemoryError names the allocation it could not make
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+    except INPUT_ERRORS as exc:
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -379,7 +379,14 @@ class TestUsageErrors:
     ("counterexample --mode c1-only --k 2 --params {params}",
      "--mode c1-only requires --k, --params and --anchors"),
     ("counterexample --mode c1-only --k 2 --params {params} --anchors 0.1,0.2,0.3",
-     "--anchors must hold two comma-separated reals"),
+     "rlcm counterexample: argument --anchors: expected two comma-separated reals, "
+     "got '0.1,0.2,0.3'"),
+    ("counterexample --mode c1-only --k 2 --params {params} --anchors x",
+     "rlcm counterexample: argument --anchors: expected two comma-separated reals, got 'x'"),
+    ("counterexample --mode c1-only --k 0 --params {params} --anchors 0.1,0.2",
+     "--mode c1-only needs --k of at least 2, got 0"),
+    ("counterexample --mode c1-only --k -1 --params {params} --anchors 0.1,0.2",
+     "--mode c1-only needs --k of at least 2, got -1"),
     ("experiment --q {q} --params {params} --p {p} --families DINA,DINA,DINA --n-grid 100",
      "expected 1 or 2 family names, got 3"),
 ])

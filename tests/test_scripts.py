@@ -2,6 +2,7 @@
 current API (small sizes)."""
 
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,31 @@ def test_demo_script_names_a_value_out_of_range(argv, message):
     assert result.returncode == 2
     errors = [line for line in result.stderr.splitlines() if "error" in line]
     assert errors == [f"run_nonidentifiable_demo.py: error: {message}"]
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def _cap_address_space():
+    # a numpy array the machine cannot hold then fails to allocate at once,
+    # on any machine, instead of being touched page by page
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("run_nonidentifiable_demo.py", ["--n", "100000000000"]),
+    ("run_consistency.py", ["--n-grid", "100000000000"]),
+    ("run_consistency.py", ["--k", "40000"]),
+], ids=["demo-n", "consistency-n-grid", "consistency-k"])
+def test_scripts_report_an_allocation_too_large(script, argv):
+    # one BLAS thread, since each thread's buffers count against the cap
+    env = dict(child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, str(REPO / "scripts" / script), *argv],
+                            capture_output=True, text=True, env=env, timeout=120,
+                            preexec_fn=_cap_address_space)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"usage: {script}")
+    errors = [line for line in result.stderr.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"{script}: error: Unable to allocate")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
 
