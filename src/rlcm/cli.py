@@ -11,6 +11,7 @@ success and 1 on any error.  All randomness is controlled by explicit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Tuple
@@ -82,6 +83,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """A file flag's value: any path but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 def _anchors(text: str) -> Tuple[float, float]:
     """The --anchors value: two comma-separated reals."""
     try:
@@ -123,7 +131,14 @@ def _emit_pair(pair: NonIdentifiablePair, out: Optional[str]) -> int:
     return EXIT_OK
 
 
+# the flags each counterexample mode does not take
+_OTHER_MODE = {"incomplete": ("k", "extra_q", "rho", "anchors"), "c1-only": ("q", "p", "theta")}
+
+
 def _cmd_counterexample(args) -> int:
+    for dest in _OTHER_MODE[args.mode]:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--mode {args.mode} does not take --{dest.replace('_', '-')}")
     if args.mode == "incomplete":
         if not args.q:
             raise ValueError("--mode incomplete requires --q")
@@ -142,7 +157,8 @@ def _cmd_counterexample(args) -> int:
     params = _read_params(args.params, args.k)
     extra = (fileio.read_qmatrix_csv(args.extra_q).entries if args.extra_q
              else np.zeros((0, args.k - 1), dtype=np.int64))
-    pair = c1_only_counterexample(args.k, extra, params, args.rho, args.anchors)
+    rho = 1.0 if args.rho is None else args.rho
+    pair = c1_only_counterexample(args.k, extra, params, rho, args.anchors)
     return _emit_pair(pair, args.out)
 
 
@@ -263,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, run, seed=True, out=True, em=False, theta=False):
         sp.set_defaults(run=run)
         if theta:
-            sp.add_argument("--theta", help="theta-matrix JSON")
-            sp.add_argument("--params", help="item-params JSON")
+            sp.add_argument("--theta", type=_path, help="theta-matrix JSON")
+            sp.add_argument("--params", type=_path, help="item-params JSON")
         if em:
             defaults = EmConfig()
             sp.add_argument("--restarts", type=_count, default=defaults.restarts)
@@ -273,56 +289,56 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=_count, default=DEFAULT_SEED)
         if out:
-            sp.add_argument("--out", type=str, default=None)
+            sp.add_argument("--out", type=_path)
 
     sp = sub.add_parser("check", help="render an identifiability verdict for a design")
-    sp.add_argument("--q", required=True, help="Q-matrix CSV")
+    sp.add_argument("--q", type=_path, required=True, help="Q-matrix CSV")
     add_common(sp, _cmd_check, seed=False, theta=True)
 
     sp = sub.add_parser("counterexample",
                         help="construct a verified non-identifiable parameter pair")
     sp.add_argument("--mode", choices=("incomplete", "c1-only"), required=True)
-    sp.add_argument("--q", help="Q-matrix CSV (incomplete mode)")
-    sp.add_argument("--p", help="proportion-vector JSON (incomplete mode)")
+    sp.add_argument("--q", type=_path, help="Q-matrix CSV (incomplete mode)")
+    sp.add_argument("--p", type=_path, help="proportion-vector JSON (incomplete mode)")
     sp.add_argument("--k", type=int, help="attribute count (c1-only mode)")
-    sp.add_argument("--extra-q", help="CSV of extra rows over attributes 2..K "
+    sp.add_argument("--extra-q", type=_path, help="CSV of extra rows over attributes 2..K "
                                       "(c1-only mode)")
-    sp.add_argument("--rho", type=float, default=1.0,
-                    help="mass ratio between partner profiles (c1-only mode)")
+    sp.add_argument("--rho", type=float,
+                    help="mass ratio between partner profiles, default 1 (c1-only mode)")
     sp.add_argument("--anchors", type=_anchors, help="two comma-separated zero-class "
                                                      "anchors for items 1 and 2 (c1-only mode)")
     add_common(sp, _cmd_counterexample, seed=False, theta=True)
 
     sp = sub.add_parser("verify-pair", help="re-verify a stored pair with the "
                                             "enumeration oracle")
-    sp.add_argument("--pair", required=True)
+    sp.add_argument("--pair", type=_path, required=True)
     add_common(sp, _cmd_verify_pair, seed=False)
 
     sp = sub.add_parser("tmatrix", help="emit the marginal table (and, with --p, "
                                         "the response distribution) as CSV")
-    sp.add_argument("--q", help="Q-matrix CSV")
-    sp.add_argument("--p", help="proportion-vector JSON")
+    sp.add_argument("--q", type=_path, help="Q-matrix CSV")
+    sp.add_argument("--p", type=_path, help="proportion-vector JSON")
     sp.add_argument("--display-order", choices=("binary", "weight"), default="binary",
                     help="printed row/column order; storage is always binary-counter")
     add_common(sp, _cmd_tmatrix, seed=False, theta=True)
 
     sp = sub.add_parser("simulate", help="draw response data")
-    sp.add_argument("--q", help="Q-matrix CSV")
-    sp.add_argument("--p", required=True, help="proportion-vector JSON")
+    sp.add_argument("--q", type=_path, help="Q-matrix CSV")
+    sp.add_argument("--p", type=_path, required=True, help="proportion-vector JSON")
     sp.add_argument("--n", type=_count, required=True)
     add_common(sp, _cmd_simulate, theta=True)
 
     sp = sub.add_parser("fit", help="EM-fit item parameters and proportions")
-    sp.add_argument("--q", required=True)
-    sp.add_argument("--data", required=True, help="response CSV")
+    sp.add_argument("--q", type=_path, required=True)
+    sp.add_argument("--data", type=_path, required=True, help="response CSV")
     sp.add_argument("--families", required=True,
                     help="one family, or J comma-separated families")
     add_common(sp, _cmd_fit, em=True)
 
     sp = sub.add_parser("experiment", help="recovery error across sample sizes")
-    sp.add_argument("--q", required=True)
-    sp.add_argument("--params", required=True, help="true item-params JSON")
-    sp.add_argument("--p", required=True, help="true proportion-vector JSON")
+    sp.add_argument("--q", type=_path, required=True)
+    sp.add_argument("--params", type=_path, required=True, help="true item-params JSON")
+    sp.add_argument("--p", type=_path, required=True, help="true proportion-vector JSON")
     sp.add_argument("--families", required=True)
     sp.add_argument("--n-grid", type=lambda text: [_count(n) for n in text.split(",")],
                     required=True, help="comma-separated sample sizes")
@@ -338,8 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state in the parser, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.schema:

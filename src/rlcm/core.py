@@ -45,9 +45,10 @@ def enumerate_profiles(n_attributes: int) -> NDArray[np.int64]:
 
 
 def bit_matrix(codes, length: int) -> NDArray[np.int8]:
-    """0/1 rows of the encodings, bit k in column k; shape (len(codes), length)."""
-    codes = np.asarray(codes, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(length)) & 1).astype(np.int8)
+    """0/1 rows of the encodings, bit k in column k; shape (len(codes), length).
+    Unpacked from each code's little-endian bytes, without integer temporaries."""
+    octets = np.ascontiguousarray(codes, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=length, bitorder="little").view(np.int8)
 
 
 def zeta_transform(values, superset: bool = False,

@@ -229,12 +229,11 @@ def _parse_bits_lines(path, text: str, what: str) -> np.ndarray:
 
 
 def _write_bits_csv(path, header: str, matrix) -> None:
-    """``# header``, then each row of the 0/1 ``matrix`` as ``0,1,...``."""
-    n_rows, n_cols = matrix.shape
-    chars = np.full((n_rows, 2 * n_cols), ord(","), dtype=np.uint8)
-    chars[:, 0::2] = matrix + ord("0")
-    chars[:, -1] = ord("\n")
-    Path(path).write_bytes(f"# {header}\n".encode() + chars.tobytes())
+    """``# header``, then each row of the 0/1 ``matrix`` as ``0,1,...``: each
+    cell and the separator after it are one little-endian 16-bit word."""
+    words = np.add(matrix, ord("0") | ord(",") << 8, dtype="<u2", casting="unsafe")
+    words[:, -1] ^= (ord(",") ^ ord("\n")) << 8
+    Path(path).write_bytes(f"# {header}\n".encode() + words.tobytes())
 
 
 def read_qmatrix_csv(path) -> QMatrix:

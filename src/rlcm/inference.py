@@ -81,7 +81,7 @@ class ResponseData(_Record):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise DimensionError("response matrix must be two-dimensional")
-        if not ((matrix == 0) | (matrix == 1)).all():
+        if matrix.dtype != bool and not ((matrix == 0) | (matrix == 1)).all():
             raise ValueError("responses must be 0 or 1")
         _check_item_count(matrix.shape[1])
         # a BLAS product, exact: a code is below 2**MAX_ITEMS, and float32
@@ -221,8 +221,9 @@ def _run_em(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
     """EM from a block of starts in lockstep; each start pairs a coefficient
     list with class proportions.
 
-    Each restart keeps its own E-step; each family's M-step updates the
-    rows of every live restart at once.  A restart leaves the block when it
+    Each restart keeps its own E-step; each M-step of the layout (one per
+    closed-form family, one damped-Newton ascent for all link items) updates
+    the rows of every live restart at once.  A restart leaves the block when it
     meets ``tol``, reaches ``max_iters`` or its log-likelihood turns
     non-finite.  Returns per start its (trace, converged, coefficients,
     proportions), or the EmError that ended it.
@@ -260,8 +261,8 @@ def _run_em(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
             return outcomes
         live = [start for start, kept in zip(live, keep) if kept]
         p, counted = p[keep], counted[keep]
-        coefs = [fam.update(stack, coef[keep], counted[:, 0, part], counted[:, 1, part])
-                 for (fam, stack, _, part), coef in zip(layout.families, coefs)]
+        coefs = [owner.update(stack, coef[keep], counted[:, 0, part], counted[:, 1, part])
+                 for (owner, stack, _, part), coef in zip(layout.steps, coefs)]
 
 
 def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],

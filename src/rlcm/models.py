@@ -10,12 +10,15 @@ Under the Q-restriction an item's response probability depends on a
 profile only through its sub-pattern on the required attributes
 (``ItemDesign``), so the families differ only in how a coefficient vector
 maps onto those groups.  Each family is one frozen parameter dataclass in
-``FAMILY``: its fields and their checks, params <-> coefficients, theta
-row, EM M-step and random start, and the JSON fields from which its item
-schema, ``to_dict`` and ``from_dict`` follow.  A new family is one such
-dataclass and one entry.  The theta row and the M-step work on a
-``FamilyStack``, every (restart, item) row of the family at once; the
-parameters, their coefficients and the random start are per item.
+``FAMILY``: its fields and their checks, params <-> coefficients, random
+start, and the JSON fields from which its item schema, ``to_dict`` and
+``from_dict`` follow.  A new family is one such dataclass and one entry.
+A closed-form family also holds its theta row and EM M-step; a link
+family (LLM, RRUM) declares its link and coefficient caps, and
+``_Binomial`` forms the theta rows and runs the M-step of every link item
+of a test at once.  Theta rows and M-steps work on a ``FamilyStack``, every
+(restart, item) row at once; the parameters, their coefficients and the
+random start are per item.
 """
 
 from __future__ import annotations
@@ -84,29 +87,32 @@ class ItemDesign:
 
 
 class FamilyStack:
-    """The items of one family, their groups concatenated item after item.
+    """Items, their groups concatenated item after item.
 
     Group g is group ``group[g]`` of item ``item[g]``, and item i's groups
     begin at ``starts[i]``: ``np.add.reduceat(a, starts, axis=-1)`` sums
     an array over groups item by item, so groups are never padded.
     ``capable`` and ``touched`` mark the groups with every and with any
-    required attribute, and ``complement`` maps each group to the one with
-    the other required attributes.
+    required attribute, and ``log`` those of a log-link item (each item's
+    family, one of ``families``, names its ``link``).
 
-    A link family's ``design`` row of group g is 1, then one 0/1 entry per
-    required attribute, its bit in g, padded with zeros to the widest item
-    (``widths`` holds each item's count).  The log link reads the bit's
-    absence, which is the row of g's complement.  So each entry of
-    ``x.T @ r`` and ``x.T @ (w * x)`` sums r or w over the groups that hold
-    one or two given bits: a sum over the supersets of one group within the
-    item (of the complement groups for the log link).  One butterfly per bit k
-    (``butterflies``: the shift 2**k and the groups without the bit) forms
+    A link item's ``design`` row of group g is its row of x: 1, then one
+    0/1 entry per required attribute, padded with zeros to the widest item
+    (``widths`` holds each item's count).  The entry is the attribute's bit
+    in g for the logit link, and for the log link the bit's absence, which
+    is its bit in g's complement (the group with the other required
+    attributes): group g reads the bits of group ``read[g]``.  So each
+    entry of ``x.T @ r`` and ``x.T @ (w * x)`` sums r or w, taken at the
+    ``read`` groups, over the groups that hold one or two given bits: a sum
+    over the supersets of one group within the item.  One butterfly per bit
+    k (``butterflies``: the shift 2**k and the groups without the bit) forms
     all of them, and ``grad_index`` and ``hess_index`` name each entry's
     group.  A padded entry names the zero slot past the last group, so a
-    padded coefficient has zero gradient and never moves.
+    padded coefficient has zero gradient and never moves.  ``bound`` caps
+    each item's coefficients at its family's ``caps``, a padded one at inf.
     """
 
-    def __init__(self, designs: Sequence[ItemDesign]):
+    def __init__(self, designs: Sequence[ItemDesign], families: Sequence[type]):
         sizes = np.array([d.n_groups for d in designs])
         self.widths = np.array([len(d.required) for d in designs])
         self.starts = np.cumsum(sizes) - sizes
@@ -114,13 +120,13 @@ class FamilyStack:
         self.group = np.arange(sizes.sum()) - self.starts[self.item]
         self.capable = self.group == sizes[self.item] - 1
         self.touched = self.group != 0
-        self.complement = self.starts[self.item] + ((sizes[self.item] - 1) ^ self.group)
-        # entry (i, g) of an (items, groups) array, flattened, for each group's item
-        self.own = self.item * self.item.size + np.arange(self.item.size)
+        self.log = np.repeat([fam.link == "log" for fam in families], sizes)
+        complement = self.starts[self.item] + ((sizes[self.item] - 1) ^ self.group)
+        self.read = np.where(self.log, complement, np.arange(self.item.size))
         width = self.widths.max()
         bits = (self.group[:, None] >> np.arange(width)) & 1
         real = np.arange(width) < self.widths[self.item, None]
-        self.design = np.hstack([np.ones((sizes.sum(), 1)), bits])
+        self.design = np.hstack([np.ones((sizes.sum(), 1)), bits])[self.read]
         # a group without bit k takes in the one 2**k further on, in its item
         self.butterflies = [(1 << k, (real[:, k] & (bits[:, k] == 0))[:-(1 << k)])
                             for k in range(width)]
@@ -131,39 +137,44 @@ class FamilyStack:
         self.hess_index = np.where(used[:, :, None] & used[:, None, :],
                                    self.starts[:, None, None] + (mask[:, None] | mask),
                                    self.item.size)
+        caps = np.array([fam.caps for fam in families])
+        self.bound = np.where(used, np.where(mask > 0, caps[:, 1:], caps[:, :1]), np.inf)
 
 
 class ItemLayout:
-    """A test's items stacked family by family.
+    """A test's items stacked by M-step: each closed-form family alone, and
+    every link item (``_Binomial``) together, in item order.
 
-    ``families`` holds, per family in order of first use, its class, its
-    ``FamilyStack``, its items and its slice of the concatenated groups of
-    all stacks.  ``index[j, a]`` is the position there of item j's group of
-    profile a, the layout's one profile-to-group map: ``values[index]`` is
-    the J x 2**K table of group values, and ``group_counts`` sums over it.
-    Coefficients are held per family as a (restarts, items, width) array,
-    zero-padded to the family's widest item.
+    ``steps`` holds, per M-step in order of first use, its owner (the family
+    class or ``_Binomial``), its ``FamilyStack``, its items and its slice of
+    the concatenated groups of all stacks.  ``index[j, a]`` is the position
+    there of item j's group of profile a, the layout's one profile-to-group
+    map: ``values[index]`` is the J x 2**K table of group values, and
+    ``group_counts`` sums over it.  Coefficients are held per M-step as a
+    (restarts, items, width) array, zero-padded to its widest item.
     """
 
     def __init__(self, designs: Sequence[ItemDesign], names: Sequence[str]):
-        self.designs = designs
-        self.families = []
+        self.designs, self.names = designs, names
+        self.steps = []
         self.index = np.empty((len(designs), 1 << designs[0].n_attributes), dtype=np.int64)
+        owners = {}
+        for j, name in enumerate(names):
+            owners.setdefault(_Binomial if FAMILY[name].link else FAMILY[name], []).append(j)
         offset = 0
-        for name in dict.fromkeys(names):
-            items = [j for j, other in enumerate(names) if other == name]
-            stack = FamilyStack([designs[j] for j in items])
+        for owner, items in owners.items():
+            stack = FamilyStack([designs[j] for j in items], [FAMILY[names[j]] for j in items])
             for j, start in zip(items, stack.starts):
                 self.index[j] = designs[j].group_ids + (offset + start)
             part = slice(offset, offset + stack.item.size)
-            self.families.append((FAMILY[name], stack, items, part))
+            self.steps.append((owner, stack, items, part))
             offset = part.stop
         self.n_groups = offset
 
     def pack(self, coefs: Sequence[Sequence[NDArray]]) -> list:
-        """Per family, the stack of each restart's coefficient list."""
+        """Per M-step, the stack of each restart's coefficient list."""
         out = []
-        for _, _, items, _ in self.families:
+        for _, _, items, _ in self.steps:
             stacked = np.zeros((len(coefs), len(items), max(coefs[0][j].size for j in items)))
             for r, restart in enumerate(coefs):
                 for i, j in enumerate(items):
@@ -174,16 +185,16 @@ class ItemLayout:
     def unpack(self, stacked: Sequence[NDArray], row: int, sizes: Sequence[int]) -> list:
         """Row ``row``'s coefficient list, item j's first ``sizes[j]`` entries."""
         coefs = [None] * len(self.designs)
-        for (_, _, items, _), family in zip(self.families, stacked):
+        for (_, _, items, _), step in zip(self.steps, stacked):
             for i, j in enumerate(items):
-                coefs[j] = family[row, i, :sizes[j]].copy()
+                coefs[j] = step[row, i, :sizes[j]].copy()
         return coefs
 
     def values(self, stacked: Sequence[NDArray]) -> NDArray[np.float64]:
         """Each row's response probability in every group, (rows, groups)."""
         out = np.empty((len(stacked[0]), self.n_groups))
-        for (fam, stack, _, part), coef in zip(self.families, stacked):
-            out[:, part] = fam.row(stack, coef)
+        for (owner, stack, _, part), coef in zip(self.steps, stacked):
+            out[:, part] = owner.row(stack, coef)
         return out
 
     def group_counts(self, pos: NDArray, tot: NDArray) -> NDArray[np.float64]:
@@ -260,57 +271,60 @@ def _newton_steps(system, grad, rows):
     return step, solved
 
 
-def _linear(stack, coef, own):
-    """``x[g] @ c`` for every group g and the coefficients c of its item, for
-    each restart of ``coef``, a (restarts, items, width) array: one product
-    of every item's coefficients with every group's design row, read at
-    ``own``, each group's own item: ``stack.own`` for the logit design, and
-    ``stack.own[stack.complement]`` for the log-link one."""
-    return (coef @ stack.design.T).reshape(len(coef), -1)[:, own]
-
-
 class _Binomial:
-    """A link family's M-step on all rows of its stack: each (restart, item)
+    """The M-step of every link item of a stack at once: each (restart, item)
     row maximizes its group log-likelihood of mu = link(x @ c), from a
-    (restarts, items, width) start; x is the stack's design, read at each
-    group's complement with ``absent`` (the log link)."""
+    (restarts, items, width) start, its coefficients capped at
+    ``stack.bound``.  The link is the logistic on logit groups and exp on
+    ``stack.log`` groups, evaluated only there; x is ``stack.design``."""
 
-    def __init__(self, link, absent, stack, coef, gpos, gtot):
-        self.link, self.absent, self.stack, self.shape = link, absent, stack, coef.shape
-        self.own = stack.own[stack.complement] if absent else stack.own
-        self.gpos, self.gneg = gpos, gtot - gpos
+    def __init__(self, stack, coef, gpos, gtot):
+        self.stack, self.shape = stack, coef.shape
+        self.gpos, self.gtot, self.gneg = gpos, gtot, gtot - gpos
+        self.bound = np.tile(stack.bound, (len(coef), 1))
 
-    def eta(self, c):
-        """The linear predictor of every group of a (rows, width) stack."""
-        return _linear(self.stack, c.reshape(self.shape), self.own)
+    @staticmethod
+    def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
+        """``link(x[g] @ c)`` for every group g and the coefficients c of its
+        item, for each restart of ``coef``.  A sum over each row of x, not a
+        BLAS product, whose kernel and so its rounding follow the stack's
+        shape: a row's value is the same in any stack up to 8 coefficients
+        wide."""
+        eta = (coef[:, stack.item] * stack.design).sum(axis=-1)
+        return np.exp(eta, out=_sigmoid(eta), where=stack.log)
 
-    def mu(self, c):
-        return np.clip(self.link(self.eta(c)), THETA_CLAMP, 1.0 - THETA_CLAMP)
+    def project(self, c):
+        return np.minimum(c, self.bound)
 
     def value(self, c):
-        mu = self.mu(c)
+        mu = np.clip(self.row(self.stack, c.reshape(self.shape)), THETA_CLAMP, 1.0 - THETA_CLAMP)
         terms = np.stack([np.log(mu) * self.gpos, np.log1p(-mu) * self.gneg])
         return np.add.reduceat(terms, self.stack.starts, axis=2).sum(axis=0).ravel()
 
-    def derivatives(self, resid, weight):
+    def grad_neghess(self, c):
         """Per row, ``x.T @ resid`` and ``x.T @ (weight * x)`` over its item's
-        groups (see ``FamilyStack``)."""
+        groups (see ``FamilyStack``), with the logit link's residual and
+        weight from the unclipped mu and the log link's from the clipped."""
         stack, width = self.stack, self.shape[-1]
-        sums = np.zeros((2, len(resid), stack.item.size + 1))
-        sums[:, :, :-1] = [resid, weight]
-        if self.absent:
-            sums[:, :, :-1] = sums[:, :, stack.complement]
+        mu = self.row(stack, c.reshape(self.shape))
+        clipped = np.clip(mu, THETA_CLAMP, 1.0 - THETA_CLAMP)
+        ratio = clipped / (1.0 - clipped)
+        sums = np.zeros((2, len(mu), stack.item.size + 1))
+        sums[:, :, :-1] = np.stack([
+            np.where(stack.log, self.gpos - self.gneg * ratio, self.gpos - self.gtot * mu),
+            np.where(stack.log, self.gneg * ratio / (1.0 - clipped),
+                     self.gtot * mu * (1.0 - mu))])[..., stack.read]
         groups = sums[..., :-1]
         for shift, low in stack.butterflies:
             groups[..., :-shift] += np.where(low, groups[..., shift:], 0.0)
         grad, neghess = sums[0][:, stack.grad_index], sums[1][:, stack.hess_index]
         return grad.reshape(-1, width), neghess.reshape(-1, width, width)
 
-    def ascend(self, grad_neghess, coef, project=None):
-        rows = coef.reshape(-1, self.shape[-1])
-        if project is not None:
-            rows = project(rows)
-        return _damped_newton(self.value, grad_neghess, rows, project).reshape(self.shape)
+    @classmethod
+    def update(cls, stack: FamilyStack, coef, gpos, gtot) -> NDArray[np.float64]:
+        fit = cls(stack, coef, gpos, gtot)
+        rows = fit.project(coef.reshape(-1, coef.shape[-1]))
+        return _damped_newton(fit.value, fit.grad_neghess, rows, fit.project).reshape(coef.shape)
 
 
 class JsonField(NamedTuple):
@@ -357,6 +371,10 @@ class _Item:
 
     family: str
     fields: Mapping[str, JsonField]
+    # a link family, fitted by ``_Binomial``, names its link ("logit" or
+    # "log") and the caps of its intercept and of its slopes
+    link = None
+    caps = (np.inf, np.inf)
 
     @classmethod
     def schema(cls) -> dict:
@@ -547,6 +565,7 @@ class LlmParams(_Item):
 
     family = "LLM"
     fields = {"beta0": _NUMBER, "beta": _NUMBERS}
+    link = "logit"
 
     def __post_init__(self):
         beta = tuple(float(_number("LLM: slope", b)) for b in self.beta)
@@ -561,20 +580,6 @@ class LlmParams(_Item):
                 f"{design.n_attributes} attributes"
             )
         return np.concatenate([[self.beta0], np.asarray(self.beta)[design.required]])
-
-    @staticmethod
-    def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
-        return _sigmoid(_linear(stack, coef, stack.own))
-
-    @staticmethod
-    def update(stack: FamilyStack, coef, gpos, gtot) -> NDArray[np.float64]:
-        fit = _Binomial(_sigmoid, False, stack, coef, gpos, gtot)
-
-        def grad_neghess(c):
-            mu = _sigmoid(fit.eta(c))
-            return fit.derivatives(gpos - gtot * mu, gtot * mu * (1.0 - mu))
-
-        return fit.ascend(grad_neghess, coef)
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:
@@ -606,6 +611,8 @@ class RrumParams(_Item):
 
     family = "RRUM"
     fields = {"pi": _NUMBER, "r": _NUMBERS}
+    link = "log"
+    caps = (0.0, -1e-9)   # log pi <= 0, and each log penalty below 0
 
     def __post_init__(self):
         r = tuple(float(_number("RRUM: penalty", v)) for v in self.r)
@@ -623,29 +630,6 @@ class RrumParams(_Item):
             )
         return np.concatenate([[np.log(self.pi)],
                                np.log(np.asarray(self.r)[design.required])])
-
-    @staticmethod
-    def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
-        return np.exp(_linear(stack, coef, stack.own[stack.complement]))
-
-    @staticmethod
-    def update(stack: FamilyStack, coef, gpos, gtot) -> NDArray[np.float64]:
-        # coef holds logs: intercept = log(baseline prob), slopes = log(penalties);
-        # a padded slope stays at 0
-        fit = _Binomial(np.exp, True, stack, coef, gpos, gtot)
-        slope = np.arange(coef.shape[-1])
-        bound = np.where((slope > 0) & (slope <= stack.widths[:, None]), -1e-9, 0.0)
-        bound = np.tile(bound, (len(coef), 1))
-
-        def project(c):
-            return np.minimum(c, bound)
-
-        def grad_neghess(c):
-            mu = fit.mu(c)
-            ratio = mu / (1.0 - mu)
-            return fit.derivatives(gpos - fit.gneg * ratio, fit.gneg * ratio / (1.0 - mu))
-
-        return fit.ascend(grad_neghess, coef, project)
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:

@@ -55,6 +55,13 @@ def int_to_bits(code: int, length: int) -> np.ndarray:
     return ((code >> np.arange(length)) & 1).astype(np.int8)
 
 
+def reference_bit_matrix(codes, length: int) -> np.ndarray:
+    """``core.bit_matrix`` by integer shifts: bit k of each code in column k,
+    a negative code read in two's complement."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return ((codes[:, None] >> np.arange(length)) & 1).astype(np.int8)
+
+
 def profile_geq(a, b) -> bool:
     """Coordinatewise dominance for explicit bit vectors of equal length."""
     a = np.asarray(a)
@@ -661,11 +668,7 @@ def reference_run_em(counts, bits_one, items, coefs, p, n_subjects, max_iters, t
 def one_start_at_a_time(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
     """``inference._run_em``'s block interface over ``reference_run_em``:
     each start runs alone, and a failed one gives its ``EmError``."""
-    names = [None] * len(layout.designs)
-    for fam, _, items, _ in layout.families:
-        for j in items:
-            names[j] = fam.family
-    items = list(zip(names, layout.designs))
+    items = list(zip(layout.names, layout.designs))
     outcomes = []
     for coefs, p in starts:
         try:

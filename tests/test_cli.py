@@ -449,6 +449,22 @@ def test_em_flag_defaults_are_emconfig_defaults():
         assert _em_config(parser.parse_args(argv)) == EmConfig()
 
 
+def test_successive_calls_share_no_parsed_state(workdir, capsys):
+    # main parses every call with the one parser of the process
+    assert cli._parser() is cli._parser()
+    q = _write_q(workdir / "q.csv", [[1, 0], [0, 1], [1, 1]])
+    out = workdir / "out.json"
+    assert main(["verify-transform", "--j", "2", "--k", "1", "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert main(["verify-transform", "--j", "2", "--k", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    assert main(["check", "--q", q, "--out", str(out)]) == 3
+    assert capsys.readouterr().out == "" and out.is_file()
+    out.unlink()
+    assert main(["check", "--q", q]) == 3
+    assert json.loads(capsys.readouterr().out)["c1_holds"] is False and not out.exists()
+
+
 class TestExperimentCommand:
     def test_small_grid(self, workdir, capsys):
         q_path = _write_q(workdir / "q.csv", stacked_identity(2, 3).entries)

@@ -18,7 +18,7 @@ import shutil
 import pytest
 
 from rlcm import DinaParams, ProportionVector, QMatrix, c1_only_design, fileio, theta_from_params
-from rlcm.cli import build_parser, main
+from rlcm.cli import _path, build_parser, main
 
 from helpers import stacked_identity
 
@@ -85,7 +85,7 @@ def _cases():
                 flag = action.option_strings[0]
                 values = [None] if flag in argv and flag not in COSTLY_DEFAULTS else []
                 values += VALUES
-                if action.type is None and action.choices is None:
+                if action.type in (None, _path) and action.choices is None:
                     values += FILES
                 yield pytest.param(name, flag, values, id=f"{name}{flag}")
 
@@ -161,3 +161,48 @@ def test_each_valid_invocation_succeeds(inputs, tmp_path, monkeypatch, name):
     # otherwise every changed flag above would meet an error it did not cause
     monkeypatch.chdir(tmp_path)
     assert main(_in(inputs, VALID[name].split())) == 0
+
+
+def _path_flags():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, line in VALID.items():
+        sub = line.split()[0]
+        for action in subparsers.choices[sub]._actions:
+            flag = action.option_strings[0] if action.type is _path else None
+            if flag:
+                yield pytest.param(name, flag, id=f"{name}{flag}")
+
+
+@pytest.mark.parametrize("name, flag", _path_flags())
+def test_an_empty_path_is_named(inputs, tmp_path, monkeypatch, capsys, name, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = _in(inputs, VALID[name].split())
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    assert main(argv + [flag, ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: rlcm {argv[0]}: argument {flag}: expected a path, got ''\n"
+    assert captured.out == ""
+
+
+# per mode, flags of the other mode, each with a value that would fail if read
+OTHER_MODE_FLAGS = {
+    "counterexample": [("--q", "missing.csv"), ("--p", "<not-utf8>"), ("--theta", "<empty>")],
+    "counterexample-incomplete": [("--k", "-1"), ("--extra-q", "missing.csv"),
+                                  ("--rho", "nan"), ("--anchors", "0.1,0.2"), ("--rho", "1.0")],
+}
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    pytest.param(name, flag, value, id=f"{name}{flag}={value}")
+    for name, flags in OTHER_MODE_FLAGS.items() for flag, value in flags])
+def test_a_flag_of_the_other_mode_is_rejected(inputs, tmp_path, monkeypatch, capsys,
+                                              name, flag, value):
+    monkeypatch.chdir(tmp_path)
+    argv = _in(inputs, VALID[name].split())
+    mode = argv[argv.index("--mode") + 1]
+    assert main(argv + [flag, _value(value, flag, None, inputs, tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --mode {mode} does not take {flag}\n"
+    assert captured.out == "" and not (tmp_path / "out.json").exists()

@@ -18,7 +18,7 @@ from rlcm import (
     weight_graded_order,
 )
 
-from helpers import bits_to_int, int_to_bits, profile_geq
+from helpers import bits_to_int, int_to_bits, profile_geq, reference_bit_matrix
 
 
 class TestEncodings:
@@ -38,6 +38,12 @@ class TestEncodings:
     def test_bit_matrix(self):
         mat = bit_matrix([0, 1, 2, 3], 2)
         assert mat.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40), st.integers(1, 20))
+    def test_bit_matrix_matches_the_shift_form(self, codes, length):
+        mat = bit_matrix(codes, length)
+        assert mat.dtype == np.int8 and mat.shape == (len(codes), length)
+        assert np.array_equal(mat, reference_bit_matrix(codes, length))
 
 
 class TestDominance:

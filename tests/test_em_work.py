@@ -1,9 +1,11 @@
 """Each EM iteration does only the work it needs, and reaches the same fit.
 
-Restarts run EM in lockstep blocks, and each Newton family's M-step is one
-damped-Newton call on the stack of every (restart, item) row
+Restarts run EM in lockstep blocks, and the LLM and RRUM items share one
+M-step: one damped-Newton call per EM iteration on the stack of every
+(restart, link item) row, each group taking its item's link
 (``helpers.reference_run_em`` is the loop one start and one item at a time,
-``helpers.one_vector_damped_newton`` the ascent of one row).  The ascent
+``helpers.one_vector_damped_newton`` the ascent of one row, and a row of a
+mixed stack is bit for bit the row of a one-family stack).  The ascent
 evaluates one candidate per row per ``value`` call, and ends a row without
 evaluating once its step can no longer gain
 (``helpers.relative_margin_damped_newton`` is the loop that tries every
@@ -16,6 +18,7 @@ must not drift back to evaluating candidates that cannot be taken.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,10 +134,11 @@ def test_ladder_matches_at_every_scale(monkeypatch, max_steps):
 
 
 def _counted_updates(monkeypatch, family, design, coefs, pos, tot):
-    """Run one item's ``update`` from each start; per call, its value ('v')
-    and grad_neghess ('g') calls in order, and its result."""
+    """Run one item's M-step, the link kernel on its one-item stack, from
+    each start; per call, its value ('v') and grad_neghess ('g') calls in
+    order, and its result."""
     newton = models._damped_newton
-    stack = FamilyStack([design])
+    stack = FamilyStack([design], [FAMILY[family]])
     gpos, gtot = reference_group_sums(design, pos, tot)
     runs = []
 
@@ -154,7 +158,7 @@ def _counted_updates(monkeypatch, family, design, coefs, pos, tot):
         patch.setattr(models, "_damped_newton", counted)
         for coef in coefs:
             events = []
-            result = FAMILY[family].update(stack, coef[None, None], gpos[None], gtot[None])
+            result = models._Binomial.update(stack, coef[None, None], gpos[None], gtot[None])
             runs.append(("".join(events), result[0, 0]))
     return runs
 
@@ -317,7 +321,7 @@ def test_em_fit_reaches_the_reference_fit(design):
     assert recovery[0] == pytest.approx(recovery[1], rel=RECOVERY_RTOL.get(design, 1e-9), abs=0)
 
 
-def test_one_newton_call_per_family_per_iteration(monkeypatch):
+def test_one_newton_call_per_iteration(monkeypatch):
     newton = models._damped_newton
     rows = []
 
@@ -329,8 +333,9 @@ def test_one_newton_call_per_family_per_iteration(monkeypatch):
     config = EmConfig(max_iters=40, tol=1e-300, restarts=3, seed=7)
     fit, _, _ = _design_fit("mixed", config)
     assert len(fit.loglik_trace) == 41 and fit.restarts_used == 3
-    # LLM and RRUM, each with 2 items: every call stacks 3 restarts x 2 items
-    assert rows == [6] * (40 * 2)
+    # the 2 LLM and 2 RRUM items share one ascent: every call stacks
+    # 3 restarts x 4 items
+    assert rows == [12] * 40
 
 
 @pytest.mark.parametrize("design", ["mixed", "widths"])
@@ -443,3 +448,70 @@ def test_each_stacked_row_is_its_one_vector_ascent(seed, n_rows, max_steps):
         assert not row[start.size:].any(), "a padded coordinate moved"
         if kind == "singular":
             assert np.array_equal(row[:start.size], start)
+
+
+def _link_start(rng, family, n_restarts, n_required):
+    """Starts of one link item over the restarts, as ``_draw_update`` draws them."""
+    if family == "LLM":
+        return rng.uniform(-6.0, 6.0, (n_restarts, n_required + 1))
+    return np.log(rng.uniform(1e-3, 1.0, (n_restarts, n_required + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(2, 5),
+       n_restarts=st.integers(1, 4), large=st.booleans())
+def test_mixed_stack_rows_are_their_one_family_rows(seed, n_items, n_restarts, large):
+    rng = np.random.default_rng(seed)
+    n_attributes = 4
+    names = list(rng.choice(["LLM", "RRUM"], size=n_items))
+    names[:2] = rng.permutation(["LLM", "RRUM"])   # both links in every stack
+    designs = []
+    for _ in names:
+        q_row = np.zeros(n_attributes, dtype=int)
+        q_row[rng.choice(n_attributes, int(rng.integers(1, 5)), replace=False)] = 1
+        designs.append(ItemDesign(q_row))
+    stack = FamilyStack(designs, [FAMILY[name] for name in names])
+    coef = np.zeros((n_restarts, n_items, stack.widths.max() + 1))
+    for i, (name, design) in enumerate(zip(names, designs)):
+        coef[:, i, :len(design.required) + 1] = _link_start(
+            rng, name, n_restarts, len(design.required))
+    # random group counts, some groups empty
+    gtot = rng.choice([0.0, 1.0], p=[0.15, 0.85], size=(n_restarts, stack.item.size)) \
+        * rng.uniform(0.5, 300.0, (n_restarts, stack.item.size))
+    gpos = gtot * rng.uniform(0.0, 1.0, gtot.shape)
+    if large:   # a predictor whose exp overflows, on every group of an LLM item
+        coef[:, names.index("LLM"), 0] = 800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mixed = models._Binomial.update(stack, coef, gpos, gtot)
+    for name in ("LLM", "RRUM"):
+        items = [i for i, other in enumerate(names) if other == name]
+        alone = FamilyStack([designs[i] for i in items], [FAMILY[name]] * len(items))
+        groups = np.isin(stack.item, items)
+        width = alone.widths.max() + 1
+        rows = models._Binomial.update(alone, coef[:, items, :width], gpos[:, groups],
+                                       gtot[:, groups])
+        # every row's arithmetic is its own: the same bits in either stack
+        assert np.array_equal(mixed[:, items, :width], rows), name
+    for i, (name, design) in enumerate(zip(names, designs)):
+        used = len(design.required) + 1
+        assert not mixed[:, i, used:].any(), "a padded coordinate moved"
+        if name == "RRUM":
+            assert (mixed[:, i, 0] <= 0.0).all() and (mixed[:, i, 1:used] <= -1e-9).all()
+
+
+def test_large_logit_predictor_beside_log_link_raises_no_warning():
+    # exp of an LLM group's predictor of 800 overflows; the kernel takes the
+    # logistic there and exp only on the RRUM item's groups
+    designs = [ItemDesign([1, 1]), ItemDesign([1, 0])]
+    stack = FamilyStack(designs, [FAMILY["LLM"], FAMILY["RRUM"]])
+    coef = np.array([[[800.0, 5.0, 5.0], [np.log(0.8), np.log(0.5), 0.0]]])
+    gtot = np.full((1, stack.item.size), 40.0)
+    gpos = gtot * np.array([0.3, 0.6, 0.6, 0.9, 0.4, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = models._Binomial.row(stack, coef)
+        fitted = models._Binomial.update(stack, coef, gpos, gtot)
+    assert np.array_equal(row[0, :4], np.ones(4))
+    np.testing.assert_allclose(row[0, 4:], [0.4, 0.8], rtol=1e-15)
+    assert np.isfinite(fitted).all() and not fitted[0, 1, 2]

@@ -187,7 +187,8 @@ def _dina_update(q_row, pos, tot, current):
     """One DINA item's M-step from its per-class expected counts."""
     design = ItemDesign(q_row)
     gpos, gtot = reference_group_sums(design, pos, tot)
-    return DinaParams.update(FamilyStack([design]), np.array([[current]]), gpos[None], gtot[None])[0, 0]
+    stack = FamilyStack([design], [DinaParams])
+    return DinaParams.update(stack, np.array([[current]]), gpos[None], gtot[None])[0, 0]
 
 
 class TestTwoRateUpdate:
