@@ -55,18 +55,18 @@ def _read_params(path, n_attributes: int) -> list:
 
 
 def _load_theta(args, q: Optional[QMatrix] = None) -> ThetaMatrix:
-    """Theta from --theta (checked against ``q`` when given), else from
-    --params on ``q``, or on the Q-matrix read from --q."""
+    """Theta from one of --theta and --params, on ``q`` or else on --q when
+    given: --theta is checked against that Q-matrix, --params built on it."""
+    if args.theta and args.params:
+        raise ValueError("give --theta or --params, not both")
+    q = fileio.read_qmatrix_csv(args.q) if q is None and args.q else q
     if args.theta:
         theta = fileio.read_theta_json(args.theta)
         core._check_agreement(theta=theta, Q=q)
         return theta
-    if not args.params or (q is None and not args.q):
+    if not args.params or q is None:
         raise ValueError("provide --theta, or --q together with --params")
-    if q is None:
-        q = fileio.read_qmatrix_csv(args.q)
-    params = _read_params(args.params, q.n_attributes)
-    return fileio._build(args.params, theta_from_params, q, params)
+    return fileio._build(args.params, theta_from_params, q, _read_params(args.params, q.n_attributes))
 
 
 def _count(text: str) -> int:

@@ -439,21 +439,13 @@ def c1_only_counterexample(n_attributes: int, extra_rows,
     u = d1_high + rho * d1_low
     v = d2_high + rho * d2_low
     cross = d1_high * d2_high + rho * d1_low * d2_low
-    if abs(v) < 1e-12:
-        raise ConstructionInfeasibleError(
-            "denominator for the item-1 capable value vanishes: "
-            "(high2 - anchor2) + rho * (low2 - anchor2) = 0"
-        )
-    if abs(u) < 1e-12:
-        raise ConstructionInfeasibleError(
-            "denominator for the item-2 capable value vanishes: "
-            "(high1 - anchor1) + rho * (low1 - anchor1) = 0"
-        )
-    if abs(cross) < 1e-12:
-        raise ConstructionInfeasibleError(
-            "denominator for the shifted proportions vanishes: "
-            "(high1 - anchor1)(high2 - anchor2) + rho (low1 - anchor1)(low2 - anchor2) = 0"
-        )
+    for value, subject, formula in (
+            (v, "the item-1 capable value", "(high2 - anchor2) + rho * (low2 - anchor2)"),
+            (u, "the item-2 capable value", "(high1 - anchor1) + rho * (low1 - anchor1)"),
+            (cross, "the shifted proportions",
+             "(high1 - anchor1)(high2 - anchor2) + rho (low1 - anchor1)(low2 - anchor2)")):
+        if abs(value) < 1e-12:
+            raise ConstructionInfeasibleError(f"denominator for {subject} vanishes: {formula} = 0")
     alt_items = []
     for item, anchor, d in ((1, anchor1, v), (2, anchor2, u)):
         try:

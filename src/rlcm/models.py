@@ -286,11 +286,11 @@ class _Binomial:
     @staticmethod
     def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
         """``link(x[g] @ c)`` for every group g and the coefficients c of its
-        item, for each restart of ``coef``.  A sum over each row of x, not a
-        BLAS product, whose kernel and so its rounding follow the stack's
-        shape: a row's value is the same in any stack up to 8 coefficients
-        wide."""
-        eta = (coef[:, stack.item] * stack.design).sum(axis=-1)
+        item, for each restart of ``coef``.  The products are column-major,
+        so numpy sums each row of x term by term in coefficient order, not
+        pairwise as along the fastest axis nor in a BLAS kernel's order: a
+        row's value is the same in any stack."""
+        eta = np.multiply(coef[:, stack.item], stack.design, order="F").sum(axis=-1)
         return np.exp(eta, out=_sigmoid(eta), where=stack.log)
 
     def project(self, c):

@@ -8,7 +8,9 @@ files (each of another format but one), its own file behind a byte-order
 mark or with a number beyond float range, an empty JSON object, or bytes
 that are not UTF-8.  Every run ends with an exit code README
 documents for the subcommand and never in an exception; on exit 1, stderr
-is one ``error:`` line, and stdout is empty when ``--out`` is given.
+is one ``error:`` line, and stdout is empty when ``--out`` is given.  And
+each file flag of its subcommand that a valid invocation does not give,
+``--out`` aside, is read or rejected: given a missing file, the run fails.
 """
 
 import argparse
@@ -30,15 +32,18 @@ EXIT_CODES = {"check": {0, 1, 2, 3}}
 COSTLY_DEFAULTS = {"--restarts", "--max-iters", "--replications"}
 
 Q = stacked_identity(2, 3)
+INCOMPLETE_Q = QMatrix([[1, 1]] * 6)
 PARAMS = [DinaParams(0.2, 0.1)] * Q.n_items
 INPUTS = {
     "q.csv": lambda path: fileio.write_qmatrix_csv(path, Q),
-    "incomplete-q.csv": lambda path: fileio.write_qmatrix_csv(path, QMatrix([[1, 1]] * 6)),
+    "incomplete-q.csv": lambda path: fileio.write_qmatrix_csv(path, INCOMPLETE_Q),
     "extra-q.csv": lambda path: path.write_text("1\n"),
     "params.json": lambda path: fileio.write_item_params_json(path, PARAMS, 2),
     "c1-params.json": lambda path: fileio.write_item_params_json(
         path, PARAMS[:c1_only_design(2, [[1]]).n_items], 2),
     "theta.json": lambda path: fileio.write_theta_json(path, theta_from_params(Q, PARAMS)),
+    "incomplete-theta.json": lambda path: fileio.write_theta_json(
+        path, theta_from_params(INCOMPLETE_Q, PARAMS)),
     "p.json": lambda path: fileio.write_proportion_json(path, ProportionVector([0.25] * 4)),
     "data.csv": lambda path: path.write_text("0,1,0,1,0,1\n1,0,1,0,1,0\n1,1,1,1,1,1\n"
                                              "0,0,0,0,0,0\n1,1,0,1,1,0\n"),
@@ -53,12 +58,19 @@ VALID = {
                       "--params c1-params.json --rho 1.0 --anchors 0.12,0.08 --out out.json",
     "counterexample-incomplete": "counterexample --mode incomplete --q incomplete-q.csv "
                                  "--params params.json --p p.json --out out.json",
+    "counterexample-incomplete-theta": "counterexample --mode incomplete --q incomplete-q.csv "
+                                       "--theta incomplete-theta.json --p p.json --out out.json",
     "check": "check --q q.csv --params params.json --out out.json",
+    "check-theta": "check --q q.csv --theta theta.json --out out.json",
     "verify-pair": "verify-pair --pair pair.json --out out.json",
     "tmatrix": "tmatrix --q q.csv --params params.json --p p.json --display-order weight "
                "--out out.csv",
+    "tmatrix-theta": "tmatrix --q q.csv --theta theta.json --p p.json --out out.csv",
+    "tmatrix-theta-without-q": "tmatrix --theta theta.json --p p.json --out out.csv",
     "simulate": "simulate --q q.csv --params params.json --p p.json --n 20 --seed 1 "
                 "--out out.csv",
+    "simulate-theta": "simulate --q q.csv --theta theta.json --p p.json --n 20 --out out.csv",
+    "simulate-theta-without-q": "simulate --theta theta.json --p p.json --n 20 --out out.csv",
     "fit": "fit --q q.csv --data data.csv --families DINA --restarts 1 --max-iters 2 "
            "--tol 1e-6 --seed 1 --out out.json",
     "experiment": "experiment --q q.csv --params params.json --p p.json --families DINA "
@@ -163,14 +175,16 @@ def test_each_valid_invocation_succeeds(inputs, tmp_path, monkeypatch, name):
     assert main(_in(inputs, VALID[name].split())) == 0
 
 
-def _path_flags():
+def _path_flags(absent=False):
+    """Each valid invocation with each path flag of its subcommand; with
+    ``absent``, only the flags it does not give, --out aside."""
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     for name, line in VALID.items():
-        sub = line.split()[0]
-        for action in subparsers.choices[sub]._actions:
+        argv = line.split()
+        for action in subparsers.choices[argv[0]]._actions:
             flag = action.option_strings[0] if action.type is _path else None
-            if flag:
+            if flag and not (absent and (flag in argv or flag == "--out")):
                 yield pytest.param(name, flag, id=f"{name}{flag}")
 
 
@@ -184,6 +198,18 @@ def test_an_empty_path_is_named(inputs, tmp_path, monkeypatch, capsys, name, fla
     captured = capsys.readouterr()
     assert captured.err == f"error: rlcm {argv[0]}: argument {flag}: expected a path, got ''\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name, flag", _path_flags(absent=True))
+def test_a_given_file_flag_is_read_or_rejected(inputs, tmp_path, monkeypatch, capsys,
+                                               name, flag):
+    # a flag the run ignored would let it exit 0 beside a missing file
+    monkeypatch.chdir(tmp_path)
+    argv = _in(inputs, VALID[name].split()) + [flag, "missing"]
+    assert main(argv) == 1, argv
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.out == "" and not list(tmp_path.iterdir())
 
 
 # per mode, flags of the other mode, each with a value that would fail if read

@@ -457,24 +457,34 @@ def _link_start(rng, family, n_restarts, n_required):
     return np.log(rng.uniform(1e-3, 1.0, (n_restarts, n_required + 1)))
 
 
+def _link_stack(rng, names, n_attributes, n_restarts):
+    """Items of the named families on random attribute sets, their stack and
+    its coefficients' starts."""
+    designs = []
+    for _ in names:
+        q_row = np.zeros(n_attributes, dtype=int)
+        q_row[rng.choice(n_attributes, int(rng.integers(1, n_attributes + 1)),
+                         replace=False)] = 1
+        designs.append(ItemDesign(q_row))
+    stack = FamilyStack(designs, [FAMILY[name] for name in names])
+    coef = np.zeros((n_restarts, len(names), stack.widths.max() + 1))
+    for i, (name, design) in enumerate(zip(names, designs)):
+        coef[:, i, :len(design.required) + 1] = _link_start(
+            rng, name, n_restarts, len(design.required))
+    return designs, stack, coef
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(2, 5),
        n_restarts=st.integers(1, 4), large=st.booleans())
 def test_mixed_stack_rows_are_their_one_family_rows(seed, n_items, n_restarts, large):
     rng = np.random.default_rng(seed)
+    # at most 5 coefficients: from 6, np.linalg.solve's Newton step rounds
+    # with the stack's width (its rows do not; see the test below)
     n_attributes = 4
     names = list(rng.choice(["LLM", "RRUM"], size=n_items))
     names[:2] = rng.permutation(["LLM", "RRUM"])   # both links in every stack
-    designs = []
-    for _ in names:
-        q_row = np.zeros(n_attributes, dtype=int)
-        q_row[rng.choice(n_attributes, int(rng.integers(1, 5)), replace=False)] = 1
-        designs.append(ItemDesign(q_row))
-    stack = FamilyStack(designs, [FAMILY[name] for name in names])
-    coef = np.zeros((n_restarts, n_items, stack.widths.max() + 1))
-    for i, (name, design) in enumerate(zip(names, designs)):
-        coef[:, i, :len(design.required) + 1] = _link_start(
-            rng, name, n_restarts, len(design.required))
+    designs, stack, coef = _link_stack(rng, names, n_attributes, n_restarts)
     # random group counts, some groups empty
     gtot = rng.choice([0.0, 1.0], p=[0.15, 0.85], size=(n_restarts, stack.item.size)) \
         * rng.uniform(0.5, 300.0, (n_restarts, stack.item.size))
@@ -498,6 +508,22 @@ def test_mixed_stack_rows_are_their_one_family_rows(seed, n_items, n_restarts, l
         assert not mixed[:, i, used:].any(), "a padded coordinate moved"
         if name == "RRUM":
             assert (mixed[:, i, 0] <= 0.0).all() and (mixed[:, i, 1:used] <= -1e-9).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(1, 5),
+       n_restarts=st.integers(1, 3), n_attributes=st.integers(1, 8))
+def test_a_link_row_is_the_same_in_any_stack(seed, n_items, n_restarts, n_attributes):
+    # up to 9 coefficients, past the 8 from which numpy's sum is pairwise
+    rng = np.random.default_rng(seed)
+    names = rng.choice(["LLM", "RRUM"], size=n_items)
+    designs, stack, coef = _link_stack(rng, names, n_attributes, n_restarts)
+    rows = models._Binomial.row(stack, coef)
+    for i, (name, design) in enumerate(zip(names, designs)):
+        alone = FamilyStack([design], [FAMILY[name]])
+        width = len(design.required) + 1
+        assert np.array_equal(rows[:, stack.item == i],
+                              models._Binomial.row(alone, coef[:, [i], :width])), (i, name)
 
 
 def test_large_logit_predictor_beside_log_link_raises_no_warning():
