@@ -56,18 +56,24 @@ def zeta_transform(values, superset: bool = False,
     """Entry m: sum of ``values`` over the masks inside m (containing m when
     ``superset`` is set), or with ``inverse`` the Moebius inversion of that.
 
-    One in-place butterfly pass per bit on a copy of the input.
+    ``_zeta_pass`` on a copy of the input.
     """
     out = np.array(values, dtype=np.float64)
     n_bits = int(out.size).bit_length() - 1
     if out.size != 1 << n_bits:
         raise DimensionError(f"length {out.size} is not a power of two")
+    _zeta_pass(out, [out.size] * n_bits, superset, inverse)
+    return out
+
+
+def _zeta_pass(out: np.ndarray, ends, superset: bool = False, inverse: bool = False) -> None:
+    """``zeta_transform`` in place on the last axis of ``out``, the pass for bit
+    i over its first ``ends[i]`` entries only, a multiple of 2**(i + 1)."""
     src, dst = (1, 0) if superset else (0, 1)
     combine = np.subtract if inverse else np.add
-    for i in range(n_bits):
-        grid = out.reshape(-1, 2, 1 << i)
-        combine(grid[:, dst, :], grid[:, src, :], out=grid[:, dst, :])
-    return out
+    for i, end in enumerate(ends):
+        grid = out[..., :end].reshape(*out.shape[:-1], -1, 2, 1 << i)
+        combine(grid[..., dst, :], grid[..., src, :], out=grid[..., dst, :])
 
 
 def weight_graded_order(length: int) -> NDArray[np.int64]:

@@ -406,9 +406,8 @@ def c1_only_counterexample(n_attributes: int, extra_rows,
     system for the capable-class probabilities and the shifted
     proportions.  Items 1 and 2 of the second set are ``DinaParams`` and
     its proportions a ``ProportionVector``, so they obey those rules; when
-    the chosen anchors break one, the error names item 1, item 2 or the
-    proportions.  The returned pair is re-verified by exhaustive
-    enumeration.
+    the chosen anchors break one, the error names item 1 or item 2.  The
+    returned pair is re-verified by exhaustive enumeration.
     """
     q = c1_only_design(n_attributes, extra_rows)
     if not all(isinstance(pp, DinaParams) for pp in dina_params):
@@ -457,9 +456,7 @@ def c1_only_counterexample(n_attributes: int, extra_rows,
     alt_probs = probs.copy()
     alt_probs[base | 1] *= u * v / cross
     alt_probs[base] = probs[base] + probs[base | 1] - alt_probs[base | 1]
-    try:
-        alt_p = ProportionVector(alt_probs)
-    except ValueError as exc:
-        raise ConstructionInfeasibleError(f"constructed proportions: {exc}") from None
-
-    return NonIdentifiablePair.build((theta, p), (alt_theta, alt_p))
+    # with both items valid, u, v and cross share a sign, and (1 + rho) cross
+    # - u v = rho (high1 - low1)(high2 - low2) > 0 keeps u v / cross in
+    # (0, 1 + rho): every shifted proportion stays inside its pair's mass
+    return NonIdentifiablePair.build((theta, p), (alt_theta, ProportionVector(alt_probs)))

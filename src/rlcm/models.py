@@ -38,6 +38,8 @@ from .core import (
     ThetaMatrix,
     _check_agreement,
     _number,
+    _zeta_pass,
+    bit_matrix,
     enumerate_profiles,
     zeta_transform,
 )
@@ -87,14 +89,15 @@ class ItemDesign:
 
 
 class FamilyStack:
-    """Items, their groups concatenated item after item.
+    """Items, widest first, their groups concatenated item after item.
 
     Group g is group ``group[g]`` of item ``item[g]``, and item i's groups
-    begin at ``starts[i]``: ``np.add.reduceat(a, starts, axis=-1)`` sums
-    an array over groups item by item, so groups are never padded.
-    ``capable`` and ``touched`` mark the groups with every and with any
-    required attribute, and ``log`` those of a log-link item (each item's
-    family, one of ``families``, names its ``link``).
+    begin at ``starts[i]``, a multiple of their count as widths never rise:
+    ``np.add.reduceat(a, starts, axis=-1)`` sums an array over groups item
+    by item, so groups are never padded.  ``capable`` and ``touched`` mark
+    the groups with every and with any required attribute, all that a stack
+    without a link family holds; ``log`` marks those of a log-link item
+    (each item's family, one of ``families``, names its ``link``).
 
     A link item's ``design`` row of group g is its row of x: 1, then one
     0/1 entry per required attribute, padded with zeros to the widest item
@@ -104,32 +107,32 @@ class FamilyStack:
     attributes): group g reads the bits of group ``read[g]``.  So each
     entry of ``x.T @ r`` and ``x.T @ (w * x)`` sums r or w, taken at the
     ``read`` groups, over the groups that hold one or two given bits: a sum
-    over the supersets of one group within the item.  One butterfly per bit
-    k (``butterflies``: the shift 2**k and the groups without the bit) forms
-    all of them, and ``grad_index`` and ``hess_index`` name each entry's
-    group.  A padded entry names the zero slot past the last group, so a
-    padded coefficient has zero gradient and never moves.  ``bound`` caps
-    each item's coefficients at its family's ``caps``, a padded one at inf.
+    over the supersets of one group within the item, and ``core._zeta_pass``
+    forms them all, its pass for bit k over the ``ends[k]`` groups of the
+    items wider than k.  ``grad_index`` and ``hess_index`` name each entry's
+    group, a padded one the zero slot past the last group, so a padded
+    coefficient has zero gradient and never moves.  ``bound`` caps each
+    item's coefficients at its family's ``caps``, a padded one at inf.
     """
 
     def __init__(self, designs: Sequence[ItemDesign], families: Sequence[type]):
         sizes = np.array([d.n_groups for d in designs])
         self.widths = np.array([len(d.required) for d in designs])
+        if (np.diff(self.widths) > 0).any():
+            raise ValueError(f"stacked items must run widest first, got widths {self.widths}")
         self.starts = np.cumsum(sizes) - sizes
         self.item = np.repeat(np.arange(len(designs)), sizes)
         self.group = np.arange(sizes.sum()) - self.starts[self.item]
         self.capable = self.group == sizes[self.item] - 1
         self.touched = self.group != 0
+        if not any(fam.link for fam in families):
+            return
         self.log = np.repeat([fam.link == "log" for fam in families], sizes)
         complement = self.starts[self.item] + ((sizes[self.item] - 1) ^ self.group)
         self.read = np.where(self.log, complement, np.arange(self.item.size))
         width = self.widths.max()
-        bits = (self.group[:, None] >> np.arange(width)) & 1
-        real = np.arange(width) < self.widths[self.item, None]
-        self.design = np.hstack([np.ones((sizes.sum(), 1)), bits])[self.read]
-        # a group without bit k takes in the one 2**k further on, in its item
-        self.butterflies = [(1 << k, (real[:, k] & (bits[:, k] == 0))[:-(1 << k)])
-                            for k in range(width)]
+        self.design = np.c_[np.ones(self.item.size), bit_matrix(self.group[self.read], width)]
+        self.ends = [sizes[self.widths > k].sum() for k in range(width)]
         # design column 0 is the empty group, column a the group of bit a - 1
         mask = np.r_[0, 1 << np.arange(width)]
         used = np.arange(width + 1) <= self.widths[:, None]
@@ -143,7 +146,7 @@ class FamilyStack:
 
 class ItemLayout:
     """A test's items stacked by M-step: each closed-form family alone, and
-    every link item (``_Binomial``) together, in item order.
+    every link item (``_Binomial``) together, widest first, else in item order.
 
     ``steps`` holds, per M-step in order of first use, its owner (the family
     class or ``_Binomial``), its ``FamilyStack``, its items and its slice of
@@ -163,6 +166,7 @@ class ItemLayout:
             owners.setdefault(_Binomial if FAMILY[name].link else FAMILY[name], []).append(j)
         offset = 0
         for owner, items in owners.items():
+            items.sort(key=lambda j: -len(designs[j].required))   # stable: widest first
             stack = FamilyStack([designs[j] for j in items], [FAMILY[names[j]] for j in items])
             for j, start in zip(items, stack.starts):
                 self.index[j] = designs[j].group_ids + (offset + start)
@@ -314,9 +318,7 @@ class _Binomial:
             np.where(stack.log, self.gpos - self.gneg * ratio, self.gpos - self.gtot * mu),
             np.where(stack.log, self.gneg * ratio / (1.0 - clipped),
                      self.gtot * mu * (1.0 - mu))])[..., stack.read]
-        groups = sums[..., :-1]
-        for shift, low in stack.butterflies:
-            groups[..., :-shift] += np.where(low, groups[..., shift:], 0.0)
+        _zeta_pass(sums, stack.ends, superset=True)
         grad, neghess = sums[0][:, stack.grad_index], sums[1][:, stack.hess_index]
         return grad.reshape(-1, width), neghess.reshape(-1, width, width)
 

@@ -458,20 +458,23 @@ def _link_start(rng, family, n_restarts, n_required):
 
 
 def _link_stack(rng, names, n_attributes, n_restarts):
-    """Items of the named families on random attribute sets, their stack and
-    its coefficients' starts."""
+    """Items of the named families on random attribute sets, ordered widest
+    first as a stack requires: their names, designs, stack and its
+    coefficients' starts."""
     designs = []
     for _ in names:
         q_row = np.zeros(n_attributes, dtype=int)
         q_row[rng.choice(n_attributes, int(rng.integers(1, n_attributes + 1)),
                          replace=False)] = 1
         designs.append(ItemDesign(q_row))
+    order = sorted(range(len(names)), key=lambda i: -len(designs[i].required))
+    names, designs = [names[i] for i in order], [designs[i] for i in order]
     stack = FamilyStack(designs, [FAMILY[name] for name in names])
     coef = np.zeros((n_restarts, len(names), stack.widths.max() + 1))
     for i, (name, design) in enumerate(zip(names, designs)):
         coef[:, i, :len(design.required) + 1] = _link_start(
             rng, name, n_restarts, len(design.required))
-    return designs, stack, coef
+    return names, designs, stack, coef
 
 
 @settings(max_examples=100, deadline=None)
@@ -484,7 +487,7 @@ def test_mixed_stack_rows_are_their_one_family_rows(seed, n_items, n_restarts, l
     n_attributes = 4
     names = list(rng.choice(["LLM", "RRUM"], size=n_items))
     names[:2] = rng.permutation(["LLM", "RRUM"])   # both links in every stack
-    designs, stack, coef = _link_stack(rng, names, n_attributes, n_restarts)
+    names, designs, stack, coef = _link_stack(rng, names, n_attributes, n_restarts)
     # random group counts, some groups empty
     gtot = rng.choice([0.0, 1.0], p=[0.15, 0.85], size=(n_restarts, stack.item.size)) \
         * rng.uniform(0.5, 300.0, (n_restarts, stack.item.size))
@@ -517,13 +520,46 @@ def test_a_link_row_is_the_same_in_any_stack(seed, n_items, n_restarts, n_attrib
     # up to 9 coefficients, past the 8 from which numpy's sum is pairwise
     rng = np.random.default_rng(seed)
     names = rng.choice(["LLM", "RRUM"], size=n_items)
-    designs, stack, coef = _link_stack(rng, names, n_attributes, n_restarts)
+    names, designs, stack, coef = _link_stack(rng, names, n_attributes, n_restarts)
     rows = models._Binomial.row(stack, coef)
     for i, (name, design) in enumerate(zip(names, designs)):
         alone = FamilyStack([design], [FAMILY[name]])
         width = len(design.required) + 1
         assert np.array_equal(rows[:, stack.item == i],
                               models._Binomial.row(alone, coef[:, [i], :width])), (i, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(1, 4),
+       n_restarts=st.integers(1, 3), n_attributes=st.integers(1, 6))
+def test_stacked_link_derivatives_are_the_explicit_ones(seed, n_items, n_restarts,
+                                                        n_attributes):
+    # 1 to 6 required attributes: the passes for the higher bits cover the wider items only
+    rng = np.random.default_rng(seed)
+    names = rng.choice(["LLM", "RRUM"], size=n_items)
+    names, designs, stack, coef = _link_stack(rng, names, n_attributes, n_restarts)
+    size = 1 << n_attributes
+    tot = rng.choice([0.0, 1.0], p=[0.15, 0.85], size=(n_restarts, size)) \
+        * rng.uniform(0.5, 300.0, (n_restarts, size))
+    pos = tot * rng.uniform(0.0, 1.0, tot.shape)
+    # (restarts, 2, groups): each restart's positives and totals, item by item
+    sums = np.array([np.hstack([reference_group_sums(design, pos[r], tot[r])
+                                for design in designs]) for r in range(n_restarts)])
+    gpos, gtot = sums[:, 0], sums[:, 1]
+    width = coef.shape[-1]
+    grad, neghess = models._Binomial(stack, coef, gpos, gtot).grad_neghess(
+        coef.reshape(-1, width))
+    grad, neghess = grad.reshape(coef.shape), neghess.reshape(*coef.shape, width)
+    for r in range(n_restarts):
+        for i, (name, design) in enumerate(zip(names, designs)):
+            used = len(design.required) + 1
+            _, explicit, _, _ = reference_newton_problem(name, design, coef[r, i, :used],
+                                                         pos[r], tot[r])
+            for got, want in zip((grad[r, i, :used], neghess[r, i, :used, :used]),
+                                 explicit(coef[r, i, :used])):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (r, i, name)
+            assert not grad[r, i, used:].any(), "a padded gradient entry"
+            assert not neghess[r, i, used:].any() and not neghess[r, i, :, used:].any()
 
 
 def test_large_logit_predictor_beside_log_link_raises_no_warning():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -410,7 +412,11 @@ class TestC1OnlyCounterexample:
             for build in (c1_only_counterexample, reference_c1_only_counterexample):
                 try:
                     outcomes.append(build(*args))
-                except ConstructionInfeasibleError:
+                except ConstructionInfeasibleError as exc:
+                    # the constructed proportions cannot break their rules
+                    assert build is reference_c1_only_counterexample or re.match(
+                        "anchor for item [12] |denominator for |constructed item [12]: ",
+                        str(exc)), (args, exc)
                     outcomes.append(None)
             pair, reference = outcomes
             assert (pair is None) == (reference is None), args

@@ -21,7 +21,7 @@ from rlcm import (
     enumerate_profiles,
     theta_from_params,
 )
-from rlcm.models import FAMILY
+from rlcm.models import FAMILY, FamilyStack, ItemDesign
 
 from helpers import (
     draw_monotone_item_params,
@@ -131,14 +131,18 @@ class TestThetaFromParams:
 
 
 class TestThetaMemory:
-    @pytest.mark.parametrize("family", ["DINA", "LLM"])
+    ITEMS = {"DINA": lambda row: DinaParams(0.1, 0.2),
+             "GDINA": lambda row: GdinaParams({frozenset(): 0.2,
+                                               frozenset({int(np.argmax(row))}): 0.6}),
+             "LLM": lambda row: LlmParams(-1.0, tuple(0.1 * row))}
+
+    @pytest.mark.parametrize("family", ["DINA", "GDINA", "LLM"])
     def test_traced_peak_is_a_few_tables(self, family):
         # item 0 requires all 14 attributes, so its family stacks 2**14 groups
         rows = np.eye(14, dtype=int)[np.arange(20) % 14]
         rows[0] = 1
         q = QMatrix(rows)
-        params = [DinaParams(0.1, 0.2) if family == "DINA" else
-                  LlmParams(-1.0, tuple(0.1 * row)) for row in q.entries]
+        params = [self.ITEMS[family](row) for row in q.entries]
         tracemalloc.start()
         try:
             theta = theta_from_params(q, params)
@@ -146,9 +150,24 @@ class TestThetaMemory:
         finally:
             tracemalloc.stop()
         # the 20 x 2**14 table is 2.5 MiB; with the one int64 profile-to-group
-        # map and the stack's 0/1 design the peak is about 3.2 tables
-        assert peak <= 4 * theta.values.nbytes
+        # map the peak is about 2.2 tables for DINA and 2.3 for G-DINA, and
+        # with the link stack's 0/1 design and its products 3.5 for LLM
+        assert peak <= (4 if family == "LLM" else 2.5) * theta.values.nbytes
         assert not theta.values.flags.writeable
+
+
+class TestFamilyStack:
+    def test_items_must_run_widest_first(self):
+        designs = [ItemDesign([1, 0, 0]), ItemDesign([0, 1, 1])]
+        with pytest.raises(ValueError, match="widest first"):
+            FamilyStack(designs, [LlmParams, LlmParams])
+        assert FamilyStack(designs[::-1], [LlmParams, LlmParams]).ends == [6, 4]
+
+    def test_a_stack_without_a_link_family_builds_no_link_arrays(self):
+        stack = FamilyStack([ItemDesign([1, 1]), ItemDesign([1, 0])], [DinaParams, DinaParams])
+        assert stack.capable.tolist() == [False, False, False, True, False, True]
+        for name in ("log", "read", "design", "ends", "grad_index", "hess_index", "bound"):
+            assert not hasattr(stack, name), name
 
 
 class TestReferenceRows:
