@@ -71,9 +71,11 @@ def _zeta_pass(out: np.ndarray, ends, superset: bool = False, inverse: bool = Fa
     i over its first ``ends[i]`` entries only, a multiple of 2**(i + 1)."""
     src, dst = (1, 0) if superset else (0, 1)
     combine = np.subtract if inverse else np.add
+    lead = out.shape[:-1]
     for i, end in enumerate(ends):
-        grid = out[..., :end].reshape(*out.shape[:-1], -1, 2, 1 << i)
-        combine(grid[..., dst, :], grid[..., src, :], out=grid[..., dst, :])
+        grid = out[..., :end].reshape(*lead, -1, 2, 1 << i)
+        into = grid[..., dst, :]
+        combine(into, grid[..., src, :], out=into)
 
 
 def weight_graded_order(length: int) -> NDArray[np.int64]:

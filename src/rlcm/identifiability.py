@@ -185,9 +185,9 @@ def check_c2(q: QMatrix, theta: ThetaMatrix,
 
 def _not_q_restricted(q: QMatrix, theta: ThetaMatrix) -> NDArray[np.int64]:
     """Items j with theta[j, a] != theta[j, a & q_j] beyond EQ_TOL for some a."""
-    masked = enumerate_profiles(q.n_attributes)[None, :] & q.row_codes[:, None]
-    restricted = np.take_along_axis(theta.values, masked, axis=1)
-    return np.flatnonzero(np.abs(theta.values - restricted).max(axis=1) > EQ_TOL)
+    profiles = enumerate_profiles(q.n_attributes)
+    return np.flatnonzero([np.abs(row - row[profiles & code]).max() > EQ_TOL
+                           for row, code in zip(theta.values, q.row_codes)])
 
 
 def verdict(q: QMatrix, theta: Optional[ThetaMatrix] = None) -> IdentifiabilityReport:

@@ -39,7 +39,6 @@ from .core import (
     _check_agreement,
     _number,
     _zeta_pass,
-    bit_matrix,
     enumerate_profiles,
     zeta_transform,
 )
@@ -99,19 +98,20 @@ class FamilyStack:
     without a link family holds; ``log`` marks those of a log-link item
     (each item's family, one of ``families``, names its ``link``).
 
-    A link item's ``design`` row of group g is its row of x: 1, then one
-    0/1 entry per required attribute, padded with zeros to the widest item
-    (``widths`` holds each item's count).  The entry is the attribute's bit
-    in g for the logit link, and for the log link the bit's absence, which
-    is its bit in g's complement (the group with the other required
-    attributes): group g reads the bits of group ``read[g]``.  So each
-    entry of ``x.T @ r`` and ``x.T @ (w * x)`` sums r or w, taken at the
-    ``read`` groups, over the groups that hold one or two given bits: a sum
-    over the supersets of one group within the item, and ``core._zeta_pass``
-    forms them all, its pass for bit k over the ``ends[k]`` groups of the
-    items wider than k.  ``grad_index`` and ``hess_index`` name each entry's
-    group, a padded one the zero slot past the last group, so a padded
-    coefficient has zero gradient and never moves.  ``bound`` caps each
+    A link item's coefficients are its intercept, then one per required
+    attribute, zero-padded to the widest item (``widths`` holds each item's
+    count).  ``grad_index`` names each coefficient's group: the intercept's
+    is the item's empty group, attribute a's its group of bit a - 1, and a
+    padded one's the spare slot past the last group, which no pass and no
+    ``read`` touches.  Scattered there, the sums over each group's subsets
+    are the linear predictors, and group g reads its own at group
+    ``read[g]``: g on a logit item, g's complement (the group with the other
+    required attributes) on a log-link item, whose coefficient counts an
+    attribute's absence.  The derivatives sum over the supersets of the
+    group of one or two bits, named by ``grad_index`` and ``hess_index``,
+    so a padded coefficient has zero gradient and never moves.
+    ``core._zeta_pass`` forms both kinds of sum, its pass for bit k over the
+    ``ends[k]`` groups of the items wider than k.  ``bound`` caps each
     item's coefficients at its family's ``caps``, a padded one at inf.
     """
 
@@ -131,9 +131,8 @@ class FamilyStack:
         complement = self.starts[self.item] + ((sizes[self.item] - 1) ^ self.group)
         self.read = np.where(self.log, complement, np.arange(self.item.size))
         width = self.widths.max()
-        self.design = np.c_[np.ones(self.item.size), bit_matrix(self.group[self.read], width)]
         self.ends = [sizes[self.widths > k].sum() for k in range(width)]
-        # design column 0 is the empty group, column a the group of bit a - 1
+        # coefficient 0 is the empty group, coefficient a the group of bit a - 1
         mask = np.r_[0, 1 << np.arange(width)]
         used = np.arange(width + 1) <= self.widths[:, None]
         self.grad_index = np.where(used, self.starts[:, None] + mask, self.item.size)
@@ -245,6 +244,8 @@ def _damped_newton(value, grad_neghess, coef, project=None):
         going = np.zeros_like(going)
         for k, scale in enumerate(scales):
             trying &= k < limit
+            if not trying.any():
+                break
             candidate = np.where(trying[:, None], coef + scale * step, coef)
             if project is not None:
                 candidate = project(candidate)
@@ -277,47 +278,48 @@ def _newton_steps(system, grad, rows):
 
 class _Binomial:
     """The M-step of every link item of a stack at once: each (restart, item)
-    row maximizes its group log-likelihood of mu = link(x @ c), from a
-    (restarts, items, width) start, its coefficients capped at
-    ``stack.bound``.  The link is the logistic on logit groups and exp on
-    ``stack.log`` groups, evaluated only there; x is ``stack.design``."""
+    row maximizes its group log-likelihood of mu = link(eta) from a (restarts,
+    items, width) start, its coefficients capped at ``stack.bound``.  eta is a
+    group's linear predictor (``FamilyStack``), the link the logistic on logit
+    groups and exp on ``stack.log`` groups, evaluated only there."""
 
     def __init__(self, stack, coef, gpos, gtot):
         self.stack, self.shape = stack, coef.shape
         self.gpos, self.gtot, self.gneg = gpos, gtot, gtot - gpos
-        self.bound = np.tile(stack.bound, (len(coef), 1))
 
     @staticmethod
     def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
-        """``link(x[g] @ c)`` for every group g and the coefficients c of its
-        item, for each restart of ``coef``.  The products are column-major,
-        so numpy sums each row of x term by term in coefficient order, not
-        pairwise as along the fastest axis nor in a BLAS kernel's order: a
-        row's value is the same in any stack."""
-        eta = np.multiply(coef[:, stack.item], stack.design, order="F").sum(axis=-1)
+        """``link(eta)`` for every group, for each restart of ``coef``.  The
+        subset sums add a group's coefficients in coefficient order, with
+        exact zeros between them: a row's value is the same in any stack."""
+        eta = np.zeros((len(coef), stack.item.size + 1))
+        eta[:, stack.grad_index] = coef
+        _zeta_pass(eta, stack.ends)
+        eta = eta[:, stack.read]
         return np.exp(eta, out=_sigmoid(eta), where=stack.log)
 
     def project(self, c):
-        return np.minimum(c, self.bound)
+        return np.minimum(c.reshape(self.shape), self.stack.bound).reshape(c.shape)
 
     def value(self, c):
         mu = np.clip(self.row(self.stack, c.reshape(self.shape)), THETA_CLAMP, 1.0 - THETA_CLAMP)
-        terms = np.stack([np.log(mu) * self.gpos, np.log1p(-mu) * self.gneg])
-        return np.add.reduceat(terms, self.stack.starts, axis=2).sum(axis=0).ravel()
+        starts = self.stack.starts
+        return (np.add.reduceat(np.log(mu) * self.gpos, starts, axis=1)
+                + np.add.reduceat(np.log1p(-mu) * self.gneg, starts, axis=1)).ravel()
 
     def grad_neghess(self, c):
-        """Per row, ``x.T @ resid`` and ``x.T @ (weight * x)`` over its item's
-        groups (see ``FamilyStack``), with the logit link's residual and
-        weight from the unclipped mu and the log link's from the clipped."""
+        """Per row, the gradient and negative Hessian of its group
+        log-likelihood (see ``FamilyStack``), with the logit link's residual
+        and weight from the unclipped mu and the log link's from the clipped."""
         stack, width = self.stack, self.shape[-1]
         mu = self.row(stack, c.reshape(self.shape))
         clipped = np.clip(mu, THETA_CLAMP, 1.0 - THETA_CLAMP)
         ratio = clipped / (1.0 - clipped)
         sums = np.zeros((2, len(mu), stack.item.size + 1))
-        sums[:, :, :-1] = np.stack([
-            np.where(stack.log, self.gpos - self.gneg * ratio, self.gpos - self.gtot * mu),
-            np.where(stack.log, self.gneg * ratio / (1.0 - clipped),
-                     self.gtot * mu * (1.0 - mu))])[..., stack.read]
+        sums[0, :, :-1] = np.where(stack.log, self.gpos - self.gneg * ratio,
+                                   self.gpos - self.gtot * mu)[:, stack.read]
+        sums[1, :, :-1] = np.where(stack.log, self.gneg * ratio / (1.0 - clipped),
+                                   self.gtot * mu * (1.0 - mu))[:, stack.read]
         _zeta_pass(sums, stack.ends, superset=True)
         grad, neghess = sums[0][:, stack.grad_index], sums[1][:, stack.hess_index]
         return grad.reshape(-1, width), neghess.reshape(-1, width, width)

@@ -677,3 +677,14 @@ def one_start_at_a_time(counts, bits_one, layout, starts, n_subjects, max_iters,
         except rlcm.inference.EmError as exc:
             outcomes.append(exc)
     return outcomes
+
+
+def reference_link_row(stack, coef):
+    """``models._Binomial.row`` as each group's 0/1 design row times its
+    item's coefficients: 1, then the bits of group ``read[g]``, zero-padded
+    to the widest item.  The products are column-major, so numpy sums each
+    row term by term in coefficient order."""
+    design = np.c_[np.ones(stack.item.size),
+                   rlcm.core.bit_matrix(stack.group[stack.read], stack.widths.max())]
+    eta = np.multiply(coef[:, stack.item], design, order="F").sum(axis=-1)
+    return np.exp(eta, out=rlcm.models._sigmoid(eta), where=stack.log)

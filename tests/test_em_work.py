@@ -40,6 +40,7 @@ from helpers import (
     reference_expected_counts,
     reference_group_sums,
     reference_item_row,
+    reference_link_row,
     reference_newton_problem,
     relative_margin_damped_newton,
 )
@@ -527,6 +528,36 @@ def test_a_link_row_is_the_same_in_any_stack(seed, n_items, n_restarts, n_attrib
         width = len(design.required) + 1
         assert np.array_equal(rows[:, stack.item == i],
                               models._Binomial.row(alone, coef[:, [i], :width])), (i, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(1, 5),
+       n_restarts=st.integers(1, 3), n_attributes=st.integers(1, 8))
+def test_a_link_row_is_the_design_product(seed, n_items, n_restarts, n_attributes):
+    rng = np.random.default_rng(seed)
+    names = rng.choice(["LLM", "RRUM"], size=n_items)
+    names, designs, stack, coef = _link_stack(rng, names, n_attributes, n_restarts)
+    # zero coefficients, and RRUM coefficients at their caps
+    coef[rng.random(coef.shape) < 0.2] = 0.0
+    at_cap = (rng.random(coef.shape) < 0.3) & stack.log[stack.starts][:, None] \
+        & (stack.bound < np.inf)
+    coef = np.where(at_cap, stack.bound, coef)
+    assert np.array_equal(models._Binomial.row(stack, coef), reference_link_row(stack, coef))
+
+
+def test_a_wide_link_row_is_the_design_product():
+    # a 12-attribute RRUM item, its 4,096 groups summed over 12 passes, and
+    # in the second restart at its caps on four coefficients
+    rng = np.random.default_rng(12)
+    rows = [np.ones(12, dtype=int), np.eye(12, dtype=int)[[0, 5, 11]].sum(axis=0),
+            np.eye(12, dtype=int)[7], np.eye(12, dtype=int)[3]]
+    names = ["RRUM", "LLM", "LLM", "RRUM"]
+    stack = FamilyStack([ItemDesign(row) for row in rows], [FAMILY[name] for name in names])
+    coef = np.zeros((2, 4, 13))
+    for i, (name, row) in enumerate(zip(names, rows)):
+        coef[:, i, :row.sum() + 1] = _link_start(rng, name, 2, row.sum())
+    coef[1, 0, [0, 3, 4, 5]] = [0.0, -1e-9, -1e-9, -1e-9]
+    assert np.array_equal(models._Binomial.row(stack, coef), reference_link_row(stack, coef))
 
 
 @settings(max_examples=60, deadline=None)

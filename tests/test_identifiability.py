@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,21 @@ class TestVerdict:
         report = verdict(q, theta)
         assert report.verdict is Verdict.IDENTIFIABLE
         assert report.table_violations == ()
+
+    def test_a_table_is_judged_within_one_more_table(self):
+        # J = 20, K = 16: the Q-restriction is checked one row at a time, so
+        # beside the 10 MiB table verdict holds a few rows, not J x 2**K arrays
+        q = QMatrix(np.vstack([np.eye(16, dtype=int), np.eye(16, dtype=int)[:3],
+                               np.ones((1, 16), dtype=int)]))
+        theta = theta_from_params(q, [DinaParams(0.2, 0.1)] * 20)
+        tracemalloc.start()
+        try:
+            report = verdict(q, theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.table_violations == () and report.verdict is Verdict.NOT_COVERED
+        assert peak <= theta.values.nbytes
 
 
 class TestHypothesisGate:

@@ -150,9 +150,8 @@ class TestThetaMemory:
         finally:
             tracemalloc.stop()
         # the 20 x 2**14 table is 2.5 MiB; with the one int64 profile-to-group
-        # map the peak is about 2.2 tables for DINA and 2.3 for G-DINA, and
-        # with the link stack's 0/1 design and its products 3.5 for LLM
-        assert peak <= (4 if family == "LLM" else 2.5) * theta.values.nbytes
+        # map the peak is about 2.2 tables for DINA and 2.3 for G-DINA and LLM
+        assert peak <= 2.5 * theta.values.nbytes
         assert not theta.values.flags.writeable
 
 
@@ -166,7 +165,7 @@ class TestFamilyStack:
     def test_a_stack_without_a_link_family_builds_no_link_arrays(self):
         stack = FamilyStack([ItemDesign([1, 1]), ItemDesign([1, 0])], [DinaParams, DinaParams])
         assert stack.capable.tolist() == [False, False, False, True, False, True]
-        for name in ("log", "read", "design", "ends", "grad_index", "hess_index", "bound"):
+        for name in ("log", "read", "ends", "grad_index", "hess_index", "bound"):
             assert not hasattr(stack, name), name
 
 
