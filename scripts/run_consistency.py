@@ -23,7 +23,7 @@ from rlcm.cli import INPUT_ERRORS, _count, _error_text
 from rlcm.core import QMatrix
 
 
-def main() -> None:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=int, default=2, help="attribute count")
     parser.add_argument("--n-grid", default=[2000, 10000, 50000],
@@ -34,7 +34,12 @@ def main() -> None:
     parser.add_argument("--guess", type=float, default=0.1)
     parser.add_argument("--restarts", type=_count, default=10)
     parser.add_argument("--seed", type=_count, default=717)
-    args = parser.parse_args()
+    return parser
+
+
+def main(argv=None) -> None:
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     # every value is checked before anything is printed
     try:

@@ -27,7 +27,7 @@ from rlcm import (
 from rlcm.cli import INPUT_ERRORS, _anchors, _count, _error_text
 
 
-def main() -> None:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--slip", type=float, default=0.2)
     parser.add_argument("--guess", type=float, default=0.1)
@@ -36,7 +36,12 @@ def main() -> None:
                         help="alternative zero-class probabilities for items 1 and 2")
     parser.add_argument("--n", type=_count, default=50_000)
     parser.add_argument("--seed", type=_count, default=99)
-    args = parser.parse_args()
+    return parser
+
+
+def main(argv=None) -> None:
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     # every value is checked before anything is printed
     try:

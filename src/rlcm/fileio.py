@@ -161,6 +161,13 @@ def write_json(path, doc: dict) -> None:
     write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
+def _document_of(fmt: str, **fields) -> dict:
+    """The ``fmt`` document holding ``fields`` and the constants of its
+    schema (``format`` and the order tags), in the schema's field order."""
+    doc = {**_consts(SCHEMAS[fmt]), **fields}
+    return {key: doc[key] for key in SCHEMAS[fmt]["properties"]}
+
+
 def _read_bits_csv(path, what: str) -> np.ndarray:
     """Comma-separated 0/1 rows, one per line; '#' lines are comments.
 
@@ -258,14 +265,9 @@ def read_theta_json(path) -> ThetaMatrix:
 
 
 def write_theta_json(path, theta: ThetaMatrix) -> None:
-    write_json(path, {
-        "format": "theta-matrix",
-        "J": theta.n_items,
-        "K": theta.n_attributes,
-        "column_order": CANONICAL_ORDER,
-        "is_probability": theta.is_probability,
-        "values": theta.values.tolist(),
-    })
+    write_json(path, _document_of("theta-matrix", J=theta.n_items, K=theta.n_attributes,
+                                  is_probability=theta.is_probability,
+                                  values=theta.values.tolist()))
 
 
 def read_proportion_json(path) -> ProportionVector:
@@ -276,12 +278,8 @@ def read_proportion_json(path) -> ProportionVector:
 
 
 def write_proportion_json(path, p: ProportionVector) -> None:
-    write_json(path, {
-        "format": "proportion-vector",
-        "K": p.n_attributes,
-        "order": CANONICAL_ORDER,
-        "probs": p.probs.tolist(),
-    })
+    write_json(path, _document_of("proportion-vector", K=p.n_attributes,
+                                  probs=p.probs.tolist()))
 
 
 def read_item_params_json(path) -> Tuple[List[ItemParams], int]:
@@ -292,11 +290,8 @@ def read_item_params_json(path) -> Tuple[List[ItemParams], int]:
 
 
 def write_item_params_json(path, params: Sequence[ItemParams], n_attributes: int) -> None:
-    write_json(path, {
-        "format": "item-params",
-        "K": n_attributes,
-        "items": [p.to_dict() for p in params],
-    })
+    write_json(path, _document_of("item-params", K=n_attributes,
+                                  items=[p.to_dict() for p in params]))
 
 
 def read_response_csv(path) -> ResponseData:
@@ -312,16 +307,12 @@ def write_response_csv(path, data: ResponseData) -> None:
 def pair_to_dict(pair: NonIdentifiablePair) -> dict:
     theta_a, p_a = pair.first
     theta_b, p_b = pair.second
-    return {
-        "format": "nonidentifiable-pair",
-        "J": theta_a.n_items,
-        "K": theta_a.n_attributes,
-        "order": CANONICAL_ORDER,
-        "first": {"theta": theta_a.values.tolist(), "p": p_a.probs.tolist()},
-        "second": {"theta": theta_b.values.tolist(), "p": p_b.probs.tolist()},
-        "max_distribution_gap": pair.max_distribution_gap,
-        "parameter_distance": pair.parameter_distance,
-    }
+    return _document_of(
+        "nonidentifiable-pair", J=theta_a.n_items, K=theta_a.n_attributes,
+        first={"theta": theta_a.values.tolist(), "p": p_a.probs.tolist()},
+        second={"theta": theta_b.values.tolist(), "p": p_b.probs.tolist()},
+        max_distribution_gap=pair.max_distribution_gap,
+        parameter_distance=pair.parameter_distance)
 
 
 def write_pair_json(path, pair: NonIdentifiablePair) -> None:
@@ -348,22 +339,17 @@ def read_pair_json(path) -> NonIdentifiablePair:
 
 
 def write_fit_json(path, fit: FitResult, n_attributes: int) -> None:
-    write_json(path, {
-        "format": "fit-result",
-        "K": n_attributes,
-        "item_params": [p.to_dict() for p in fit.item_params_hat],
-        "p": fit.p_hat.probs.tolist(),
-        "loglik": fit.loglik_trace[-1],
-        "loglik_trace": list(fit.loglik_trace),
-        "converged": fit.converged,
-        "restarts_used": fit.restarts_used,
+    write_json(path, _document_of(
+        "fit-result", K=n_attributes, item_params=[p.to_dict() for p in fit.item_params_hat],
+        p=fit.p_hat.probs.tolist(), loglik=fit.loglik_trace[-1],
+        loglik_trace=list(fit.loglik_trace), converged=fit.converged,
+        restarts_used=fit.restarts_used,
         # a failed restart is NaN, which strict JSON cannot hold
-        "restart_logliks": [None if math.isnan(v) else v for v in fit.restart_logliks],
-    })
+        restart_logliks=[None if math.isnan(v) else v for v in fit.restart_logliks]))
 
 
 def write_experiment_json(path, table: ExperimentTable) -> None:
-    write_json(path, {"format": "consistency-table", **table.to_dict()})
+    write_json(path, _document_of("consistency-table", **table.to_dict()))
 
 
 def _object(optional=(), **properties) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +46,8 @@ from .tmatrix import superset_sums
 P_FLOOR = 1e-10       # keeps every latent class alive
 TRACE_TOL = 1e-8      # trace may decrease by at most this per step
 LOCKSTEP_ROWS = 16    # restarts that run EM together
+CHUNK_BYTES = 64 << 20            # most likelihood an E-step chunk holds, but
+CHUNK_PATTERNS = MAX_ITEMS + 1    # never fewer patterns than J + 1, the counts' width
 
 
 class EmError(RuntimeError):
@@ -130,21 +132,52 @@ def _pattern_stats(data: ResponseData):
     return counts.astype(np.float64), bits_one
 
 
-def _likelihood_matrix(bits_one: NDArray, theta_values: NDArray) -> NDArray:
-    """P(pattern | class) for each row of ``bits_one`` = ``[bits | 1]`` and
-    each column of theta, as one GEMM in the log domain.
+def _log_weights(theta_values: NDArray) -> NDArray:
+    """``[log c - log(1 - c); sum_j log(1 - c_j)]``, c = theta clipped to
+    [THETA_CLAMP, 1 - THETA_CLAMP]: ``[bits | 1]`` times it is log P(bits | class)."""
+    weights = np.empty((len(theta_values) + 1, theta_values.shape[1]))
+    clamped = np.clip(theta_values, THETA_CLAMP, 1.0 - THETA_CLAMP, out=weights[:-1])
+    log_off = np.log1p(np.negative(clamped))
+    np.subtract(np.log(clamped, out=clamped), log_off, out=clamped)
+    log_off.sum(axis=0, out=weights[-1])
+    return weights
 
-    With c = theta clipped to [THETA_CLAMP, 1 - THETA_CLAMP], log P is
-    ``bits @ (log c - log(1 - c)) + sum_j log(1 - c_j)``, the constant term
-    carried by the ones column.  The direct exp needs no log-sum-exp shift:
-    every factor is at least THETA_CLAMP, so an entry is at least
-    THETA_CLAMP**J >= 1e-240 for J <= MAX_ITEMS = 20, far above the double
-    underflow at about 1e-308.
+
+# unchunked, for the oracle helpers.reference_run_em
+def _likelihood_matrix(bits_one: NDArray, theta_values: NDArray) -> NDArray:
+    """P(pattern | class) for each row of ``bits_one`` and column of theta."""
+    return np.exp(bits_one @ _log_weights(theta_values))
+
+
+def _e_step(counts, bits_one, theta_values, p, want_counts=False):
+    """The log-likelihood of patterns ``bits_one`` = ``[bits | 1]``, seen
+    ``counts`` times, at one parameter point, and with ``want_counts`` the
+    expected positives (classes x items) and class sizes, else None.
+
+    Each chunk of patterns (CHUNK_BYTES) is one GEMM in the log domain, whose
+    exp needs no shift: an entry is at least THETA_CLAMP**J >= 1e-240.  It
+    adds ``(like * counts / mixture).T @ bits_one`` into one (classes, J + 1)
+    sum, scaled by p at the end.
     """
-    clamped = np.clip(theta_values, THETA_CLAMP, 1.0 - THETA_CLAMP)
-    log_off = np.log1p(-clamped)
-    log_like = bits_one @ np.vstack([np.log(clamped) - log_off, log_off.sum(axis=0)])
-    return np.exp(log_like, out=log_like)
+    weights = _log_weights(theta_values)
+    rows = max(CHUNK_PATTERNS, CHUNK_BYTES // (8 * p.size))
+    buffer = np.empty((min(rows, len(counts)), p.size))   # each chunk's likelihood
+    ll, fused = 0.0, None
+    for start in range(0, len(counts), rows):
+        chunk, seen = bits_one[start:start + rows], counts[start:start + rows]
+        like = np.matmul(chunk, weights, out=buffer[:len(chunk)])
+        mixture = np.exp(like, out=like) @ p
+        ll += float(seen @ np.log(mixture))
+        if want_counts:
+            like *= (seen / mixture)[:, None]
+            if fused is None:
+                fused = like.T @ chunk
+            else:
+                fused += like.T @ chunk
+    if not want_counts:
+        return ll, None, None
+    fused *= p[:, None]
+    return ll, fused[:, :-1], fused[:, -1]
 
 
 def loglik(data: ResponseData, theta: ThetaMatrix, p: ProportionVector) -> float:
@@ -152,9 +185,7 @@ def loglik(data: ResponseData, theta: ThetaMatrix, p: ProportionVector) -> float
     if not theta.is_probability:
         raise ValueError("log-likelihood requires a probability table")
     _check_agreement(data=data, theta=theta, p=p)
-    counts, bits_one = _pattern_stats(data)
-    like = _likelihood_matrix(bits_one, theta.values)
-    return float(counts @ np.log(like @ p.probs))
+    return _e_step(*_pattern_stats(data), theta.values, p.probs)[0]
 
 
 @dataclass(frozen=True)
@@ -208,6 +239,7 @@ class FitResult:
             raise EmError(f"log-likelihood trace decreased by {-worst:.3g}")
 
 
+# unchunked, for the oracle helpers.reference_run_em
 def _expected_counts(bits_one, counts, like, mixture, p):
     """Expected positives per (class, item) and class sizes from one GEMM,
     ``(like * r).T @ bits_one`` with r = counts / mixture and ``bits_one``
@@ -239,10 +271,8 @@ def _run_em(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
         counted = np.empty((len(live), 2, layout.n_groups))
         keep = np.zeros(len(live), dtype=bool)
         for row, start in enumerate(live):
-            like = None   # the last restart's matrix dies before this one's is formed
-            like = _likelihood_matrix(bits_one, values[row][layout.index])
-            mixture = like @ p[row]
-            ll = float(counts @ np.log(mixture))
+            ll, pos, tot = _e_step(counts, bits_one, values[row][layout.index], p[row],
+                                   iteration < max_iters)
             if not np.isfinite(ll):
                 outcomes[start] = EmError(f"non-finite log-likelihood at iteration {iteration}")
                 continue
@@ -252,7 +282,6 @@ def _run_em(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
             if converged or iteration == max_iters:
                 outcomes[start] = (trace, converged, layout.unpack(coefs, row, sizes), p[row])
                 continue
-            pos, tot = _expected_counts(bits_one, counts, like, mixture, p[row])
             fresh = np.maximum(tot / n_subjects, P_FLOOR)
             p[row] = fresh / fresh.sum()
             counted[row] = layout.group_counts(pos, tot)
@@ -376,36 +405,22 @@ class ExperimentTable:
 
     records: Tuple[ReplicationRecord, ...]
 
-    def medians(self) -> dict:
+    def medians(self, error=lambda rec: rec.overall_error) -> dict:
+        """Per sample size, the median over replications of ``error(record)``."""
         byn = {}
         for rec in self.records:
-            byn.setdefault(rec.n_subjects, []).append(rec.overall_error)
+            byn.setdefault(rec.n_subjects, []).append(error(rec))
         return {n: float(np.median(v)) for n, v in sorted(byn.items())}
 
     def median_item_errors(self, items: Sequence[int]) -> dict:
         """Median over replications of the worst error among given items."""
-        byn = {}
-        for rec in self.records:
-            worst = max(rec.item_errors[j] for j in items)
-            byn.setdefault(rec.n_subjects, []).append(worst)
-        return {n: float(np.median(v)) for n, v in sorted(byn.items())}
+        return self.medians(lambda rec: max(rec.item_errors[j] for j in items))
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "n": rec.n_subjects,
-                    "replication": rec.replication,
-                    "overall_error": rec.overall_error,
-                    "p_error": rec.p_error,
-                    "item_errors": list(rec.item_errors),
-                    "loglik": rec.loglik,
-                    "converged": rec.converged,
-                }
-                for rec in self.records
-            ],
-            "median_overall_error": {str(n): e for n, e in self.medians().items()},
-        }
+        # each record's fields in their order, n_subjects under the name n
+        rows = [{"n": row.pop("n_subjects"), **row} for row in map(asdict, self.records)]
+        return {"rows": rows,
+                "median_overall_error": {str(n): e for n, e in self.medians().items()}}
 
 
 def consistency_experiment(q: QMatrix, families: Sequence[str],

@@ -151,7 +151,8 @@ class ItemLayout:
     class or ``_Binomial``), its ``FamilyStack``, its items and its slice of
     the concatenated groups of all stacks.  ``index[j, a]`` is the position
     there of item j's group of profile a, the layout's one profile-to-group
-    map: ``values[index]`` is the J x 2**K table of group values, and
+    map, int32 since every position is below J * 2**K <= 20 * 2**20:
+    ``values[index]`` is the J x 2**K table of group values, and
     ``group_counts`` sums over it.  Coefficients are held per M-step as a
     (restarts, items, width) array, zero-padded to its widest item.
     """
@@ -159,7 +160,7 @@ class ItemLayout:
     def __init__(self, designs: Sequence[ItemDesign], names: Sequence[str]):
         self.designs, self.names = designs, names
         self.steps = []
-        self.index = np.empty((len(designs), 1 << designs[0].n_attributes), dtype=np.int64)
+        self.index = np.empty((len(designs), 1 << designs[0].n_attributes), dtype=np.int32)
         owners = {}
         for j, name in enumerate(names):
             owners.setdefault(_Binomial if FAMILY[name].link else FAMILY[name], []).append(j)
@@ -203,7 +204,7 @@ class ItemLayout:
     def group_counts(self, pos: NDArray, tot: NDArray) -> NDArray[np.float64]:
         """Expected positives and totals of every group, a (2, groups) array,
         from the per-class positives (classes x items) and class sizes."""
-        index = self.index.ravel()
+        index = self.index.ravel().astype(np.intp)   # cast once, not by each bincount
         return np.stack([np.bincount(index, pos.T.ravel(), self.n_groups),
                          np.bincount(index, np.tile(tot, len(self.index)), self.n_groups)])
 
@@ -555,6 +556,14 @@ class GdinaParams(_Item):
         })
 
 
+def _required(params, what: str, values: tuple, design: ItemDesign, item: int) -> NDArray:
+    """A link item's per-attribute ``values`` at its required attributes."""
+    if len(values) != design.n_attributes:
+        raise DimensionError(f"{params.family}: item {item} has {len(values)} {what} for "
+                             f"{design.n_attributes} attributes")
+    return np.asarray(values)[design.required]
+
+
 @dataclass(frozen=True)
 class LlmParams(_Item):
     """Logit-link item: intercept and one slope per attribute.
@@ -578,12 +587,7 @@ class LlmParams(_Item):
             raise InvalidParameterError("LLM: coefficients must be finite")
 
     def coef(self, design: ItemDesign, item: int) -> NDArray[np.float64]:
-        if len(self.beta) != design.n_attributes:
-            raise DimensionError(
-                f"LLM: item {item} has {len(self.beta)} slopes for "
-                f"{design.n_attributes} attributes"
-            )
-        return np.concatenate([[self.beta0], np.asarray(self.beta)[design.required]])
+        return np.concatenate([[self.beta0], _required(self, "slopes", self.beta, design, item)])
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:
@@ -627,13 +631,8 @@ class RrumParams(_Item):
             raise InvalidParameterError("RRUM: every penalty must lie strictly in (0, 1)")
 
     def coef(self, design: ItemDesign, item: int) -> NDArray[np.float64]:
-        if len(self.r) != design.n_attributes:
-            raise DimensionError(
-                f"RRUM: item {item} has {len(self.r)} penalties for "
-                f"{design.n_attributes} attributes"
-            )
         return np.concatenate([[np.log(self.pi)],
-                               np.log(np.asarray(self.r)[design.required])])
+                               np.log(_required(self, "penalties", self.r, design, item))])
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:

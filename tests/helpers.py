@@ -688,3 +688,16 @@ def reference_link_row(stack, coef):
                    rlcm.core.bit_matrix(stack.group[stack.read], stack.widths.max())]
     eta = np.multiply(coef[:, stack.item], design, order="F").sum(axis=-1)
     return np.exp(eta, out=rlcm.models._sigmoid(eta), where=stack.log)
+
+
+def reference_e_step(counts, bits_one, theta_values, p, want_counts=False):
+    """``inference._e_step`` by brute force: the per-item product
+    likelihood of every pattern at once and the counts through the
+    posterior weights."""
+    bits = bits_one[:, :-1]
+    like = reference_likelihood(bits, theta_values)
+    mixture = like @ p
+    ll = float(counts @ np.log(mixture))
+    if not want_counts:
+        return ll, None, None
+    return (ll, *reference_expected_counts(bits, counts, like, mixture, p))

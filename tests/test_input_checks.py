@@ -101,7 +101,7 @@ def test_bad_input_is_named(call, error, message):
 
 def test_a_fit_whose_every_restart_fails_names_each(monkeypatch):
     # each restart's log-likelihood turns non-finite at its first E-step
-    likelihood = inference._likelihood_matrix
-    monkeypatch.setattr(inference, "_likelihood_matrix", lambda *args: likelihood(*args) * np.nan)
+    e_step = inference._e_step
+    monkeypatch.setattr(inference, "_e_step", lambda *args: (np.nan, *e_step(*args)[1:]))
     with pytest.raises(EmError, match=r"^all restarts failed: restart 0: .+; restart 1: .+$"):
         em_fit(DATA, Q, ["DINA"], EmConfig(restarts=2, max_iters=5))

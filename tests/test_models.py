@@ -149,9 +149,9 @@ class TestThetaMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the 20 x 2**14 table is 2.5 MiB; with the one int64 profile-to-group
-        # map the peak is about 2.2 tables for DINA and 2.3 for G-DINA and LLM
-        assert peak <= 2.5 * theta.values.nbytes
+        # the 20 x 2**14 table is 2.5 MiB; with the one int32 profile-to-group
+        # map the peak is about 1.7 tables for DINA and 1.8 for G-DINA and LLM
+        assert peak <= 2.0 * theta.values.nbytes
         assert not theta.values.flags.writeable
 
 

@@ -1,6 +1,9 @@
 """The example scripts and the README's Python examples still run against the
-current API (small sizes)."""
+current API (small sizes), and each script keeps its entry-point contract
+on input generated from its own parser."""
 
+import importlib.util
+import json
 import re
 import resource
 import subprocess
@@ -118,3 +121,88 @@ def test_readme_python_examples_run():
         result = subprocess.run([sys.executable, "-c", block], capture_output=True,
                                 text=True, env=child_env(), timeout=120)
         assert result.returncode == 0, result.stderr
+
+
+# One valid, small invocation per script.  Each flag of the script's own
+# parser is dropped, unless its default is a full-size run, or given each
+# of VALUES; every run exits 0, or 2 with the usage and one error line
+# naming the script, and never in a traceback.
+CONTRACT = {
+    "run_consistency.py": "--k 2 --n-grid 60 --replications 1 --slip 0.2 --guess 0.1 "
+                          "--restarts 1 --seed 1",
+    "run_nonidentifiable_demo.py": "--slip 0.2 --guess 0.1 --rho 1.0 --anchors 0.2,0.2 "
+                                   "--n 60 --seed 1",
+}
+COSTLY_DEFAULTS = {"--n-grid", "--replications", "--restarts", "--n"}
+VALUES = ["", "-1", "0", str(2**63), "nan", "inf", "text"]
+
+# runs each invocation of its JSON list argument through the script's main()
+# in this one interpreter, and prints each run's exit code, stdout and stderr
+_RUNNER = """
+import contextlib, importlib.util, io, json, sys, traceback
+script = sys.argv[1]
+spec = importlib.util.spec_from_file_location("script", script)
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+results = []
+for argv in json.loads(sys.argv[2]):
+    sys.argv = [script, *argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            module.main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException:
+            code = traceback.format_exc()
+    results.append([argv, code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _script_parser(script):
+    spec = importlib.util.spec_from_file_location(script[:-3], REPO / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_parser()
+
+
+def _contract_cases(script):
+    argv = CONTRACT[script].split()
+    cases = [argv]
+    for action in _script_parser(script)._actions:
+        flag = action.option_strings[0]
+        if flag == "-h":
+            continue
+        assert flag in argv, f"{script}: the valid invocation does not give {flag}"
+        at = argv.index(flag)
+        rest = argv[:at] + argv[at + 2:]
+        if flag not in COSTLY_DEFAULTS:
+            cases.append(rest)
+        cases += [rest + [flag, value] for value in VALUES]
+    return cases
+
+
+def test_each_changed_script_flag_keeps_the_contract():
+    # every case of a script in one child under the 3 GiB cap, both at once
+    env = dict(child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cases = {script: _contract_cases(script) for script in CONTRACT}
+    children = {script: subprocess.Popen(
+        [sys.executable, "-c", _RUNNER, str(REPO / "scripts" / script), json.dumps(cases[script])],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=_cap_address_space) for script in CONTRACT}
+    for script, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        results = json.loads(out)
+        assert [argv for argv, *_ in results] == cases[script]
+        assert results[0][1] == 0 and results[0][2], results[0]
+        for argv, code, stdout, stderr in results:
+            assert code in (0, 2), (argv, code, stderr)
+            if code == 2:
+                assert stderr.startswith(f"usage: {script}"), (argv, stderr)
+                errors = [line for line in stderr.splitlines() if "error" in line]
+                assert len(errors) == 1 and errors[0].startswith(f"{script}: error: "), \
+                    (argv, stderr)
+                assert stdout == "", argv
