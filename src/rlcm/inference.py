@@ -46,8 +46,8 @@ from .tmatrix import superset_sums
 P_FLOOR = 1e-10       # keeps every latent class alive
 TRACE_TOL = 1e-8      # trace may decrease by at most this per step
 LOCKSTEP_ROWS = 16    # restarts that run EM together
-CHUNK_BYTES = 64 << 20            # most likelihood an E-step chunk holds, but
-CHUNK_PATTERNS = MAX_ITEMS + 1    # never fewer patterns than J + 1, the counts' width
+CHUNK_BYTES = 256 << 10           # most likelihood an E-step chunk holds: it stays in cache
+CHUNK_PATTERNS = MAX_ITEMS + 1    # over its 5 passes; never fewer patterns than J + 1
 
 
 class EmError(RuntimeError):
@@ -157,7 +157,9 @@ def _e_step(counts, bits_one, theta_values, p, want_counts=False):
     Each chunk of patterns (CHUNK_BYTES) is one GEMM in the log domain, whose
     exp needs no shift: an entry is at least THETA_CLAMP**J >= 1e-240.  It
     adds ``(like * counts / mixture).T @ bits_one`` into one (classes, J + 1)
-    sum, scaled by p at the end.
+    sum, scaled by p at the end.  A chunk's likelihood is sized to stay in
+    cache over the GEMM, exp, mixture, scaling and counts GEMM; from K = 11
+    the CHUNK_PATTERNS floor sets its size instead.
     """
     weights = _log_weights(theta_values)
     rows = max(CHUNK_PATTERNS, CHUNK_BYTES // (8 * p.size))

@@ -5,8 +5,9 @@ must agree entry by entry, stay finite at the probability clamp, and
 lead ``em_fit`` to the same fit (``helpers.reference_e_step`` is the
 E-step built on it).  ``inference._e_step`` takes the patterns in chunks:
 with the chunk constants patched down to a few patterns, its
-log-likelihood and counts must be their one-chunk values, and a fit at the
-size caps must hold one chunk of likelihood, not all of it.
+log-likelihood and counts must be their one-chunk values, at its own
+constants they must be the brute-force ones, and a fit at the size caps
+must hold one chunk of likelihood, not all of it.
 """
 
 import math
@@ -151,14 +152,8 @@ def test_chunks_give_the_one_chunk_e_step(monkeypatch, seed, patterns):
     assert inference._e_step(counts, bits_one, theta.values, p.probs)[1:] == (None, None)
 
 
-# 2**4 classes of doubles are 128 bytes a pattern: 5 patterns in 640 bytes,
-# unless the floor is more
-@pytest.mark.parametrize("floor, rows", [(2, 5), (9, 9)])
-def test_a_chunk_holds_its_byte_budget(monkeypatch, floor, rows):
-    data, theta, p = _pattern_inputs(5, 8, 4, 300)
-    counts, bits_one = inference._pattern_stats(data)
-    monkeypatch.setattr(inference, "CHUNK_BYTES", 640)
-    monkeypatch.setattr(inference, "CHUNK_PATTERNS", floor)
+def _chunked_e_step(counts, *args):
+    """``inference._e_step``'s result, and the patterns in each of its chunks."""
     seen = []
 
     class Counts(np.ndarray):
@@ -167,9 +162,39 @@ def test_a_chunk_holds_its_byte_budget(monkeypatch, floor, rows):
             seen.append(len(self))
             return np.asarray(self) @ other
 
-    inference._e_step(counts.view(Counts), bits_one, theta.values, p.probs)
-    whole, rest = divmod(len(counts), rows)
-    assert seen == [rows] * whole + [rest] * (rest > 0)
+    return inference._e_step(counts.view(Counts), *args), seen
+
+
+def _chunk_lengths(patterns, rows):
+    whole, rest = divmod(patterns, rows)
+    return [rows] * whole + [rest] * (rest > 0)
+
+
+# 2**4 classes of doubles are 128 bytes a pattern: 5 patterns in 640 bytes,
+# unless the floor is more
+@pytest.mark.parametrize("floor, rows", [(2, 5), (9, 9)])
+def test_a_chunk_holds_its_byte_budget(monkeypatch, floor, rows):
+    data, theta, p = _pattern_inputs(5, 8, 4, 300)
+    counts, bits_one = inference._pattern_stats(data)
+    monkeypatch.setattr(inference, "CHUNK_BYTES", 640)
+    monkeypatch.setattr(inference, "CHUNK_PATTERNS", floor)
+    _, seen = _chunked_e_step(counts, bits_one, theta.values, p.probs)
+    assert seen == _chunk_lengths(len(counts), rows)
+
+
+def test_the_default_chunks_give_the_reference_e_step():
+    # at the module's own constants: 16 classes are 128 bytes a pattern, and
+    # some 4,800 distinct patterns of 16 items fill more than two chunks
+    data, theta, p = _pattern_inputs(6, 16, 4, 5000)
+    counts, bits_one = inference._pattern_stats(data)
+    rows = inference.CHUNK_BYTES // 128
+    assert rows >= inference.CHUNK_PATTERNS and len(counts) > 2 * rows
+    (ll, pos, tot), seen = _chunked_e_step(counts, bits_one, theta.values, p.probs, True)
+    assert seen == _chunk_lengths(len(counts), rows)
+    ref = reference_e_step(counts, bits_one, theta.values, p.probs, True)
+    assert ll == pytest.approx(ref[0], rel=1e-12, abs=0)
+    np.testing.assert_allclose(pos, ref[1], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tot, ref[2], rtol=1e-12, atol=0)
 
 
 # The worker fits J = 20, K = 14 with 2,000 subjects for one iteration and
@@ -195,5 +220,5 @@ def test_a_fit_at_the_caps_holds_one_chunk_of_likelihood():
                           capture_output=True, text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
     # ru_maxrss is in KiB on Linux; the likelihood of all 2,000 patterns
-    # alone is 250 MiB, a chunk at most 64 MiB
-    assert int(done.stdout) <= 200 * 1024
+    # alone is 250 MiB, a chunk of 21 patterns 2.6 MiB
+    assert int(done.stdout) <= 100 * 1024
