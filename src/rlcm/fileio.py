@@ -17,9 +17,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import ProportionVector, QMatrix, ThetaMatrix
+from .core import ProportionVector, QMatrix, ThetaMatrix, bit_matrix
 from .identifiability import InternalConsistencyError, NonIdentifiablePair
-from .inference import ExperimentTable, FitResult, ResponseData
+from .inference import ExperimentTable, FitResult, ResponseData, _block_rows
 from .models import FAMILY, ItemParams
 
 CANONICAL_ORDER = "binary-counter, bit0=attr1"
@@ -203,8 +203,17 @@ def _writer_layout_bits(text: str):
     # each cell with the byte after it as one 16-bit word: "0," - "0," or
     # "1," - "0," is 0 or 1, "0\n" ends the row, and any other pair is more
     words = np.frombuffer(text.encode("ascii"), "<u2", offset=start).reshape(-1, width // 2)
-    cells = words - np.frombuffer(b"0," * (width // 2 - 1) + b"0\n", "<u2")
-    return None if (cells > 1).any() else cells.astype(np.int8)
+    zeros = np.frombuffer(b"0," * (width // 2 - 1) + b"0\n", "<u2")
+    bits = np.empty(words.shape, dtype=np.int8)
+    rows = _block_rows(width)
+    buffer = np.empty((min(rows, len(words)), width // 2), dtype="<u2")
+    for first in range(0, len(words), rows):
+        block = words[first:first + rows]
+        cells = np.subtract(block, zeros, out=buffer[:len(block)])
+        if cells.max() > 1:
+            return None
+        bits[first:first + rows] = cells
+    return bits
 
 
 def _parse_bits_lines(path, text: str, what: str) -> np.ndarray:
@@ -235,12 +244,16 @@ def _parse_bits_lines(path, text: str, what: str) -> np.ndarray:
     return np.array(rows, dtype=np.int8)
 
 
-def _write_bits_csv(path, header: str, matrix) -> None:
-    """``# header``, then each row of the 0/1 ``matrix`` as ``0,1,...``: each
-    cell and the separator after it are one little-endian 16-bit word."""
-    words = np.add(matrix, ord("0") | ord(",") << 8, dtype="<u2", casting="unsafe")
-    words[:, -1] ^= (ord(",") ^ ord("\n")) << 8
-    Path(path).write_bytes(f"# {header}\n".encode() + words.tobytes())
+def _write_bits_csv(path, header: str, blocks) -> None:
+    """``# header``, then each row of the 0/1 matrices ``blocks`` as ``0,1,...``:
+    each cell and the separator after it are one little-endian 16-bit word,
+    written to the file one block at a time."""
+    with open(path, "wb") as out:
+        out.write(f"# {header}\n".encode())
+        for matrix in blocks:
+            words = np.add(matrix, ord("0") | ord(",") << 8, dtype="<u2", casting="unsafe")
+            words[:, -1] ^= (ord(",") ^ ord("\n")) << 8
+            out.write(words)
 
 
 def read_qmatrix_csv(path) -> QMatrix:
@@ -253,7 +266,7 @@ def read_qmatrix_csv(path) -> QMatrix:
 
 def write_qmatrix_csv(path, q: QMatrix) -> None:
     _write_bits_csv(path, "Q-matrix: one line per item, columns are attributes 1..K",
-                    q.entries)
+                    [q.entries])
 
 
 def read_theta_json(path) -> ThetaMatrix:
@@ -300,8 +313,10 @@ def read_response_csv(path) -> ResponseData:
 
 
 def write_response_csv(path, data: ResponseData) -> None:
+    rows = _block_rows(2 * data.n_items)
     _write_bits_csv(path, "responses: one line per subject, columns are items 1..J",
-                    data.to_matrix())
+                    (bit_matrix(data.codes[start:start + rows], data.n_items)
+                     for start in range(0, data.n_subjects, rows)))
 
 
 def pair_to_dict(pair: NonIdentifiablePair) -> dict:

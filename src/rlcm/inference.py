@@ -13,6 +13,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,8 +47,8 @@ from .tmatrix import superset_sums
 P_FLOOR = 1e-10       # keeps every latent class alive
 TRACE_TOL = 1e-8      # trace may decrease by at most this per step
 LOCKSTEP_ROWS = 16    # restarts that run EM together
-CHUNK_BYTES = 256 << 10           # most likelihood an E-step chunk holds: it stays in cache
-CHUNK_PATTERNS = MAX_ITEMS + 1    # over its 5 passes; never fewer patterns than J + 1
+CHUNK_BYTES = 256 << 10           # most a block of rows holds: it stays in cache
+CHUNK_PATTERNS = MAX_ITEMS + 1    # over its passes; never fewer rows than J + 1
 
 
 class EmError(RuntimeError):
@@ -83,13 +84,25 @@ class ResponseData(_Record):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise DimensionError("response matrix must be two-dimensional")
-        if matrix.dtype != bool and not ((matrix == 0) | (matrix == 1)).all():
-            raise ValueError("responses must be 0 or 1")
         _check_item_count(matrix.shape[1])
+        return cls._packed(*matrix.shape, lambda rows: matrix[rows])
+
+    @classmethod
+    def _packed(cls, n_subjects: int, n_items: int, block) -> "ResponseData":
+        """The record of ``n_subjects`` 0/1 rows, ``block(rows)`` those of the
+        slice ``rows``: each block is checked and packed in turn."""
+        codes = np.empty(n_subjects, dtype=np.int64)
         # a BLAS product, exact: a code is below 2**MAX_ITEMS, and float32
         # holds every integer below 2**24
-        weights = np.exp2(np.arange(matrix.shape[1], dtype=np.float32))
-        return cls((matrix.astype(np.float32) @ weights).astype(np.int64), matrix.shape[1])
+        weights = np.exp2(np.arange(n_items, dtype=np.float32))
+        rows = _block_rows(8 * n_items)
+        for start in range(0, n_subjects, rows):
+            bits = block(slice(start, start + rows))
+            if bits.dtype != bool and not ((bits == 0) | (bits == 1)).all():
+                raise ValueError("responses must be 0 or 1")
+            codes[start:start + rows] = bits.astype(np.float32) @ weights
+        codes.flags.writeable = False     # kept without a copy
+        return cls(codes, n_items)
 
     def to_matrix(self) -> NDArray[np.int8]:
         return bit_matrix(self.codes, self.n_items)
@@ -98,19 +111,43 @@ class ResponseData(_Record):
     def n_subjects(self) -> int:
         return self.codes.size
 
+    @cached_property
+    def _patterns(self):
+        """``_pattern_stats`` of the record, formed on first use and kept."""
+        return _pattern_stats(self)
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes in one block that stays in cache
+    (CHUNK_BYTES), but never fewer than CHUNK_PATTERNS."""
+    return max(CHUNK_PATTERNS, CHUNK_BYTES // row_bytes)
+
 
 def simulate(theta: ThetaMatrix, p: ProportionVector, n_subjects: int,
              seed: int) -> ResponseData:
-    """Draw subjects: a class from p, then one Bernoulli response per item."""
+    """Draw subjects: a class from p, then one Bernoulli response per item,
+    in blocks of subjects that draw one ``(n_subjects, J)`` array's uniforms."""
     if not theta.is_probability:
         raise ValueError("simulation requires a probability table")
     _check_agreement(theta=theta, p=p)
-    if n_subjects < 1:
+    if _number("n_subjects", n_subjects, numbers.Integral) < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")
+    if _number("seed", seed, numbers.Integral) < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     classes = rng.choice(p.probs.size, size=n_subjects, p=p.probs)
-    uniforms = rng.random((n_subjects, theta.n_items))
-    return ResponseData.from_matrix(uniforms < theta.values.T[classes])
+    # a class's thresholds are one row; "clip" skips the bounds check, for
+    # which np.take buffers a copy when given out=
+    table = np.ascontiguousarray(theta.values.T)
+    uniforms = np.empty((min(_block_rows(8 * theta.n_items), n_subjects), theta.n_items))
+    thresholds = np.empty_like(uniforms)
+
+    def block(rows):
+        drawn = classes[rows]
+        return (rng.random(out=uniforms[:len(drawn)])
+                < np.take(table, drawn, axis=0, out=thresholds[:len(drawn)], mode="clip"))
+
+    return ResponseData._packed(n_subjects, theta.n_items, block)
 
 
 def empirical_gamma(data: ResponseData) -> NDArray[np.float64]:
@@ -125,11 +162,13 @@ def empirical_gamma(data: ResponseData) -> NDArray[np.float64]:
 
 
 def _pattern_stats(data: ResponseData):
-    """Each distinct pattern's count and its row of ``[bits | 1]``."""
+    """Each distinct pattern's count and its row of ``[bits | 1]``, read-only."""
     codes, counts = np.unique(data.codes, return_counts=True)
     bits_one = np.ones((len(codes), data.n_items + 1))
     bits_one[:, :-1] = bit_matrix(codes, data.n_items)
-    return counts.astype(np.float64), bits_one
+    counts = counts.astype(np.float64)
+    counts.flags.writeable = bits_one.flags.writeable = False
+    return counts, bits_one
 
 
 def _log_weights(theta_values: NDArray) -> NDArray:
@@ -162,7 +201,7 @@ def _e_step(counts, bits_one, theta_values, p, want_counts=False):
     the CHUNK_PATTERNS floor sets its size instead.
     """
     weights = _log_weights(theta_values)
-    rows = max(CHUNK_PATTERNS, CHUNK_BYTES // (8 * p.size))
+    rows = _block_rows(8 * p.size)
     buffer = np.empty((min(rows, len(counts)), p.size))   # each chunk's likelihood
     ll, fused = 0.0, None
     for start in range(0, len(counts), rows):
@@ -187,7 +226,7 @@ def loglik(data: ResponseData, theta: ThetaMatrix, p: ProportionVector) -> float
     if not theta.is_probability:
         raise ValueError("log-likelihood requires a probability table")
     _check_agreement(data=data, theta=theta, p=p)
-    return _e_step(*_pattern_stats(data), theta.values, p.probs)[0]
+    return _e_step(*data._patterns, theta.values, p.probs)[0]
 
 
 @dataclass(frozen=True)
@@ -334,7 +373,7 @@ def em_fit(data: ResponseData, q: QMatrix, families: Sequence[str],
             if params.family != fam:
                 raise ValueError(f"item {j} initialization is not a {fam} parameter set")
 
-    counts, bits_one = _pattern_stats(data)
+    counts, bits_one = data._patterns
     designs = [ItemDesign(row) for row in q.entries]
     layout = ItemLayout(designs, families)
     # a block's stacked state per restart: proportions, group values and

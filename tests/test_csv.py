@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlcm import QMatrix, ResponseData, fileio
+from rlcm import QMatrix, ResponseData, fileio, inference
 
 READERS = {
     "response": (fileio.read_response_csv, lambda got: (got.n_items, got.codes.tolist())),
@@ -181,7 +181,9 @@ def _joined(header: str, matrix) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 1), (200, 16), (50, 20)])
+# the last two cross the writer's blocks: 8,192 rows of 16 items, 6,553 of 20
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 1), (200, 16), (50, 20),
+                                   (20_000, 16), (9_001, 20)])
 def test_writers_write_the_joined_bytes(tmp_path, shape):
     rng = np.random.default_rng(shape[0] * 31 + shape[1])
     matrix = rng.integers(0, 2, size=shape)
@@ -197,3 +199,42 @@ def test_writers_write_the_joined_bytes(tmp_path, shape):
     assert path.read_bytes() == _joined(
         "Q-matrix: one line per item, columns are attributes 1..K", q.entries)
     assert np.array_equal(fileio.read_qmatrix_csv(path).entries, q.entries)
+
+
+def _small_blocks(monkeypatch):
+    """Blocks of 5 rows in the writer, the reader and the packer."""
+    monkeypatch.setattr(inference, "CHUNK_BYTES", 0)
+    monkeypatch.setattr(inference, "CHUNK_PATTERNS", 5)
+
+
+@pytest.mark.parametrize("n_subjects", [1, 4, 5, 6, 20, 23])
+@pytest.mark.parametrize("n_items", [1, 3, 20])
+def test_responses_read_back_across_blocks(tmp_path, monkeypatch, n_subjects, n_items):
+    _small_blocks(monkeypatch)
+    rng = np.random.default_rng(n_subjects * 31 + n_items)
+    data = ResponseData(rng.integers(0, 1 << n_items, n_subjects), n_items)
+    path = tmp_path / "data.csv"
+    fileio.write_response_csv(path, data)
+    assert path.read_bytes() == _joined(
+        "responses: one line per subject, columns are items 1..J", data.to_matrix())
+    monkeypatch.setattr(fileio, "_parse_bits_lines", _refuse)
+    assert fileio.read_response_csv(path) == data
+
+
+@pytest.mark.parametrize("cell", [b"2", b" ", b"x"])
+def test_a_bad_cell_in_the_last_block_reaches_the_per_line_pass(tmp_path, monkeypatch, cell):
+    _small_blocks(monkeypatch)
+    data = ResponseData(np.arange(23) % 8, 3)
+    path = tmp_path / "data.csv"
+    fileio.write_response_csv(path, data)
+    text = bytearray(path.read_bytes())
+    text[-2:-1] = cell                  # row 23's last cell, in a block of 3 rows
+    path.write_bytes(bytes(text))
+    parsed = []
+    per_line = fileio._parse_bits_lines
+    monkeypatch.setattr(fileio, "_parse_bits_lines",
+                        lambda *args: parsed.append(args) or per_line(*args))
+    with pytest.raises(fileio.FileFormatError,
+                       match=f"line 24, column 3: expected 0 or 1, got {cell.decode().strip()!r}"):
+        fileio.read_response_csv(path)
+    assert len(parsed) == 1

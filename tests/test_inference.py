@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -31,6 +33,7 @@ from rlcm import inference
 from rlcm.models import FamilyStack, ItemDesign
 
 from helpers import (
+    child_env,
     random_proportions,
     random_theta,
     reference_group_sums,
@@ -87,6 +90,34 @@ class TestResponseData:
         assert codes.dtype == np.int64
         assert np.array_equal(codes, matrix.astype(np.int64) @ weights)
 
+    # blocks of 5 rows: the matrix's 23 rows end in a block of 3
+    @pytest.mark.parametrize("dtype", [np.int8, bool, np.float64])
+    def test_packs_across_blocks(self, monkeypatch, dtype):
+        monkeypatch.setattr(inference, "CHUNK_BYTES", 0)
+        monkeypatch.setattr(inference, "CHUNK_PATTERNS", 5)
+        matrix = np.random.default_rng(3).integers(0, 2, size=(23, 7)).astype(dtype)
+        weights = (1 << np.arange(7)).astype(np.int64)
+        assert np.array_equal(ResponseData.from_matrix(matrix).codes,
+                              matrix.astype(np.int64) @ weights)
+        if dtype is not bool:
+            matrix[-1, -1] = 2
+            with pytest.raises(ValueError, match="responses must be 0 or 1"):
+                ResponseData.from_matrix(matrix)
+
+    def test_pattern_stats_are_formed_once_and_read_only(self, monkeypatch):
+        _, _, theta, p = _dina_setup()
+        data = simulate(theta, p, 500, seed=3)
+        calls = []
+        stats = inference._pattern_stats
+        monkeypatch.setattr(inference, "_pattern_stats",
+                            lambda data: calls.append(data) or stats(data))
+        first = loglik(data, theta, p)
+        assert loglik(data, theta, p) == first
+        em_fit(data, stacked_identity(2, 3), ["DINA"] * 6, EmConfig(max_iters=2, restarts=1))
+        assert calls == [data]
+        counts, bits_one = data._patterns
+        assert not counts.flags.writeable and not bits_one.flags.writeable
+
     @pytest.mark.parametrize("n_items", [21, 70, 200])
     def test_too_many_items_rejected_without_a_cast_warning(self, n_items):
         with warnings.catch_warnings():
@@ -115,6 +146,24 @@ class TestSimulate:
         assert data.codes.dtype == np.int64
         assert np.array_equal(data.codes, reference_simulate(theta, p, 2000, seed))
 
+    # N around one block of rows and past three, at the module's own block
+    # rule and with blocks of a few rows
+    @pytest.mark.parametrize("patched", [None, 5, 64])
+    @pytest.mark.parametrize("n_items", [1, 13, 16, 20])
+    def test_blocks_draw_the_one_shot_codes(self, monkeypatch, n_items, patched):
+        if patched:
+            monkeypatch.setattr(inference, "CHUNK_BYTES", 0)
+            monkeypatch.setattr(inference, "CHUNK_PATTERNS", patched)
+        rows = inference._block_rows(8 * n_items)
+        assert rows == (patched or inference.CHUNK_BYTES // (8 * n_items))
+        for n_attributes in (1, 3, 6):
+            rng = np.random.default_rng(10 * n_items + n_attributes)
+            theta = random_theta(rng, n_items, n_attributes)
+            p = random_proportions(rng, n_attributes)
+            for seed, n in enumerate([1, rows - 1, rows, rows + 1, 3 * rows + 5]):
+                data = simulate(theta, p, n, seed)
+                assert np.array_equal(data.codes, reference_simulate(theta, p, n, seed))
+
     def test_deterministic(self):
         _, _, theta, p = _dina_setup()
         a = simulate(theta, p, 500, seed=9)
@@ -137,6 +186,35 @@ class TestSimulate:
         expected = theta.values @ p.probs
         se = np.sqrt(expected * (1 - expected) / n)
         assert (np.abs(means - expected) <= 4 * se).all()
+
+
+    def test_simulation_and_its_csv_hold_one_block(self, tmp_path):
+        # one BLAS thread, since each thread's buffers count in the peak
+        env = dict(child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", _HOP, sys.executable, "-c",
+                               _SIMULATE_WORKER, str(tmp_path / "data.csv")],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        # ru_maxrss is in KiB on Linux.  The codes and classes are 16 MB;
+        # the N x J uniforms and thresholds alone would be 320 MB
+        assert int(done.stdout) <= 120 * 1024
+
+
+# The worker simulates N = 10**6 subjects of J = 20 items, writes them to
+# the CSV file named by its argument and prints its peak RSS.  It is started
+# through an intermediate interpreter because Linux carries a parent's peak
+# RSS into ru_maxrss across fork and exec (see tests/test_tmatrix.py).
+_SIMULATE_WORKER = """
+import resource, sys
+import numpy as np
+from rlcm import DinaParams, ProportionVector, QMatrix, fileio, simulate, theta_from_params
+q = QMatrix(np.eye(4, dtype=int)[np.arange(20) % 4])
+theta = theta_from_params(q, [DinaParams(0.2, 0.1)] * 20)
+data = simulate(theta, ProportionVector(np.full(16, 1 / 16)), 10**6, 1)
+fileio.write_response_csv(sys.argv[1], data)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+_HOP = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
 
 
 class TestEmpiricalGamma:

@@ -59,6 +59,12 @@ IDENTITY = QMatrix(np.eye(2, dtype=int))
     (lambda: response_distribution(SHIFTED, P), ValueError,
      "response distribution requires a probability table"),
     (lambda: simulate(THETA, P, 0, 0), ValueError, "need at least one subject, got 0"),
+    (lambda: simulate(THETA, P, True, 0), TypeError, "^n_subjects must be an integer, got True$"),
+    (lambda: simulate(THETA, P, 5.0, 0), TypeError, "^n_subjects must be an integer, got 5.0$"),
+    (lambda: simulate(THETA, P, 5, None), TypeError, "^seed must be an integer, got None$"),
+    (lambda: simulate(THETA, P, 5, True), TypeError, "^seed must be an integer, got True$"),
+    (lambda: simulate(THETA, P, 5, 1.0), TypeError, "^seed must be an integer, got 1.0$"),
+    (lambda: simulate(THETA, P, 5, -1), ValueError, "^seed must be at least 0, got -1$"),
     (lambda: em_fit(DATA, Q, ["DINA", "DINA"]), DimensionError,
      "expected 1 family names, got 2"),
     (lambda: em_fit(DATA, Q, ["DINA"], EmConfig(init_params=(DinaParams(0.2, 0.1),) * 2)),
@@ -89,7 +95,9 @@ IDENTITY = QMatrix(np.eye(2, dtype=int))
     (lambda: ProportionVector(np.full(1 << 21, 2.0 ** -21)), SizeLimitError,
      "^attribute count 21 exceeds 20$"),
 ], ids=["simulate-shifted", "loglik-shifted", "monotonicity-shifted",
-        "distribution-shifted", "simulate-no-subjects", "em-family-count",
+        "distribution-shifted", "simulate-no-subjects", "simulate-bool-subjects",
+        "simulate-float-subjects", "simulate-no-seed", "simulate-bool-seed",
+        "simulate-float-seed", "simulate-negative-seed", "em-family-count",
         "em-init-count", "em-init-family", "marginal-sizes", "shift-length",
         "transform-empty", "fit-trace-decreases", "responses-one-dimensional",
         "rrum-penalty-count", "gdina-subset-twice", "c2-pair-count",
