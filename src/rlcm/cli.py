@@ -27,7 +27,7 @@ from .identifiability import (
     incomplete_counterexample,
     verdict,
 )
-from .inference import EmConfig, consistency_experiment, em_fit, simulate
+from .inference import EmConfig, _block_rows, consistency_experiment, em_fit, simulate
 from .models import theta_from_params
 from .tmatrix import apply_shift, build_tmatrix, build_transform, marginal_vector, response_distribution
 
@@ -181,21 +181,28 @@ def _cmd_tmatrix(args) -> int:
     t = build_tmatrix(theta)
     row_perm = _display_perm(theta.n_items, args.display_order)
     col_perm = _display_perm(theta.n_attributes, args.display_order)
-    lines = [
-        "# marginal table; rows = response patterns, columns = attribute profiles",
-        f"# encoding: {fileio.CANONICAL_ORDER}; display order: {args.display_order}",
-        "# columns: " + ",".join(str(int(c)) for c in col_perm),
-    ]
-    rows = row_perm.tolist()
-    for r, values in zip(rows, t.values[np.ix_(row_perm, col_perm)].tolist()):
-        lines.append(f"{r}," + ",".join(map(repr, values)))
+    # each section's header and the values of a block of display rows; every
+    # input is read and checked before the output is opened
+    sections = [("# marginal table; rows = response patterns, columns = attribute profiles\n"
+                 f"# encoding: {fileio.CANONICAL_ORDER}; display order: {args.display_order}\n"
+                 "# columns: " + ",".join(map(str, col_perm.tolist())) + "\n",
+                 lambda block: t.values[np.ix_(block, col_perm)])]
     if args.p:
         p = fileio.read_proportion_json(args.p)
-        dist = response_distribution(theta, p)[row_perm].tolist()
-        dominance = marginal_vector(t, p)[row_perm].tolist()
-        lines.append("# pattern,probability,dominance_probability")
-        lines.extend(f"{r},{d!r},{m!r}" for r, d, m in zip(rows, dist, dominance))
-    fileio.write_text(args.out, "\n".join(lines) + "\n")
+        vectors = np.column_stack((response_distribution(theta, p), marginal_vector(t, p)))
+        sections.append(("# pattern,probability,dominance_probability\n", vectors.__getitem__))
+    rows = _block_rows(8 * col_perm.size)
+    blocks = [row_perm[start:start + rows] for start in range(0, row_perm.size, rows)]
+
+    def text():
+        """The dump one block of rows at a time, each value as its repr."""
+        for header, values in sections:
+            yield header
+            for block in blocks:
+                yield "".join(f"{r},{','.join(map(repr, row))}\n"
+                              for r, row in zip(block.tolist(), values(block).tolist()))
+
+    fileio.write_text(args.out, text())
     return EXIT_OK
 
 

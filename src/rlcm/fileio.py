@@ -8,12 +8,13 @@ indices appearing in JSON are 0-based.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import operator
 import sys
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,12 +101,17 @@ def _check(value, schema: dict, where, at: str = "") -> None:
             _check(value, alt, where, at)
 
 
-def _read_text(path) -> str:
+def _read_text(path, data: Optional[bytes] = None) -> str:
     """The UTF-8 text of the file ``path``, without a byte-order mark; bytes
-    that do not decode are a FileFormatError naming the file."""
+    that do not decode are a FileFormatError naming the file.  ``data``, the
+    file's bytes when they are read already, is decoded without the newline
+    translation of ``read_text``, which ``str.splitlines`` does not need."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
-        return Path(path).read_text(encoding="utf-8-sig")
+        if data is None:
+            return Path(path).read_text(encoding="utf-8-sig")
+        # the decoder that read_text runs, so that an error reads the same
+        return codecs.getincrementaldecoder("utf-8-sig")().decode(data, final=True)
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not a text file: {exc}") from exc
 
@@ -149,16 +155,19 @@ def _check_sizes(path, doc: dict, **stored) -> None:
                               f"values ({actual})")
 
 
-def write_text(path, text: str) -> None:
-    """``text`` into the file ``path``, or onto stdout when ``path`` is None."""
+def write_text(path, text: Union[str, Iterable[str]]) -> None:
+    """``text``, a string or each string of an iterable in turn, into the file
+    ``path``, or onto stdout when ``path`` is None."""
+    parts = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(parts)
 
 
 def write_json(path, doc: dict) -> None:
-    write_text(path, json.dumps(doc, indent=2) + "\n")
+    write_text(path, (json.dumps(doc, indent=2), "\n"))
 
 
 def _document_of(fmt: str, **fields) -> dict:
@@ -172,37 +181,47 @@ def _read_bits_csv(path, what: str) -> np.ndarray:
     """Comma-separated 0/1 rows, one per line; '#' lines are comments.
 
     A file in the layout ``_write_bits_csv`` writes is checked as one array
-    without splitting it into lines; any other canonical file, every data
-    line exactly ``[01](,[01])*`` of one width, is checked the same way once
-    its data lines are rejoined in that layout; the rest goes to
-    ``_parse_bits_lines``, the one definition of the grammar and its
-    diagnostics.
+    of its bytes without splitting it into lines; any other canonical file,
+    every data line exactly ``[01](,[01])*`` of one width, is checked the
+    same way once it is decoded and its data lines are rejoined in that
+    layout; the rest goes to ``_parse_bits_lines``, the one definition of the
+    grammar and its diagnostics.
     """
-    text = _read_text(path)
-    bits = _writer_layout_bits(text)
+    data = Path(path).read_bytes()
+    bits = _writer_layout_bits(data)
+    if bits is None and b"\r" in data:
+        # the line endings as universal newlines read them: "\r\n" and "\r" end a line
+        bits = _writer_layout_bits(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
     if bits is None:
-        lines = [line for line in map(str.strip, text.splitlines())
-                 if line and not line.startswith("#")]
-        bits = _writer_layout_bits("\n".join(lines) + "\n")
+        text = _read_text(path, data)
+        rows = "\n".join(line for line in map(str.strip, text.splitlines())
+                         if line and not line.startswith("#")) + "\n"
+        # not a row: any non-ASCII text, such as a second byte-order mark,
+        # which would encode to the mark the check skips
+        bits = _writer_layout_bits(rows.encode("ascii")) if rows.isascii() else None
     return bits if bits is not None else _parse_bits_lines(path, text, what)
 
 
-def _writer_layout_bits(text: str):
-    """The 0/1 matrix of ``text`` when it is '#' lines, then rows that are
-    each exactly ``[01](,[01])*\\n`` at the first row's width, else None."""
-    start = 0
-    while text.startswith("#", start):
-        end = text.find("\n", start) + 1
-        # a comment ends where splitlines ends it, or what follows is a row
-        if not end or len(text[start:end].splitlines()) != 1:
+def _writer_layout_bits(data: bytes):
+    """The 0/1 matrix of ``data`` when it is, after any byte-order mark, '#'
+    lines, then rows that are each exactly ``[01](,[01])*\\n`` at the first
+    row's width, else None."""
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    while data.startswith(b"#", start):
+        end = data.find(b"\n", start) + 1
+        # a comment ends where str.splitlines ends it (also at \x0b, \x0c and
+        # \x1c-\x1e, which bytes.splitlines passes over), or what follows is a row
+        comment = data[start:end]
+        if not end or not comment.isascii() or len(comment.decode("ascii").splitlines()) != 1:
             return None
         start = end
-    width = text.find("\n", start) + 1 - start
-    if width < 2 or width % 2 or (len(text) - start) % width or not text.isascii():
+    width = data.find(b"\n", start) + 1 - start
+    if width < 2 or width % 2 or (len(data) - start) % width:
         return None
     # each cell with the byte after it as one 16-bit word: "0," - "0," or
-    # "1," - "0," is 0 or 1, "0\n" ends the row, and any other pair is more
-    words = np.frombuffer(text.encode("ascii"), "<u2", offset=start).reshape(-1, width // 2)
+    # "1," - "0," is 0 or 1, "0\n" ends the row, and any other pair, any
+    # byte outside ASCII among them, is more
+    words = np.frombuffer(data, "<u2", offset=start).reshape(-1, width // 2)
     zeros = np.frombuffer(b"0," * (width // 2 - 1) + b"0\n", "<u2")
     bits = np.empty(words.shape, dtype=np.int8)
     rows = _block_rows(width)

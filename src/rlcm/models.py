@@ -287,6 +287,8 @@ class _Binomial:
     def __init__(self, stack, coef, gpos, gtot):
         self.stack, self.shape = stack, coef.shape
         self.gpos, self.gtot, self.gneg = gpos, gtot, gtot - gpos
+        # the last point ``value`` saw, a copy, and its unclipped row there
+        self.point = self.mu = None
 
     @staticmethod
     def row(stack: FamilyStack, coef) -> NDArray[np.float64]:
@@ -303,7 +305,9 @@ class _Binomial:
         return np.minimum(c.reshape(self.shape), self.stack.bound).reshape(c.shape)
 
     def value(self, c):
-        mu = np.clip(self.row(self.stack, c.reshape(self.shape)), THETA_CLAMP, 1.0 - THETA_CLAMP)
+        # a copy: the Newton ascent moves its point in place
+        self.point, self.mu = c.copy(), self.row(self.stack, c.reshape(self.shape))
+        mu = np.clip(self.mu, THETA_CLAMP, 1.0 - THETA_CLAMP)
         starts = self.stack.starts
         return (np.add.reduceat(np.log(mu) * self.gpos, starts, axis=1)
                 + np.add.reduceat(np.log1p(-mu) * self.gneg, starts, axis=1)).ravel()
@@ -311,9 +315,11 @@ class _Binomial:
     def grad_neghess(self, c):
         """Per row, the gradient and negative Hessian of its group
         log-likelihood (see ``FamilyStack``), with the logit link's residual
-        and weight from the unclipped mu and the log link's from the clipped."""
+        and weight from the unclipped mu and the log link's from the clipped.
+        At the last point ``value`` saw, its row is reused."""
         stack, width = self.stack, self.shape[-1]
-        mu = self.row(stack, c.reshape(self.shape))
+        same = self.point is not None and np.array_equal(self.point, c)
+        mu = self.mu if same else self.row(stack, c.reshape(self.shape))
         clipped = np.clip(mu, THETA_CLAMP, 1.0 - THETA_CLAMP)
         ratio = clipped / (1.0 - clipped)
         sums = np.zeros((2, len(mu), stack.item.size + 1))

@@ -34,6 +34,7 @@ from rlcm import (
     theta_from_params,
 )
 from rlcm.core import check_table_size
+from rlcm.fileio import CANONICAL_ORDER
 from rlcm.models import THETA_CLAMP
 from rlcm.tmatrix import TMatrix
 
@@ -701,3 +702,30 @@ def reference_e_step(counts, bits_one, theta_values, p, want_counts=False):
     if not want_counts:
         return ll, None, None
     return (ll, *reference_expected_counts(bits, counts, like, mixture, p))
+
+
+def reference_tmatrix_text(theta: ThetaMatrix, p, display_order: str) -> str:
+    """``rlcm tmatrix``'s output (the marginal table and, when ``p`` is given,
+    the response distribution and dominance vectors) formed as one string:
+    every line of the dump at once, then joined.  The dump before it was
+    written one block of rows at a time, kept as its oracle."""
+    def order(n_bits):
+        return (rlcm.weight_graded_order(n_bits) if display_order == "weight"
+                else np.arange(1 << n_bits))
+
+    t = rlcm.build_tmatrix(theta)
+    row_perm, col_perm = order(theta.n_items), order(theta.n_attributes)
+    lines = [
+        "# marginal table; rows = response patterns, columns = attribute profiles",
+        f"# encoding: {CANONICAL_ORDER}; display order: {display_order}",
+        "# columns: " + ",".join(str(int(c)) for c in col_perm),
+    ]
+    rows = row_perm.tolist()
+    for r, values in zip(rows, t.values[np.ix_(row_perm, col_perm)].tolist()):
+        lines.append(f"{r}," + ",".join(map(repr, values)))
+    if p is not None:
+        dist = rlcm.response_distribution(theta, p)[row_perm].tolist()
+        dominance = rlcm.marginal_vector(t, p)[row_perm].tolist()
+        lines.append("# pattern,probability,dominance_probability")
+        lines.extend(f"{r},{d!r},{m!r}" for r, d, m in zip(rows, dist, dominance))
+    return "\n".join(lines) + "\n"

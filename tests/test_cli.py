@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,16 @@ from rlcm import (
     response_distribution,
     weight_graded_order,
 )
-from rlcm import cli, fileio
+from rlcm import cli, fileio, inference
 from rlcm.cli import _em_config, build_parser, main
 
-from helpers import child_env, stacked_identity
+from helpers import (
+    child_env,
+    random_proportions,
+    random_theta,
+    reference_tmatrix_text,
+    stacked_identity,
+)
 
 
 @pytest.fixture
@@ -151,6 +158,72 @@ class TestTmatrix:
             for r in perm:
                 lines.append(f"{int(r)},{float(dist[r])!r},{float(dominance[r])!r}")
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+    # 2**5 = 32 display rows: blocks of 3 and 5 leave a short last block, 64
+    # makes one block of them all
+    @pytest.mark.parametrize("rows", [3, 5, 64])
+    @pytest.mark.parametrize("order", ["binary", "weight"])
+    @pytest.mark.parametrize("with_p", [False, True])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_blocked_dump_is_the_one_string_dump(self, workdir, capsys, monkeypatch,
+                                                  rows, order, with_p, to_file):
+        rng = np.random.default_rng(rows)
+        theta, p = random_theta(rng, 5, 2), random_proportions(rng, 2)
+        theta_path = workdir / "theta.json"
+        fileio.write_theta_json(theta_path, theta)
+        theta = fileio.read_theta_json(theta_path)
+        argv = ["tmatrix", "--theta", str(theta_path), "--display-order", order]
+        if with_p:
+            argv += ["--p", _write_p(workdir / "p.json", p.probs)]
+        if to_file:
+            argv += ["--out", str(workdir / "table.csv")]
+        # the block rule, patched down to ``rows`` rows
+        monkeypatch.setattr(inference, "CHUNK_BYTES", 0)
+        monkeypatch.setattr(inference, "CHUNK_PATTERNS", rows)
+        parts = []
+        write_text = fileio.write_text
+        monkeypatch.setattr(fileio, "write_text",
+                            lambda path, text: write_text(path, parts.extend(text) or parts))
+        assert main(argv) == 0
+        blocks = -(-32 // rows)
+        # the header, the table's blocks, then the vectors' header and blocks
+        assert len(parts) == 1 + blocks + with_p * (1 + blocks)
+        out = (workdir / "table.csv").read_text() if to_file else capsys.readouterr().out
+        assert out == reference_tmatrix_text(theta, p if with_p else None, order)
+
+    def test_dump_peak_memory_is_a_few_tables(self, workdir):
+        rng = np.random.default_rng(15)
+        theta_path = workdir / "theta.json"
+        fileio.write_theta_json(theta_path, random_theta(rng, 15, 3))
+        argv = ["tmatrix", "--theta", str(theta_path),
+                "--p", _write_p(workdir / "p.json", random_proportions(rng, 3).probs),
+                "--out", str(workdir / "table.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 2**15 x 2**3 table is 2 MiB and its dump 7.1 MiB of text: formed
+        # as one string, with every line held first, the peak was 30 MiB
+        assert peak <= 4 * 2 * 2**20
+
+    @pytest.mark.parametrize("bad", ["p-json", "p-size", "theta-json"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_rejected_dump_writes_nothing(self, workdir, capsys, bad, to_file):
+        theta_path, p_path = workdir / "theta.json", workdir / "p.json"
+        fileio.write_theta_json(theta_path, ThetaMatrix([[0.1, 0.8], [0.2, 0.9]]))
+        _write_p(p_path, [0.1, 0.2, 0.3, 0.4] if bad == "p-size" else [0.5, 0.5])
+        if bad == "p-json":
+            p_path.write_text('{"format": "proportion-vector", "K": 1')
+        if bad == "theta-json":
+            theta_path.write_text("[")
+        out = workdir / "table.csv"
+        argv = ["tmatrix", "--theta", str(theta_path), "--p", str(p_path)]
+        assert main(argv + ["--out", str(out)] if to_file else argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestCounterexample:
