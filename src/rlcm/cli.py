@@ -27,7 +27,7 @@ from .identifiability import (
     incomplete_counterexample,
     verdict,
 )
-from .inference import EmConfig, _block_rows, consistency_experiment, em_fit, simulate
+from .inference import EmConfig, _blocks, consistency_experiment, em_fit, simulate
 from .models import theta_from_params
 from .tmatrix import apply_shift, build_tmatrix, build_transform, marginal_vector, response_distribution
 
@@ -191,8 +191,7 @@ def _cmd_tmatrix(args) -> int:
         p = fileio.read_proportion_json(args.p)
         vectors = np.column_stack((response_distribution(theta, p), marginal_vector(t, p)))
         sections.append(("# pattern,probability,dominance_probability\n", vectors.__getitem__))
-    rows = _block_rows(8 * col_perm.size)
-    blocks = [row_perm[start:start + rows] for start in range(0, row_perm.size, rows)]
+    blocks = [row_perm[rows] for rows in _blocks(row_perm.size, 8 * col_perm.size)]
 
     def text():
         """The dump one block of rows at a time, each value as its repr."""

@@ -14,13 +14,13 @@ import math
 import operator
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import ProportionVector, QMatrix, ThetaMatrix, bit_matrix
 from .identifiability import InternalConsistencyError, NonIdentifiablePair
-from .inference import ExperimentTable, FitResult, ResponseData, _block_rows
+from .inference import ExperimentTable, FitResult, ResponseData, _blocks
 from .models import FAMILY, ItemParams
 
 CANONICAL_ORDER = "binary-counter, bit0=attr1"
@@ -155,10 +155,9 @@ def _check_sizes(path, doc: dict, **stored) -> None:
                               f"values ({actual})")
 
 
-def write_text(path, text: Union[str, Iterable[str]]) -> None:
-    """``text``, a string or each string of an iterable in turn, into the file
-    ``path``, or onto stdout when ``path`` is None."""
-    parts = (text,) if isinstance(text, str) else text
+def write_text(path, parts: Iterable[str]) -> None:
+    """Each string of ``parts`` in turn into the file ``path``, or onto stdout
+    when ``path`` is None."""
     if path is None:
         sys.stdout.writelines(parts)
     else:
@@ -224,14 +223,14 @@ def _writer_layout_bits(data: bytes):
     words = np.frombuffer(data, "<u2", offset=start).reshape(-1, width // 2)
     zeros = np.frombuffer(b"0," * (width // 2 - 1) + b"0\n", "<u2")
     bits = np.empty(words.shape, dtype=np.int8)
-    rows = _block_rows(width)
-    buffer = np.empty((min(rows, len(words)), width // 2), dtype="<u2")
-    for first in range(0, len(words), rows):
-        block = words[first:first + rows]
+    blocks = _blocks(len(words), width)
+    buffer = np.empty((blocks[0].stop, width // 2), dtype="<u2")
+    for rows in blocks:
+        block = words[rows]
         cells = np.subtract(block, zeros, out=buffer[:len(block)])
         if cells.max() > 1:
             return None
-        bits[first:first + rows] = cells
+        bits[rows] = cells
     return bits
 
 
@@ -332,10 +331,9 @@ def read_response_csv(path) -> ResponseData:
 
 
 def write_response_csv(path, data: ResponseData) -> None:
-    rows = _block_rows(2 * data.n_items)
     _write_bits_csv(path, "responses: one line per subject, columns are items 1..J",
-                    (bit_matrix(data.codes[start:start + rows], data.n_items)
-                     for start in range(0, data.n_subjects, rows)))
+                    (bit_matrix(data.codes[rows], data.n_items)
+                     for rows in _blocks(data.n_subjects, 2 * data.n_items)))
 
 
 def pair_to_dict(pair: NonIdentifiablePair) -> dict:

@@ -47,8 +47,8 @@ from .tmatrix import superset_sums
 P_FLOOR = 1e-10       # keeps every latent class alive
 TRACE_TOL = 1e-8      # trace may decrease by at most this per step
 LOCKSTEP_ROWS = 16    # restarts that run EM together
-CHUNK_BYTES = 256 << 10           # most a block of rows holds: it stays in cache
-CHUNK_PATTERNS = MAX_ITEMS + 1    # over its passes; never fewer rows than J + 1
+CHUNK_BYTES = 256 << 10           # most a block of rows holds: it stays in cache over its passes
+CHUNK_PATTERNS = MAX_ITEMS + 1    # the E-step's floor alone: a chunk is at least J + 1 rows
 
 
 class EmError(RuntimeError):
@@ -95,12 +95,11 @@ class ResponseData(_Record):
         # a BLAS product, exact: a code is below 2**MAX_ITEMS, and float32
         # holds every integer below 2**24
         weights = np.exp2(np.arange(n_items, dtype=np.float32))
-        rows = _block_rows(8 * n_items)
-        for start in range(0, n_subjects, rows):
-            bits = block(slice(start, start + rows))
+        for rows in _blocks(n_subjects, 8 * n_items):
+            bits = block(rows)
             if bits.dtype != bool and not ((bits == 0) | (bits == 1)).all():
                 raise ValueError("responses must be 0 or 1")
-            codes[start:start + rows] = bits.astype(np.float32) @ weights
+            codes[rows] = bits.astype(np.float32) @ weights
         codes.flags.writeable = False     # kept without a copy
         return cls(codes, n_items)
 
@@ -117,10 +116,11 @@ class ResponseData(_Record):
         return _pattern_stats(self)
 
 
-def _block_rows(row_bytes: int) -> int:
-    """Rows of ``row_bytes`` bytes in one block that stays in cache
-    (CHUNK_BYTES), but never fewer than CHUNK_PATTERNS."""
-    return max(CHUNK_PATTERNS, CHUNK_BYTES // row_bytes)
+def _blocks(n: int, row_bytes: int, least: int = 1) -> list:
+    """The slices that walk ``n`` rows of ``row_bytes`` bytes in blocks that
+    stay in cache (CHUNK_BYTES), but never of fewer than ``least`` rows."""
+    rows = max(least, CHUNK_BYTES // row_bytes)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def simulate(theta: ThetaMatrix, p: ProportionVector, n_subjects: int,
@@ -139,7 +139,7 @@ def simulate(theta: ThetaMatrix, p: ProportionVector, n_subjects: int,
     # a class's thresholds are one row; "clip" skips the bounds check, for
     # which np.take buffers a copy when given out=
     table = np.ascontiguousarray(theta.values.T)
-    uniforms = np.empty((min(_block_rows(8 * theta.n_items), n_subjects), theta.n_items))
+    uniforms = np.empty((_blocks(n_subjects, 8 * theta.n_items)[0].stop, theta.n_items))
     thresholds = np.empty_like(uniforms)
 
     def block(rows):
@@ -201,11 +201,11 @@ def _e_step(counts, bits_one, theta_values, p, want_counts=False):
     the CHUNK_PATTERNS floor sets its size instead.
     """
     weights = _log_weights(theta_values)
-    rows = _block_rows(8 * p.size)
-    buffer = np.empty((min(rows, len(counts)), p.size))   # each chunk's likelihood
+    blocks = _blocks(len(counts), 8 * p.size, CHUNK_PATTERNS)
+    buffer = np.empty((blocks[0].stop, p.size))   # each chunk's likelihood
     ll, fused = 0.0, None
-    for start in range(0, len(counts), rows):
-        chunk, seen = bits_one[start:start + rows], counts[start:start + rows]
+    for rows in blocks:
+        chunk, seen = bits_one[rows], counts[rows]
         like = np.matmul(chunk, weights, out=buffer[:len(chunk)])
         mixture = np.exp(like, out=like) @ p
         ll += float(seen @ np.log(mixture))
@@ -476,7 +476,9 @@ def consistency_experiment(q: QMatrix, families: Sequence[str],
     covered by the sufficient identifiability conditions; in that case
     errors need not shrink with the sample size.
     """
-    if replications < 1:
+    for i, n in enumerate(n_grid):
+        _number(f"n_grid[{i}]", n, numbers.Integral)
+    if _number("replications", replications, numbers.Integral) < 1:
         raise ValueError("need at least one replication")
     theta_true = theta_from_params(q, list(true_params))
     report = verdict(q, theta_true)
@@ -489,7 +491,7 @@ def consistency_experiment(q: QMatrix, families: Sequence[str],
     records = []
     for i, n in enumerate(n_grid):
         for r in range(replications):
-            data = simulate(theta_true, true_p, int(n), int(draw[i, r, 0]))
+            data = simulate(theta_true, true_p, n, int(draw[i, r, 0]))
             config = replace(em_config or EmConfig(), seed=int(draw[i, r, 1]))
             fit = em_fit(data, q, families, config)
             item_errors = np.abs(fit.theta_hat.values - theta_true.values).max(axis=1)

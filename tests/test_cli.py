@@ -51,6 +51,24 @@ def _write_p(path, probs):
     return str(path)
 
 
+def _dump_peak(workdir, n_items, n_attributes) -> int:
+    """The ``tracemalloc`` peak of ``rlcm tmatrix --p --out`` on a random
+    table of ``n_items`` items and ``n_attributes`` attributes."""
+    rng = np.random.default_rng(15)
+    theta_path = workdir / "theta.json"
+    fileio.write_theta_json(theta_path, random_theta(rng, n_items, n_attributes))
+    argv = ["tmatrix", "--theta", str(theta_path),
+            "--p", _write_p(workdir / "p.json",
+                            random_proportions(rng, n_attributes).probs),
+            "--out", str(workdir / "table.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCheck:
     def test_example_q_exit_3(self, workdir, capsys):
         q = _write_q(workdir / "q.csv", [[1, 0], [0, 1], [1, 1]])
@@ -177,9 +195,8 @@ class TestTmatrix:
             argv += ["--p", _write_p(workdir / "p.json", p.probs)]
         if to_file:
             argv += ["--out", str(workdir / "table.csv")]
-        # the block rule, patched down to ``rows`` rows
-        monkeypatch.setattr(inference, "CHUNK_BYTES", 0)
-        monkeypatch.setattr(inference, "CHUNK_PATTERNS", rows)
+        # the block rule, patched down to ``rows`` rows of 2**2 doubles
+        monkeypatch.setattr(inference, "CHUNK_BYTES", rows * 8 * 2**2)
         parts = []
         write_text = fileio.write_text
         monkeypatch.setattr(fileio, "write_text",
@@ -192,21 +209,15 @@ class TestTmatrix:
         assert out == reference_tmatrix_text(theta, p if with_p else None, order)
 
     def test_dump_peak_memory_is_a_few_tables(self, workdir):
-        rng = np.random.default_rng(15)
-        theta_path = workdir / "theta.json"
-        fileio.write_theta_json(theta_path, random_theta(rng, 15, 3))
-        argv = ["tmatrix", "--theta", str(theta_path),
-                "--p", _write_p(workdir / "p.json", random_proportions(rng, 3).probs),
-                "--out", str(workdir / "table.csv")]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         # the 2**15 x 2**3 table is 2 MiB and its dump 7.1 MiB of text: formed
         # as one string, with every line held first, the peak was 30 MiB
-        assert peak <= 4 * 2 * 2**20
+        assert _dump_peak(workdir, 15, 3) <= 4 * 2 * 2**20
+
+    def test_wide_dump_peak_memory_is_a_few_tables(self, workdir):
+        # the 2**4 x 2**15 table is 4 MiB, each row 256 KiB: dumped a row at a
+        # time the peak is 10 MiB, with the E-step's floor of 21 rows (the
+        # whole table as one block of text) it was 34 MiB
+        assert _dump_peak(workdir, 4, 15) <= 4 * 4 * 2**20
 
     @pytest.mark.parametrize("bad", ["p-json", "p-size", "theta-json"])
     @pytest.mark.parametrize("to_file", [False, True])

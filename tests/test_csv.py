@@ -201,16 +201,16 @@ def test_writers_write_the_joined_bytes(tmp_path, shape):
     assert np.array_equal(fileio.read_qmatrix_csv(path).entries, q.entries)
 
 
-def _small_blocks(monkeypatch):
-    """Blocks of 5 rows in the writer, the reader and the packer."""
-    monkeypatch.setattr(inference, "CHUNK_BYTES", 0)
-    monkeypatch.setattr(inference, "CHUNK_PATTERNS", 5)
+def _small_blocks(monkeypatch, n_items):
+    """Blocks of 5 rows of ``n_items`` cells in the writer and the reader, and
+    so of one row in the packer, whose rows are 8 bytes a cell."""
+    monkeypatch.setattr(inference, "CHUNK_BYTES", 5 * 2 * n_items)
 
 
 @pytest.mark.parametrize("n_subjects", [1, 4, 5, 6, 20, 23])
 @pytest.mark.parametrize("n_items", [1, 3, 20])
 def test_responses_read_back_across_blocks(tmp_path, monkeypatch, n_subjects, n_items):
-    _small_blocks(monkeypatch)
+    _small_blocks(monkeypatch, n_items)
     rng = np.random.default_rng(n_subjects * 31 + n_items)
     data = ResponseData(rng.integers(0, 1 << n_items, n_subjects), n_items)
     path = tmp_path / "data.csv"
@@ -223,7 +223,7 @@ def test_responses_read_back_across_blocks(tmp_path, monkeypatch, n_subjects, n_
 
 @pytest.mark.parametrize("cell", [b"2", b" ", b"x"])
 def test_a_bad_cell_in_the_last_block_reaches_the_per_line_pass(tmp_path, monkeypatch, cell):
-    _small_blocks(monkeypatch)
+    _small_blocks(monkeypatch, 3)
     data = ResponseData(np.arange(23) % 8, 3)
     path = tmp_path / "data.csv"
     fileio.write_response_csv(path, data)

@@ -90,11 +90,11 @@ class TestResponseData:
         assert codes.dtype == np.int64
         assert np.array_equal(codes, matrix.astype(np.int64) @ weights)
 
-    # blocks of 5 rows: the matrix's 23 rows end in a block of 3
+    # blocks of 5 rows of 7 items, 8 bytes each: the matrix's 23 rows end in a
+    # block of 3
     @pytest.mark.parametrize("dtype", [np.int8, bool, np.float64])
     def test_packs_across_blocks(self, monkeypatch, dtype):
-        monkeypatch.setattr(inference, "CHUNK_BYTES", 0)
-        monkeypatch.setattr(inference, "CHUNK_PATTERNS", 5)
+        monkeypatch.setattr(inference, "CHUNK_BYTES", 5 * 8 * 7)
         matrix = np.random.default_rng(3).integers(0, 2, size=(23, 7)).astype(dtype)
         weights = (1 << np.arange(7)).astype(np.int64)
         assert np.array_equal(ResponseData.from_matrix(matrix).codes,
@@ -152,10 +152,11 @@ class TestSimulate:
     @pytest.mark.parametrize("n_items", [1, 13, 16, 20])
     def test_blocks_draw_the_one_shot_codes(self, monkeypatch, n_items, patched):
         if patched:
-            monkeypatch.setattr(inference, "CHUNK_BYTES", 0)
-            monkeypatch.setattr(inference, "CHUNK_PATTERNS", patched)
-        rows = inference._block_rows(8 * n_items)
-        assert rows == (patched or inference.CHUNK_BYTES // (8 * n_items))
+            monkeypatch.setattr(inference, "CHUNK_BYTES", patched * 8 * n_items)
+        rows = inference.CHUNK_BYTES // (8 * n_items)
+        assert inference._blocks(3 * rows + 5, 8 * n_items) == [
+            slice(0, rows), slice(rows, 2 * rows), slice(2 * rows, 3 * rows),
+            slice(3 * rows, 3 * rows + 5)]
         for n_attributes in (1, 3, 6):
             rng = np.random.default_rng(10 * n_items + n_attributes)
             theta = random_theta(rng, n_items, n_attributes)
@@ -506,6 +507,19 @@ class TestConsistencyExperiment:
         with pytest.raises(ValueError, match="at least one replication"):
             consistency_experiment(q, ["DINA"] * 6, params, p, n_grid=[200],
                                    replications=0, seed=5)
+
+    # a float or bool count was cast, so [100.7] fitted N = 100 and [True] N = 1
+    @pytest.mark.parametrize("n_grid, replications, name", [
+        ([100.7], 1, r"n_grid\[0\]"), ([200, True], 1, r"n_grid\[1\]"),
+        ([200], 1.5, "replications"), ([200], True, "replications")],
+        ids=["float-n", "bool-n", "float-replications", "bool-replications"])
+    def test_rejects_counts_that_are_not_integers(self, monkeypatch, n_grid,
+                                                   replications, name):
+        q, params, theta, p = _dina_setup()
+        monkeypatch.setattr(inference, "simulate", None)      # nothing is drawn
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            consistency_experiment(q, ["DINA"] * 6, params, p, n_grid=n_grid,
+                                   replications=replications, seed=5)
 
     def test_to_dict_shape(self):
         q, params, theta, p = _dina_setup()
