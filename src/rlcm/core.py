@@ -84,6 +84,10 @@ def weight_graded_order(length: int) -> NDArray[np.int64]:
     Yields 0, e_1, ..., e_n, e_1+e_2, e_1+e_3, ..., 1 as in hand-written
     marginal tables.  Used for printing only; storage stays binary-counter.
     """
+    if length < 0:
+        raise ValueError(f"length must be at least 0, got {length}")
+    if length > max(MAX_ITEMS, MAX_ATTRIBUTES):   # a pattern's or a profile's bits
+        raise SizeLimitError(f"length {length} exceeds {max(MAX_ITEMS, MAX_ATTRIBUTES)}")
     order = [
         sum(1 << i for i in combo)
         for w in range(length + 1)
@@ -164,6 +168,13 @@ def _check_agreement(**records) -> None:
                 f"{name} has {letter}={n}" for name, n in sizes.items()))
 
 
+def _check_caps(n_items: int, n_attributes: int) -> None:
+    """A J x K design beyond the item or attribute cap is a SizeLimitError."""
+    if n_items > MAX_ITEMS or n_attributes > MAX_ATTRIBUTES:
+        raise SizeLimitError(f"Q-matrix {n_items}x{n_attributes} exceeds caps "
+                             f"J<={MAX_ITEMS}, K<={MAX_ATTRIBUTES}")
+
+
 class _Record:
     """Frozen arrays, equal to a record of the same type by ``np.array_equal``; unhashable."""
 
@@ -192,11 +203,7 @@ class QMatrix(_Record):
         n_items, n_attributes = entries.shape
         if n_items < 1 or n_attributes < 1:
             raise DimensionError("Q-matrix needs at least one item and one attribute")
-        if n_items > MAX_ITEMS or n_attributes > MAX_ATTRIBUTES:
-            raise SizeLimitError(
-                f"Q-matrix {n_items}x{n_attributes} exceeds caps "
-                f"J<={MAX_ITEMS}, K<={MAX_ATTRIBUTES}"
-            )
+        _check_caps(n_items, n_attributes)
         if not np.isin(entries, (0, 1)).all():
             raise ValueError("Q-matrix entries must be 0 or 1")
         if (entries.sum(axis=1) == 0).any():

@@ -139,13 +139,6 @@ def _build(where, make, *args, **kwargs):
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def _build_table(where, record, values: list, **kwargs):
-    """``record`` of schema-checked JSON numbers, handed over as an array: the
-    schema has rejected booleans already, so the record's walk of lists for
-    them is not needed."""
-    return _build(where, lambda: record(np.asarray(values), **kwargs))
-
-
 def _check_sizes(path, doc: dict, **stored) -> None:
     """The sizes ``doc`` declares must be those of the values it stores."""
     if any(doc[key] != size for key, size in stored.items()):
@@ -223,11 +216,8 @@ def _writer_layout_bits(data: bytes):
     words = np.frombuffer(data, "<u2", offset=start).reshape(-1, width // 2)
     zeros = np.frombuffer(b"0," * (width // 2 - 1) + b"0\n", "<u2")
     bits = np.empty(words.shape, dtype=np.int8)
-    blocks = _blocks(len(words), width)
-    buffer = np.empty((blocks[0].stop, width // 2), dtype="<u2")
-    for rows in blocks:
-        block = words[rows]
-        cells = np.subtract(block, zeros, out=buffer[:len(block)])
+    for rows in _blocks(len(words), width):
+        cells = words[rows] - zeros
         if cells.max() > 1:
             return None
         bits[rows] = cells
@@ -289,8 +279,8 @@ def write_qmatrix_csv(path, q: QMatrix) -> None:
 
 def read_theta_json(path) -> ThetaMatrix:
     doc = _read(path, "theta-matrix")
-    theta = _build_table(path, ThetaMatrix, doc["values"],
-                         is_probability=doc.get("is_probability", True))
+    theta = _build(path, ThetaMatrix, doc["values"],
+                   is_probability=doc.get("is_probability", True))
     _check_sizes(path, doc, J=theta.n_items, K=theta.n_attributes)
     return theta
 
@@ -303,7 +293,7 @@ def write_theta_json(path, theta: ThetaMatrix) -> None:
 
 def read_proportion_json(path) -> ProportionVector:
     doc = _read(path, "proportion-vector")
-    p = _build_table(path, ProportionVector, doc["probs"])
+    p = _build(path, ProportionVector, doc["probs"])
     _check_sizes(path, doc, K=p.n_attributes)
     return p
 
@@ -356,8 +346,8 @@ def read_pair_json(path) -> NonIdentifiablePair:
 
     def member(key: str):
         where = f"{path}: {key}"
-        return (_build_table(where, ThetaMatrix, doc[key]["theta"]),
-                _build_table(where, ProportionVector, doc[key]["p"]))
+        return (_build(where, ThetaMatrix, doc[key]["theta"]),
+                _build(where, ProportionVector, doc[key]["p"]))
 
     first, second = member("first"), member("second")
     _check_sizes(path, doc, J=first[0].n_items, K=first[0].n_attributes)

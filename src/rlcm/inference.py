@@ -182,12 +182,6 @@ def _log_weights(theta_values: NDArray) -> NDArray:
     return weights
 
 
-# unchunked, for the oracle helpers.reference_run_em
-def _likelihood_matrix(bits_one: NDArray, theta_values: NDArray) -> NDArray:
-    """P(pattern | class) for each row of ``bits_one`` and column of theta."""
-    return np.exp(bits_one @ _log_weights(theta_values))
-
-
 def _e_step(counts, bits_one, theta_values, p, want_counts=False):
     """The log-likelihood of patterns ``bits_one`` = ``[bits | 1]``, seen
     ``counts`` times, at one parameter point, and with ``want_counts`` the
@@ -201,12 +195,10 @@ def _e_step(counts, bits_one, theta_values, p, want_counts=False):
     the CHUNK_PATTERNS floor sets its size instead.
     """
     weights = _log_weights(theta_values)
-    blocks = _blocks(len(counts), 8 * p.size, CHUNK_PATTERNS)
-    buffer = np.empty((blocks[0].stop, p.size))   # each chunk's likelihood
     ll, fused = 0.0, None
-    for rows in blocks:
+    for rows in _blocks(len(counts), 8 * p.size, CHUNK_PATTERNS):
         chunk, seen = bits_one[rows], counts[rows]
-        like = np.matmul(chunk, weights, out=buffer[:len(chunk)])
+        like = chunk @ weights
         mixture = np.exp(like, out=like) @ p
         ll += float(seen @ np.log(mixture))
         if want_counts:
@@ -278,16 +270,6 @@ class FitResult:
         if trace.size and (np.diff(trace) < -TRACE_TOL).any():
             worst = float(np.diff(trace).min())
             raise EmError(f"log-likelihood trace decreased by {-worst:.3g}")
-
-
-# unchunked, for the oracle helpers.reference_run_em
-def _expected_counts(bits_one, counts, like, mixture, p):
-    """Expected positives per (class, item) and class sizes from one GEMM,
-    ``(like * r).T @ bits_one`` with r = counts / mixture and ``bits_one``
-    = ``[bits | 1]``, scaled by p.  ``like`` is scaled in place."""
-    like *= (counts / mixture)[:, None]
-    fused = like.T @ bits_one
-    return p[:, None] * fused[:, :-1], p * fused[:, -1]
 
 
 def _run_em(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
@@ -480,6 +462,8 @@ def consistency_experiment(q: QMatrix, families: Sequence[str],
         _number(f"n_grid[{i}]", n, numbers.Integral)
     if _number("replications", replications, numbers.Integral) < 1:
         raise ValueError("need at least one replication")
+    if _number("seed", seed, numbers.Integral) < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     theta_true = theta_from_params(q, list(true_params))
     report = verdict(q, theta_true)
     if report.verdict is not Verdict.IDENTIFIABLE:

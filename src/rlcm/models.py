@@ -209,12 +209,13 @@ class ItemLayout:
                          np.bincount(index, np.tile(tot, len(self.index)), self.n_groups)])
 
 
-def _damped_newton(value, grad_neghess, coef, project=None):
+def _damped_newton(value, grad_neghess, coef, project):
     """Maximize each row of ``coef`` on its own by Newton steps, halving until
     its objective improves.
 
     ``value`` maps a (rows, d) stack of coefficients to each row's
-    objective, ``grad_neghess`` to each row's gradient and negative Hessian.
+    objective, ``grad_neghess`` to each row's gradient and negative Hessian,
+    and ``project`` each candidate onto the coefficients' bounds.
     A step tries scales 1, 1/2, ..., 2**-26 (the last above 1e-8) and takes
     the first candidate that gains more than the margin max(1e-12, 1e-15 *
     |objective|); ``MAX_STEPS`` bounds a row's candidates.  A row's ascent
@@ -247,9 +248,7 @@ def _damped_newton(value, grad_neghess, coef, project=None):
             trying &= k < limit
             if not trying.any():
                 break
-            candidate = np.where(trying[:, None], coef + scale * step, coef)
-            if project is not None:
-                candidate = project(candidate)
+            candidate = project(np.where(trying[:, None], coef + scale * step, coef))
             trying &= (candidate != coef).any(axis=1)
             if not trying.any():
                 break

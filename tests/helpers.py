@@ -647,9 +647,7 @@ def reference_run_em(counts, bits_one, items, coefs, p, n_subjects, max_iters, t
     converged = False
     for iteration in range(max_iters + 1):
         theta_vals = np.vstack([reference_item_row(fam, d, c) for (fam, d), c in zip(items, coefs)])
-        like = inference._likelihood_matrix(bits_one, theta_vals)
-        mixture = like @ p
-        ll = float(counts @ np.log(mixture))
+        ll, pos, tot = inference._e_step(counts, bits_one, theta_vals, p, True)
         if not np.isfinite(ll):
             raise inference.EmError(f"non-finite log-likelihood at iteration {iteration}")
         trace.append(ll)
@@ -658,7 +656,6 @@ def reference_run_em(counts, bits_one, items, coefs, p, n_subjects, max_iters, t
             break
         if iteration == max_iters:
             break
-        pos, tot = inference._expected_counts(bits_one, counts, like, mixture, p)
         p = np.maximum(tot / n_subjects, inference.P_FLOOR)
         p = p / p.sum()
         coefs = [reference_item_update(fam, design, c, pos[:, j], tot)

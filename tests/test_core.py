@@ -17,6 +17,7 @@ from rlcm import (
     enumerate_profiles,
     weight_graded_order,
 )
+from rlcm import core
 
 from helpers import bits_to_int, int_to_bits, profile_geq, reference_bit_matrix
 
@@ -105,6 +106,17 @@ class TestWeightGradedOrder:
     def test_is_permutation(self, n):
         order = weight_graded_order(n)
         assert sorted(order.tolist()) == list(range(1 << n))
+
+    # length 40 listed subsets until memory ran out; -1 gave an empty order
+    @pytest.mark.parametrize("length, error, message", [
+        (21, SizeLimitError, "^length 21 exceeds 20$"),
+        (40, SizeLimitError, "^length 40 exceeds 20$"),
+        (-1, ValueError, "^length must be at least 0, got -1$")])
+    def test_rejects_lengths_outside_the_caps(self, monkeypatch, length, error, message):
+        monkeypatch.setattr(core, "itertools", None)     # nothing is enumerated
+        with pytest.raises(error, match=message) as raised:
+            weight_graded_order(length)
+        assert type(raised.value) is error
 
 
 class TestQMatrix:

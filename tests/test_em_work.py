@@ -49,10 +49,11 @@ MAX_STEPS = (1, 2, 3, 5, 26, 27, 28, 50)
 
 
 def _one_row(value, grad_neghess, project=None):
-    """A one-vector problem as the stacked solver sees it: a stack of one row."""
+    """A one-vector problem as the stacked solver sees it: a stack of one row,
+    whose projection without ``project`` is the identity."""
     return (lambda c: np.array([value(c[0])]),
             lambda c: tuple(a[None] for a in grad_neghess(c[0])),
-            None if project is None else lambda c: project(c[0])[None])
+            (lambda c: c) if project is None else lambda c: project(c[0])[None])
 
 
 def _stacked_newton(value, grad_neghess, coef, project=None):
@@ -224,20 +225,17 @@ def test_rrum_item_at_its_bounds_costs_one_value_call(monkeypatch):
     assert all(np.array_equal(coef, bound) for _, coef in runs)
 
 
-def _expected_count_inputs(rng, theta_values):
+def _assert_counts_match(rng, theta_values):
+    """``_e_step``'s fused counts of 300 drawn patterns against the counts
+    through the posterior weights of the same GEMM likelihood."""
     n_items, n_classes = theta_values.shape
     bits = bit_matrix(rng.integers(0, 1 << n_items, size=300), n_items).astype(np.float64)
-    like = inference._likelihood_matrix(np.hstack([bits, np.ones((300, 1))]), theta_values)
+    bits_one = np.hstack([bits, np.ones((300, 1))])
+    like = np.exp(bits_one @ inference._log_weights(theta_values))
     p = rng.dirichlet(np.ones(n_classes))
-    return bits, rng.integers(1, 50, size=300).astype(np.float64), like, like @ p, p
-
-
-def _assert_counts_match(args):
-    bits, counts, like, mixture, p = args
-    ref_pos, ref_tot = reference_expected_counts(*args)
-    # the fused counts scale ``like`` in place, so they get their own copy
-    bits_one = np.hstack([bits, np.ones((len(bits), 1))])
-    pos, tot = inference._expected_counts(bits_one, counts, like.copy(), mixture, p)
+    counts = rng.integers(1, 50, size=300).astype(np.float64)
+    ref_pos, ref_tot = reference_expected_counts(bits, counts, like, like @ p, p)
+    _, pos, tot = inference._e_step(counts, bits_one, theta_values, p, True)
     np.testing.assert_allclose(pos, ref_pos, rtol=1e-12, atol=0)
     np.testing.assert_allclose(tot, ref_tot, rtol=1e-12, atol=0)
 
@@ -252,14 +250,14 @@ def test_fused_expected_counts_match_reference(family):
         q[q.sum(axis=1) == 0, rng.integers(0, n_attributes)] = 1
         q = QMatrix(q)
         params = [draw_monotone_params(rng, family, row) for row in q.entries]
-        _assert_counts_match(_expected_count_inputs(rng, theta_from_params(q, params).values))
+        _assert_counts_match(rng, theta_from_params(q, params).values)
 
 
 def test_fused_expected_counts_at_the_clamp():
     rng = np.random.default_rng(5)
     for _ in range(5):
         values = rng.choice([0.0, 1e-15, 0.3, 1.0 - 1e-15, 1.0], size=(12, 8))
-        _assert_counts_match(_expected_count_inputs(rng, values))
+        _assert_counts_match(rng, values)
 
 
 Q_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1],

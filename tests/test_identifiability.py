@@ -18,6 +18,7 @@ from rlcm import (
     ProportionVector,
     QMatrix,
     RrumParams,
+    SizeLimitError,
     ThetaMatrix,
     Verdict,
     c1_only_counterexample,
@@ -376,6 +377,22 @@ class TestC1OnlyCounterexample:
     def test_requires_two_attributes(self):
         with pytest.raises(NotApplicableError):
             c1_only_design(1, np.zeros((1, 0)))
+
+    # K = 2000 built a 4000 x 2000 design (a 92.6 MiB peak) before QMatrix
+    # rejected it
+    @pytest.mark.parametrize("n_attributes, n_extra, size", [
+        (2000, 0, "4000x2000"), (10, 1, "21x10"), (21, 0, "42x21")])
+    def test_caps_are_checked_before_the_rows_are_built(self, n_attributes, n_extra, size):
+        extra = np.zeros((n_extra, n_attributes - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError,
+                               match=f"^Q-matrix {size} exceeds caps J<=20, K<=20$"):
+                c1_only_design(n_attributes, extra)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_wrong_param_count(self):
         with pytest.raises(Exception):

@@ -521,6 +521,20 @@ class TestConsistencyExperiment:
             consistency_experiment(q, ["DINA"] * 6, params, p, n_grid=n_grid,
                                    replications=replications, seed=5)
 
+    # True ran as seed 1, None drew fresh OS entropy, 1.5 reached numpy
+    @pytest.mark.parametrize("seed, error, message", [
+        (True, TypeError, "^seed must be an integer, got True$"),
+        (None, TypeError, "^seed must be an integer, got None$"),
+        (1.5, TypeError, "^seed must be an integer, got 1.5$"),
+        (-1, ValueError, "^seed must be at least 0, got -1$")],
+        ids=["bool", "none", "float", "negative"])
+    def test_rejects_the_seeds_simulate_rejects(self, monkeypatch, seed, error, message):
+        q, params, theta, p = _dina_setup()
+        monkeypatch.setattr(inference, "simulate", None)      # nothing is drawn
+        with pytest.raises(error, match=message):
+            consistency_experiment(q, ["DINA"] * 6, params, p, n_grid=[200],
+                                   replications=1, seed=seed)
+
     def test_to_dict_shape(self):
         q, params, theta, p = _dina_setup()
         table = consistency_experiment(
