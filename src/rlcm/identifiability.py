@@ -387,9 +387,13 @@ def c1_only_design(n_attributes: int, extra_rows) -> QMatrix:
         )
     # the caps first: the rows of a design beyond them grow as K**2
     _check_caps(2 * n_attributes + len(extra), n_attributes)
-    eye = np.eye(n_attributes, dtype=np.int64)
-    untouched = np.zeros((len(extra), 1), dtype=np.int64)
-    return QMatrix(np.vstack([eye[[0, 0]], eye[1:], eye[1:], np.hstack([untouched, extra])]))
+    k = n_attributes
+    rows = [np.eye(1, k, 0, dtype=np.int64)[0]] * 2
+    tail_block = [np.eye(1, k, c, dtype=np.int64)[0] for c in range(1, k)]
+    rows += tail_block + tail_block
+    for r in extra:
+        rows.append(np.concatenate(([0], r)))
+    return QMatrix(np.vstack(rows))
 
 
 def c1_only_counterexample(n_attributes: int, extra_rows,
