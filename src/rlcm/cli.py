@@ -206,8 +206,6 @@ def _cmd_tmatrix(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.out is None:
-        raise ValueError("simulate requires --out")
     theta = _load_theta(args)
     p = fileio.read_proportion_json(args.p)
     data = simulate(theta, p, args.n, args.seed)
@@ -332,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=_path, help="Q-matrix CSV")
     sp.add_argument("--p", type=_path, required=True, help="proportion-vector JSON")
     sp.add_argument("--n", type=_count, required=True)
-    add_common(sp, _cmd_simulate, theta=True)
+    add_common(sp, _cmd_simulate, out=False, theta=True)
+    sp.add_argument("--out", type=_path, required=True)
 
     sp = sub.add_parser("fit", help="EM-fit item parameters and proportions")
     sp.add_argument("--q", type=_path, required=True)

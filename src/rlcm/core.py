@@ -159,6 +159,13 @@ def _check_profile_count(size: int, what: str) -> None:
         raise SizeLimitError(f"attribute count {k} exceeds {MAX_ATTRIBUTES}")
 
 
+def _check_item_count(n_items: int) -> None:
+    """QMatrix's rule for J: below 1 a DimensionError, above MAX_ITEMS a SizeLimitError."""
+    if not 1 <= n_items <= MAX_ITEMS:
+        error = DimensionError if n_items < 1 else SizeLimitError
+        raise error(f"item count {n_items} outside [1, {MAX_ITEMS}]")
+
+
 def _check_agreement(**records) -> None:
     """DimensionError naming each record's size unless the records agree on J and on K."""
     for size, what, letter in (("n_items", "item", "J"), ("n_attributes", "attribute", "K")):
@@ -244,10 +251,8 @@ class ThetaMatrix(_Record):
             raise TypeError(f"is_probability must be a bool, got {self.is_probability!r}")
         if values.ndim != 2:
             raise DimensionError("theta table must be two-dimensional")
-        n_items, n_cols = values.shape
-        if n_items < 1 or n_items > MAX_ITEMS:
-            raise SizeLimitError(f"item count {n_items} outside [1, {MAX_ITEMS}]")
-        _check_profile_count(n_cols, "theta column count")
+        _check_item_count(values.shape[0])
+        _check_profile_count(values.shape[1], "theta column count")
         if not np.isfinite(values).all():
             raise ValueError("theta table contains non-finite entries")
         if self.is_probability and ((values < 0).any() or (values > 1).any()):

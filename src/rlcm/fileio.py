@@ -9,12 +9,13 @@ indices appearing in JSON are 0-based.
 from __future__ import annotations
 
 import codecs
+import io
 import json
 import math
 import operator
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -101,24 +102,19 @@ def _check(value, schema: dict, where, at: str = "") -> None:
             _check(value, alt, where, at)
 
 
-def _read_text(path, data: Optional[bytes] = None) -> str:
-    """The UTF-8 text of the file ``path``, without a byte-order mark; bytes
-    that do not decode are a FileFormatError naming the file.  ``data``, the
-    file's bytes when they are read already, is decoded without the newline
-    translation of ``read_text``, which ``str.splitlines`` does not need."""
+def _read_text(path, data: bytes) -> str:
+    """``data``, the bytes of the file ``path``, decoded as ``Path.read_text``
+    decodes them, newlines too; bytes that do not decode are a FileFormatError."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
-        if data is None:
-            return Path(path).read_text(encoding="utf-8-sig")
-        # the decoder that read_text runs, so that an error reads the same
-        return codecs.getincrementaldecoder("utf-8-sig")().decode(data, final=True)
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not a text file: {exc}") from exc
 
 
 def _read(path, fmt: str) -> dict:
     """The JSON document at ``path``, validated against ``SCHEMAS[fmt]``."""
-    text = _read_text(path)
+    text = _read_text(path, Path(path).read_bytes())
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

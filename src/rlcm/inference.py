@@ -28,6 +28,7 @@ from .core import (
     ThetaMatrix,
     bit_matrix,
     _check_agreement,
+    _check_item_count,
     _freeze,
     _number,
     _Record,
@@ -53,11 +54,6 @@ CHUNK_PATTERNS = MAX_ITEMS + 1    # the E-step's floor alone: a chunk is at leas
 
 class EmError(RuntimeError):
     """Fitting failed; the message carries the diagnostic."""
-
-
-def _check_item_count(n_items: int) -> None:
-    if not 1 <= n_items <= MAX_ITEMS:
-        raise DimensionError(f"item count {n_items} outside [1, {MAX_ITEMS}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +185,13 @@ def _e_step(counts, bits_one, theta_values, p, want_counts=False):
 
     Each chunk of patterns (CHUNK_BYTES) is one GEMM in the log domain, whose
     exp needs no shift: an entry is at least THETA_CLAMP**J >= 1e-240.  It
-    adds ``(like * counts / mixture).T @ bits_one`` into one (classes, J + 1)
-    sum, scaled by p at the end.  A chunk's likelihood is sized to stay in
+    sums ``(like * counts / mixture).T @ bits_one``, (classes, J + 1), over the
+    chunks, scaled by p at the end.  A chunk's likelihood is sized to stay in
     cache over the GEMM, exp, mixture, scaling and counts GEMM; from K = 11
     the CHUNK_PATTERNS floor sets its size instead.
     """
     weights = _log_weights(theta_values)
-    ll, fused = 0.0, None
+    ll = fused = 0.0
     for rows in _blocks(len(counts), 8 * p.size, CHUNK_PATTERNS):
         chunk, seen = bits_one[rows], counts[rows]
         like = chunk @ weights
@@ -203,10 +199,8 @@ def _e_step(counts, bits_one, theta_values, p, want_counts=False):
         ll += float(seen @ np.log(mixture))
         if want_counts:
             like *= (seen / mixture)[:, None]
-            if fused is None:
-                fused = like.T @ chunk
-            else:
-                fused += like.T @ chunk
+            # into this chunk's product: a sum made before the loop would raise the peak
+            fused = np.add(part := like.T @ chunk, fused, out=part)
     if not want_counts:
         return ll, None, None
     fused *= p[:, None]

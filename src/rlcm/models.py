@@ -63,7 +63,8 @@ def _subset_sums(beta: Mapping[frozenset, float], attrs) -> NDArray[np.float64]:
     sums = np.zeros(1 << len(attrs))
     for key, value in beta.items():
         sums[sum(1 << pos[a] for a in key)] += value
-    return zeta_transform(sums)
+    with np.errstate(over="ignore"):   # a sum beyond float range is inf, outside [0, 1]
+        return zeta_transform(sums)
 
 
 class ItemDesign:
@@ -592,7 +593,11 @@ class LlmParams(_Item):
             raise InvalidParameterError("LLM: coefficients must be finite")
 
     def coef(self, design: ItemDesign, item: int) -> NDArray[np.float64]:
-        return np.concatenate([[self.beta0], _required(self, "slopes", self.beta, design, item)])
+        coef = np.concatenate([[self.beta0], _required(self, "slopes", self.beta, design, item)])
+        # theta_from_params sums them over every subset of the slopes
+        if not np.isfinite(sum(map(abs, coef.tolist()))):
+            raise InvalidParameterError(f"LLM: item {item} coefficients sum beyond float range")
+        return coef
 
     @staticmethod
     def init(design: ItemDesign, rng) -> NDArray[np.float64]:

@@ -10,6 +10,7 @@ import pytest
 from rlcm import (
     DinaParams,
     EmConfig,
+    GdinaParams,
     LlmParams,
     ProportionVector,
     QMatrix,
@@ -443,7 +444,8 @@ class TestUsageErrors:
         assert f"argument {argv[-1]}: " in line and message in line
 
     def test_largest_count_is_accepted_by_the_parser(self):
-        args = build_parser().parse_args(["simulate", "--p", "p.json", "--n", str(2**63 - 1)])
+        args = build_parser().parse_args(["simulate", "--p", "p.json", "--n", str(2**63 - 1),
+                                          "--out", "out.csv"])
         assert args.n == 2**63 - 1
 
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
@@ -493,6 +495,22 @@ def test_params_of_another_k_is_named(workdir, capsys):
         f"error: {params}: item parameters declare K=3, expected K=2\n"
 
 
+@pytest.mark.parametrize("item, message", [
+    (LlmParams(1e308, (1e308, 1e308)), "LLM: item 0 coefficients sum beyond float range"),
+    (GdinaParams({frozenset(): 0.25, frozenset({0}): 0.5}),
+     "item 0: GDINA: partial sum 1e+308 outside [0, 1]"),
+], ids=["LLM", "GDINA"])
+def test_coefficient_sum_beyond_float_range_is_one_error_line(workdir, capsys, item, message):
+    # under the error::RuntimeWarning filter an overflow warning would fail the run
+    params = _write_params(workdir / "params.json", [item], 2)
+    with open(params) as f:
+        text = f.read()
+    with open(params, "w") as f:
+        f.write(text.replace("0.25", "1e308").replace("0.5", "1e308"))
+    assert main(["check", "--q", _write_q(workdir / "q.csv", [[1, 1]]), "--params", params]) == 1
+    assert _one_error_line(capsys) == f"error: {params}: {message}\n"
+
+
 def test_theta_entry_beyond_float_range_is_one_error_line(workdir, capsys):
     # the entry reaches ThetaMatrix as an object array, which is not rejected
     # by dtype; the float cast overflows, and the reader names the file
@@ -507,7 +525,8 @@ def test_simulate_without_out_never_draws(workdir, capsys, monkeypatch):
     draws = []
     monkeypatch.setattr(cli, "simulate", lambda *args: draws.append(args))
     assert main(["simulate", "--n", "100000000000"] + _simulate_inputs(workdir)) == 1
-    assert capsys.readouterr().err == "error: simulate requires --out\n"
+    assert capsys.readouterr().err == \
+        "error: rlcm simulate: the following arguments are required: --out\n"
     assert draws == []
 
 def test_rrum_fit_on_sparse_data(workdir, capsys):

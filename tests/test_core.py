@@ -186,6 +186,16 @@ class TestThetaMatrix:
         with pytest.raises(DimensionError):
             ThetaMatrix([[0.1, 0.2, 0.3]])
 
+    @pytest.mark.parametrize("make", [
+        lambda j: ThetaMatrix(np.full((j, 2), 0.5)),
+        lambda j: ResponseData.from_matrix(np.ones((2, j), dtype=np.int8)),
+    ], ids=["ThetaMatrix", "ResponseData"])
+    @pytest.mark.parametrize("n_items, error", [(0, DimensionError), (21, SizeLimitError)])
+    def test_item_count_follows_the_q_matrix_rule(self, make, n_items, error):
+        # as in QMatrix: no item is a DimensionError, too many a SizeLimitError
+        with pytest.raises(error, match=rf"^item count {n_items} outside \[1, 20\]$"):
+            make(n_items)
+
     def test_copies_unless_given_a_frozen_array_it_may_keep(self):
         mine = np.array([[0.1, 0.2]])
         theta = ThetaMatrix(mine)

@@ -18,6 +18,7 @@ from rlcm import (
     ProportionVector,
     QMatrix,
     ResponseData,
+    SizeLimitError,
     ThetaMatrix,
     build_tmatrix,
     consistency_experiment,
@@ -122,7 +123,7 @@ class TestResponseData:
     def test_too_many_items_rejected_without_a_cast_warning(self, n_items):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DimensionError, match=f"item count {n_items} outside"):
+            with pytest.raises(SizeLimitError, match=f"item count {n_items} outside"):
                 ResponseData.from_matrix(np.ones((2, n_items), dtype=np.int8))
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan, np.inf])

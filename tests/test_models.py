@@ -64,6 +64,12 @@ class TestParamValidation:
         with pytest.raises(InvalidParameterError):
             GdinaParams({frozenset(): 0.5, frozenset({0}): 0.7})
 
+    def test_gdina_sum_beyond_float_range_is_rejected_without_a_warning(self):
+        # the error::RuntimeWarning filter makes an overflow warning fail the test
+        with pytest.raises(InvalidParameterError,
+                           match=r"^GDINA: partial sum 1e\+308 outside \[0, 1\]$"):
+            GdinaParams({frozenset(): 1e308, frozenset({0}): 1e308})
+
     def test_rrum_ranges(self):
         with pytest.raises(InvalidParameterError):
             RrumParams(pi=0.9, r=(1.0,))
@@ -103,6 +109,15 @@ class TestThetaFromParams:
             GdinaParams({frozenset(): g, frozenset({0}): 1 - s - g}),
         ])
         assert np.abs(dina.values - gdina.values).max() <= 1e-15
+
+    def test_llm_sums_beyond_float_range_are_rejected_without_a_warning(self):
+        # the error::RuntimeWarning filter makes an overflow warning fail the test
+        q = QMatrix([[1, 0, 0], [1, 1, 0]])
+        fine = LlmParams(0.0, (1.0, 1e308, 1e308))   # its huge slopes are not required
+        with pytest.raises(InvalidParameterError,
+                           match="^LLM: item 1 coefficients sum beyond float range$"):
+            theta_from_params(q, [fine, LlmParams(1e308, (1e308, 1e308, 0.0))])
+        assert theta_from_params(QMatrix([[1, 0, 0]]), [fine]).values.shape == (1, 8)
 
     def test_gdina_rejects_foreign_attribute(self):
         q = QMatrix([[1, 0]])

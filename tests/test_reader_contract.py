@@ -112,6 +112,20 @@ def test_undecodable_bytes_are_a_format_error(tmp_path, reader):
     _one_line_error_naming(path, reader)
 
 
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("lines, reader, problem", [
+    ([b"{", b'  "format": "proportion-vector",', b'  "K": 1, "probs": [x]', b"}"],
+     fileio.read_proportion_json, "invalid JSON at line 3, column 21: Expecting value"),
+    ([b"# Q", b"1,0", b"0,1", b"1,x"],
+     fileio.read_qmatrix_csv, "line 4, column 2: expected 0 or 1, got 'x'"),
+], ids=["json", "csv"])
+def test_error_is_located_alike_under_any_line_ending(tmp_path, ending, lines, reader,
+                                                       problem):
+    path = tmp_path / "input"
+    path.write_bytes(ending.join(lines) + ending)
+    assert _one_line_error_naming(path, reader) == f"{path}: {problem}"
+
+
 def _outcome(reader, path) -> str:
     """What ``reader`` makes of ``path``, with the path itself left out."""
     try:
