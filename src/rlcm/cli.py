@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Tuple
 
@@ -247,20 +246,15 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify_transform(args) -> int:
-    # the sizes are checked before the draw allocates J x 2**K doubles
-    for flag, value, cap in (("--j", args.j, tmatrix.MAX_DENSE_TRANSFORM_ITEMS),
-                             ("--k", args.k, core.MAX_ATTRIBUTES)):
-        if not 1 <= value <= cap:
-            raise core.SizeLimitError(f"{flag} must be in [1, {cap}], got {value}")
-    core.check_table_size(args.j, args.k)
+    core.check_table_size(args.j, args.k)   # before the draw allocates J x 2**K doubles
     rng = np.random.default_rng(args.seed)
     theta = ThetaMatrix(rng.uniform(size=(args.j, 1 << args.k)))
     shift = rng.uniform(-1.0, 1.0, size=args.j)
     lhs = build_transform(shift).values @ build_tmatrix(theta).values
     rhs = build_tmatrix(apply_shift(theta, shift)).values
     residual = float(np.abs(lhs - rhs).max())
-    print(json.dumps({"J": args.j, "K": args.k, "seed": args.seed,
-                      "max_abs_residual": residual}))
+    fileio.write_json(None, {"J": args.j, "K": args.k, "seed": args.seed,
+                             "max_abs_residual": residual})
     return EXIT_OK if residual <= 1e-12 else EXIT_INPUT_ERROR
 
 
@@ -352,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-transform",
                         help="check the shift-transform identity on random input")
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--j", type=int, required=True, metavar="J",
+                    choices=range(1, tmatrix.MAX_DENSE_TRANSFORM_ITEMS + 1))
+    sp.add_argument("--k", type=int, required=True, metavar="K",
+                    choices=range(1, core.MAX_ATTRIBUTES + 1))
     add_common(sp, _cmd_verify_transform, out=False)
 
     return parser
@@ -368,7 +364,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.schema:
-            print(json.dumps(fileio.SCHEMAS, indent=2))
+            fileio.write_json(None, fileio.SCHEMAS)
             return EXIT_OK
         if args.subcommand is None:
             parser.error("a subcommand is required")

@@ -37,7 +37,7 @@ def dominates(a: int, b: int) -> bool:
 
 def enumerate_profiles(n_attributes: int) -> NDArray[np.int64]:
     """All 2**K profile encodings in increasing (binary-counter) order."""
-    if not 1 <= n_attributes <= MAX_ATTRIBUTES:
+    if not 1 <= _number("n_attributes", n_attributes, numbers.Integral) <= MAX_ATTRIBUTES:
         raise SizeLimitError(
             f"attribute count must be in [1, {MAX_ATTRIBUTES}], got {n_attributes}"
         )
@@ -84,7 +84,7 @@ def weight_graded_order(length: int) -> NDArray[np.int64]:
     Yields 0, e_1, ..., e_n, e_1+e_2, e_1+e_3, ..., 1 as in hand-written
     marginal tables.  Used for printing only; storage stays binary-counter.
     """
-    if length < 0:
+    if _number("length", length, numbers.Integral) < 0:
         raise ValueError(f"length must be at least 0, got {length}")
     if length > max(MAX_ITEMS, MAX_ATTRIBUTES):   # a pattern's or a profile's bits
         raise SizeLimitError(f"length {length} exceeds {max(MAX_ITEMS, MAX_ATTRIBUTES)}")

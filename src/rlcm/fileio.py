@@ -19,7 +19,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import ProportionVector, QMatrix, ThetaMatrix, bit_matrix
+from .core import MAX_ATTRIBUTES, MAX_ITEMS, ProportionVector, QMatrix, ThetaMatrix, bit_matrix
 from .identifiability import InternalConsistencyError, NonIdentifiablePair
 from .inference import ExperimentTable, FitResult, ResponseData, _blocks
 from .models import FAMILY, ItemParams
@@ -382,7 +382,7 @@ def _document(fmt: str, optional=(), **properties) -> dict:
     return _object(optional, format={"const": fmt}, **properties)
 
 
-_SIZE = {"type": "integer", "minimum": 1, "maximum": 20}
+_J, _K = ({"type": "integer", "minimum": 1, "maximum": cap} for cap in (MAX_ITEMS, MAX_ATTRIBUTES))
 _NUMBER = {"type": "number"}
 _NUMBERS = {"type": "array", "items": _NUMBER}
 _TABLE = {"type": "array", "minItems": 1, "items": _NUMBERS}
@@ -407,19 +407,19 @@ SCHEMAS = {
                        "'#' lines are comments.",
     },
     "theta-matrix": _document(
-        "theta-matrix", optional=("is_probability",), J=_SIZE, K=_SIZE,
+        "theta-matrix", optional=("is_probability",), J=_J, K=_K,
         column_order={"const": CANONICAL_ORDER},
         is_probability={"type": "boolean", "default": True}, values=_TABLE),
     "proportion-vector": _document(
-        "proportion-vector", K=_SIZE, order={"const": CANONICAL_ORDER},
+        "proportion-vector", K=_K, order={"const": CANONICAL_ORDER},
         probs=_PROPORTIONS),
-    "item-params": _document("item-params", K=_SIZE, items=_ITEMS),
+    "item-params": _document("item-params", K=_K, items=_ITEMS),
     "nonidentifiable-pair": _document(
-        "nonidentifiable-pair", J=_SIZE, K=_SIZE, order={"const": CANONICAL_ORDER},
+        "nonidentifiable-pair", J=_J, K=_K, order={"const": CANONICAL_ORDER},
         first=_MEMBER, second=_MEMBER, max_distribution_gap=_GAP,
         parameter_distance=_GAP),
     "fit-result": _document(
-        "fit-result", K=_SIZE, item_params=_ITEMS, p=_PROPORTIONS,
+        "fit-result", K=_K, item_params=_ITEMS, p=_PROPORTIONS,
         loglik=_NUMBER, loglik_trace=_NUMBERS,
         converged={"type": "boolean"}, restarts_used={"type": "integer", "minimum": 0},
         restart_logliks={"type": "array", "items": {"type": ["number", "null"]}}),

@@ -108,8 +108,13 @@ class ResponseData(_Record):
 
     @cached_property
     def _patterns(self):
-        """``_pattern_stats`` of the record, formed on first use and kept."""
-        return _pattern_stats(self)
+        """Each distinct pattern's count and ``[bits | 1]`` row, read-only, formed once."""
+        codes, counts = np.unique(self.codes, return_counts=True)
+        bits_one = np.ones((len(codes), self.n_items + 1))
+        bits_one[:, :-1] = bit_matrix(codes, self.n_items)
+        counts = counts.astype(np.float64)
+        counts.flags.writeable = bits_one.flags.writeable = False
+        return counts, bits_one
 
 
 def _blocks(n: int, row_bytes: int, least: int = 1) -> list:
@@ -155,16 +160,6 @@ def empirical_gamma(data: ResponseData) -> NDArray[np.float64]:
     """
     counts = np.bincount(data.codes, minlength=1 << data.n_items).astype(np.float64)
     return superset_sums(counts) / data.n_subjects
-
-
-def _pattern_stats(data: ResponseData):
-    """Each distinct pattern's count and its row of ``[bits | 1]``, read-only."""
-    codes, counts = np.unique(data.codes, return_counts=True)
-    bits_one = np.ones((len(codes), data.n_items + 1))
-    bits_one[:, :-1] = bit_matrix(codes, data.n_items)
-    counts = counts.astype(np.float64)
-    counts.flags.writeable = bits_one.flags.writeable = False
-    return counts, bits_one
 
 
 def _log_weights(theta_values: NDArray) -> NDArray:
@@ -450,10 +445,12 @@ def consistency_experiment(q: QMatrix, families: Sequence[str],
 
     Warns (but still runs) when the design plus true table are not
     covered by the sufficient identifiability conditions; in that case
-    errors need not shrink with the sample size.
+    errors need not shrink with the sample size.  ``em_config`` sets every
+    fit except its ``seed``, which each fit draws from the experiment's ``seed``.
     """
     for i, n in enumerate(n_grid):
-        _number(f"n_grid[{i}]", n, numbers.Integral)
+        if _number(f"n_grid[{i}]", n, numbers.Integral) < 1:
+            raise ValueError(f"n_grid[{i}] must be at least 1, got {n}")
     if _number("replications", replications, numbers.Integral) < 1:
         raise ValueError("need at least one replication")
     if _number("seed", seed, numbers.Integral) < 0:

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -582,6 +583,18 @@ class TestExperimentCommand:
         doc = json.loads(out.read_text())
         assert doc["format"] == "consistency-table"
         assert len(doc["rows"]) == 2
+
+
+def test_experiment_rejects_a_sample_size_below_one_in_one_line(workdir, capsys):
+    # on a not-covered design the verdict's warning came before the error
+    q = _write_q(workdir / "q.csv", [[1, 0], [0, 1], [1, 0], [0, 1], [1, 1]])
+    params = _write_params(workdir / "params.json", [DinaParams(0.2, 0.1)] * 5, 2)
+    p = _write_p(workdir / "p.json", [0.25] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["experiment", "--q", q, "--params", params, "--p", p,
+                     "--families", "DINA", "--n-grid", "200,0"]) == 1
+    assert _one_error_line(capsys) == "error: n_grid[1] must be at least 1, got 0\n"
 
 
 class TestSchema:

@@ -84,6 +84,12 @@ class TestEnumerateProfiles:
         with pytest.raises(SizeLimitError):
             enumerate_profiles(k)
 
+    # 2.5 reached ``1 << 2.5`` and True ran as K = 1
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_rejects_counts_that_are_not_integers(self, k):
+        with pytest.raises(TypeError, match=f"^n_attributes must be an integer, got {k}$"):
+            enumerate_profiles(k)
+
     @given(st.integers(1, 10))
     def test_no_duplicates(self, k):
         codes = enumerate_profiles(k)
@@ -111,7 +117,9 @@ class TestWeightGradedOrder:
     @pytest.mark.parametrize("length, error, message", [
         (21, SizeLimitError, "^length 21 exceeds 20$"),
         (40, SizeLimitError, "^length 40 exceeds 20$"),
-        (-1, ValueError, "^length must be at least 0, got -1$")])
+        (-1, ValueError, "^length must be at least 0, got -1$"),
+        (2.5, TypeError, "^length must be an integer, got 2.5$"),
+        (True, TypeError, "^length must be an integer, got True$")])
     def test_rejects_lengths_outside_the_caps(self, monkeypatch, length, error, message):
         monkeypatch.setattr(core, "itertools", None)     # nothing is enumerated
         with pytest.raises(error, match=message) as raised:

@@ -84,7 +84,7 @@ def test_every_entry_at_the_clamp_keeps_loglik_finite():
     theta = ThetaMatrix(np.tile([[0.0, 1.0]], (n_items, 1)))
     p = ProportionVector([0.5, 0.5])
     data = ResponseData(np.array([0, (1 << n_items) - 1] * 3), n_items)
-    counts, bits_one = inference._pattern_stats(data)
+    counts, bits_one = data._patterns
     like = np.exp(bits_one @ inference._log_weights(theta.values))
     assert (like > 0).all() and like.min() == pytest.approx(THETA_CLAMP ** n_items, rel=1e-9)
     value = loglik(data, theta, p)
@@ -134,7 +134,7 @@ def _pattern_inputs(seed, n_items, n_attributes, n_subjects):
 @pytest.mark.parametrize("seed", range(4))
 def test_chunks_give_the_one_chunk_e_step(monkeypatch, seed, patterns):
     data, theta, p = _pattern_inputs(seed, 3 + 2 * seed, 1 + seed, 40 + 50 * seed)
-    counts, bits_one = inference._pattern_stats(data)
+    counts, bits_one = data._patterns
     whole = inference._e_step(counts, bits_one, theta.values, p.probs, True)
     one_chunk = loglik(data, theta, p)
     monkeypatch.setattr(inference, "CHUNK_BYTES", 0)
@@ -175,7 +175,7 @@ def _chunk_lengths(patterns, rows):
 @pytest.mark.parametrize("floor, rows", [(2, 5), (9, 9)])
 def test_a_chunk_holds_its_byte_budget(monkeypatch, floor, rows):
     data, theta, p = _pattern_inputs(5, 8, 4, 300)
-    counts, bits_one = inference._pattern_stats(data)
+    counts, bits_one = data._patterns
     monkeypatch.setattr(inference, "CHUNK_BYTES", 640)
     monkeypatch.setattr(inference, "CHUNK_PATTERNS", floor)
     _, seen = _chunked_e_step(counts, bits_one, theta.values, p.probs)
@@ -186,7 +186,7 @@ def test_the_default_chunks_give_the_reference_e_step():
     # at the module's own constants: 16 classes are 128 bytes a pattern, and
     # some 4,800 distinct patterns of 16 items fill more than two chunks
     data, theta, p = _pattern_inputs(6, 16, 4, 5000)
-    counts, bits_one = inference._pattern_stats(data)
+    counts, bits_one = data._patterns
     rows = inference.CHUNK_BYTES // 128
     assert rows >= inference.CHUNK_PATTERNS and len(counts) > 2 * rows
     (ll, pos, tot), seen = _chunked_e_step(counts, bits_one, theta.values, p.probs, True)

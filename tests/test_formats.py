@@ -26,6 +26,7 @@ from rlcm import (
     theta_from_params,
 )
 from rlcm.cli import main
+from rlcm.core import MAX_ATTRIBUTES, MAX_ITEMS
 from rlcm.models import FAMILY
 
 from helpers import stacked_identity
@@ -71,6 +72,26 @@ WRITERS = {
     "fit-result": lambda path: fileio.write_fit_json(path, _fit(), 2),
     "consistency-table": lambda path: fileio.write_experiment_json(path, _table()),
 }
+
+
+def _properties(schema):
+    """Every ``properties`` mapping in ``schema``, nested ones included."""
+    if isinstance(schema, dict):
+        if "properties" in schema:
+            yield schema["properties"]
+        for value in schema.values():
+            yield from _properties(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            yield from _properties(value)
+
+
+def test_size_bounds_are_the_caps_of_core():
+    sizes = [(letter, props[letter]) for props in _properties(fileio.SCHEMAS)
+             for letter in ("J", "K") if letter in props]
+    assert {letter for letter, _ in sizes} == {"J", "K"}
+    for letter, prop in sizes:
+        assert prop["maximum"] == {"J": MAX_ITEMS, "K": MAX_ATTRIBUTES}[letter]
 
 
 def _validate(doc, where="doc"):

@@ -34,6 +34,7 @@ from rlcm import (
     theta_from_params,
     verdict,
 )
+from rlcm import identifiability
 from rlcm.identifiability import _identical_columns
 
 from helpers import (
@@ -296,6 +297,15 @@ class TestIncompleteCounterexample:
         # profiles (0,0) and (1,0) are interchangeable
         assert np.array_equal(theta.values[:, 0], theta.values[:, 1])
         assert brute_gap(pair.first, pair.second) <= 1e-12
+
+    def test_gap_within_gap_tol_fails_the_mass_shift_recheck(self, monkeypatch):
+        # build() accepts a gap up to GAP_TOL = 1e-10; a mass shift must reach 1e-12
+        monkeypatch.setattr(identifiability, "distributions_equal", lambda a, b: 5e-11)
+        theta = theta_from_params(
+            INCOMPLETE_Q, [DinaParams(0.2, 0.1), DinaParams(0.1, 0.2)])
+        with pytest.raises(InternalConsistencyError, match="exceeds 1e-12") as raised:
+            incomplete_counterexample(INCOMPLETE_Q, theta, ProportionVector([0.25] * 4))
+        assert raised.value.gap == 5e-11
 
     def test_complete_design_not_applicable(self):
         theta = theta_from_params(EXAMPLE_Q, [DinaParams(0.2, 0.1)] * 3)

@@ -109,8 +109,8 @@ class TestResponseData:
         _, _, theta, p = _dina_setup()
         data = simulate(theta, p, 500, seed=3)
         calls = []
-        stats = inference._pattern_stats
-        monkeypatch.setattr(inference, "_pattern_stats",
+        stats = ResponseData._patterns.func
+        monkeypatch.setattr(ResponseData._patterns, "func",
                             lambda data: calls.append(data) or stats(data))
         first = loglik(data, theta, p)
         assert loglik(data, theta, p) == first
@@ -508,6 +508,20 @@ class TestConsistencyExperiment:
         with pytest.raises(ValueError, match="at least one replication"):
             consistency_experiment(q, ["DINA"] * 6, params, p, n_grid=[200],
                                    replications=0, seed=5)
+
+    # N = 0 built the table and warned of the verdict before simulate rejected it
+    @pytest.mark.parametrize("n_grid, i, n", [([0], 0, 0), ([200, -3], 1, -3)])
+    def test_rejects_sample_sizes_below_one_before_any_table(self, monkeypatch,
+                                                              n_grid, i, n):
+        q = QMatrix([[1, 0], [0, 1], [1, 0], [0, 1], [1, 1]])     # not covered
+        params = [DinaParams(0.2, 0.1)] * 5
+        monkeypatch.setattr(inference, "theta_from_params", None)   # no table is built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^n_grid\[{i}\] must be at least 1, "
+                                                 rf"got {n}$"):
+                consistency_experiment(q, ["DINA"] * 5, params, ProportionVector([0.25] * 4),
+                                       n_grid=n_grid, replications=1, seed=5)
 
     # a float or bool count was cast, so [100.7] fitted N = 100 and [True] N = 1
     @pytest.mark.parametrize("n_grid, replications, name", [
