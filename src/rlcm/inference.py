@@ -3,8 +3,10 @@
 Fitting maximizes the observed-data likelihood of the Q-restricted
 mixture by expectation-maximization over distinct response patterns.
 M-steps are exact for the conjunctive, disjunctive and additive
-families and damped-Newton ascent for the logit- and log-link families,
-so the log-likelihood trace never decreases.  Everything is
+families and one damped Newton step for the logit- and log-link families:
+a generalized EM, each M-step raising the expected complete-data
+log-likelihood or keeping its point, so the log-likelihood trace never
+decreases.  Everything is
 deterministic for a fixed seed.
 """
 
@@ -266,8 +268,10 @@ def _run_em(counts, bits_one, layout, starts, n_subjects, max_iters, tol):
     list with class proportions.
 
     Each restart keeps its own E-step; each M-step of the layout (one per
-    closed-form family, one damped-Newton ascent for all link items) updates
-    the rows of every live restart at once.  A restart leaves the block when it
+    closed-form family, one damped Newton step for all link items) updates
+    the rows of every live restart at once, raising each row's expected
+    complete-data log-likelihood or keeping its point, so each trace never
+    decreases.  A restart leaves the block when it
     meets ``tol``, reaches ``max_iters`` or its log-likelihood turns
     non-finite.  Returns per start its (trace, converged, coefficients,
     proportions), or the EmError that ended it.

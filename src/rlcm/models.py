@@ -23,6 +23,7 @@ random start are per item.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 import re
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .core import (
 
 EQ_TOL = 1e-10  # equality within this, strictness means margin beyond it
 THETA_CLAMP = 1e-12   # keeps logs finite during fitting
-MAX_STEPS = 50        # Newton candidates per M-step
+MAX_STEPS = 50        # caps a Newton step's candidates; binds only below its 27 scales
 
 
 class InvalidParameterError(ValueError):
@@ -211,70 +212,54 @@ class ItemLayout:
 
 
 def _damped_newton(value, grad_neghess, coef, project):
-    """Maximize each row of ``coef`` on its own by Newton steps, halving until
-    its objective improves.
+    """One damped Newton step for each row of ``coef``, halving until its
+    objective improves: the M-step of a generalized EM, which needs only a
+    gain in each row's objective for the log-likelihood trace never to
+    decrease.
 
     ``value`` maps a (rows, d) stack of coefficients to each row's
     objective, ``grad_neghess`` to each row's gradient and negative Hessian,
     and ``project`` each candidate onto the coefficients' bounds.
-    A step tries scales 1, 1/2, ..., 2**-26 (the last above 1e-8) and takes
-    the first candidate that gains more than the margin max(1e-12, 1e-15 *
-    |objective|); ``MAX_STEPS`` bounds a row's candidates.  A row's ascent
-    ends, without evaluating, at a scale whose predicted gain ``scale * grad
-    @ step`` is at most twice that margin, or at a candidate that is the
+    The step tries scales 1, 1/2, ..., 2**-26 (the last above 1e-8), at most
+    ``MAX_STEPS`` of them, and takes the first candidate that gains more
+    than the margin max(1e-12, 1e-15 * |objective|); a row with none keeps
+    its point.  A row stops, without evaluating, at a scale whose predicted
+    gain ``scale * grad @ step`` is not above twice that margin (a singular
+    system's zero step predicts none), or at a candidate that is the
     current point (as when ``project`` maps the step back onto it): every
-    smaller scale would give that point too.  It also ends at a step with no
-    improving candidate, and at a singular system.  One ``value`` call
-    evaluates the next scale of every row still trying one; every other row
-    carries its current coefficients.
+    smaller scale would give that point too.  One ``value`` call evaluates
+    the next scale of every row still trying one; every other row carries
+    its current coefficients.
     """
     coef = coef.copy()
     current = value(coef)
-    used = np.zeros(len(coef), dtype=np.int64)
-    going = np.ones(len(coef), dtype=bool)
-    ridge = 1e-10 * np.eye(coef.shape[1])
-    scales = 0.5 ** np.arange(27)
-    while True:
-        going &= used < MAX_STEPS
-        if not going.any():
-            return coef
-        grad, neghess = grad_neghess(coef)
-        step, trying = _newton_steps(neghess + ridge, grad, going)
-        margin = np.maximum(1e-12, 1e-15 * np.abs(current))
-        # scales from the first whose predicted gain is too small are not tried
-        small = (grad * step).sum(axis=1)[:, None] * scales <= 2 * margin[:, None]
-        limit = np.minimum(27 - small.sum(axis=1), MAX_STEPS - used)
-        going = np.zeros_like(going)
-        for k, scale in enumerate(scales):
-            trying &= k < limit
-            if not trying.any():
-                break
-            candidate = project(np.where(trying[:, None], coef + scale * step, coef))
-            trying &= (candidate != coef).any(axis=1)
-            if not trying.any():
-                break
-            used += trying
-            val = value(candidate)
-            better = trying & np.isfinite(val) & (val > current + margin)
-            coef[better], current[better] = candidate[better], val[better]
-            going |= better
-            trying &= ~better
+    grad, neghess = grad_neghess(coef)
+    step = _newton_steps(neghess + 1e-10 * np.eye(coef.shape[1]), grad)
+    gain, margin = (grad * step).sum(axis=1), np.maximum(1e-12, 1e-15 * np.abs(current))
+    trying = np.ones(len(coef), dtype=bool)
+    for scale in 0.5 ** np.arange(min(27, MAX_STEPS)):
+        trying &= scale * gain > 2 * margin
+        candidate = project(np.where(trying[:, None], coef + scale * step, coef))
+        trying &= (candidate != coef).any(axis=1)
+        if not trying.any():
+            break
+        val = value(candidate)
+        better = trying & np.isfinite(val) & (val > current + margin)
+        coef[better] = candidate[better]
+        trying &= ~better
+    return coef
 
 
-def _newton_steps(system, grad, rows):
-    """Each selected row's Newton step, zero elsewhere, and the selected rows
-    whose system could be solved."""
-    step = np.zeros_like(grad)
-    solved = rows.copy()
+def _newton_steps(system, grad):
+    """Each row's Newton step, zero where its system is singular."""
     try:
-        step[rows] = np.linalg.solve(system[rows], grad[rows, :, None])[..., 0]
+        return np.linalg.solve(system, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:  # one singular system fails the batch
-        for i in np.flatnonzero(rows):
-            try:
-                step[i] = np.linalg.solve(system[i], grad[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-    return step, solved
+        step = np.zeros_like(grad)
+    for i in range(len(grad)):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            step[i] = np.linalg.solve(system[i], grad[i])
+    return step
 
 
 class _Binomial:
@@ -305,7 +290,7 @@ class _Binomial:
         return np.minimum(c.reshape(self.shape), self.stack.bound).reshape(c.shape)
 
     def value(self, c):
-        # a copy: the Newton ascent moves its point in place
+        # a copy: the Newton step moves its point in place
         self.point, self.mu = c.copy(), self.row(self.stack, c.reshape(self.shape))
         mu = np.clip(self.mu, THETA_CLAMP, 1.0 - THETA_CLAMP)
         starts = self.stack.starts

@@ -568,6 +568,31 @@ def one_vector_damped_newton(value, grad_neghess, coef, project=None, max_steps=
     return coef
 
 
+def one_newton_step(value, grad_neghess, coef, project=None, max_steps=None):
+    """One step of ``one_vector_damped_newton``: its ladder of halvings run
+    once from ``coef``, with the same margin, stops and cap; the result is
+    the first improving candidate, else ``coef``."""
+    max_steps = rlcm.models.MAX_STEPS if max_steps is None else max_steps
+    current = value(coef)
+    grad, neghess = grad_neghess(coef)
+    try:
+        step = np.linalg.solve(neghess + 1e-10 * np.eye(coef.size), grad)
+    except np.linalg.LinAlgError:
+        return coef
+    gain = grad @ step
+    margin = max(1e-12, 1e-15 * abs(current))
+    for scale in 0.5 ** np.arange(min(27, max_steps)):
+        candidate = coef + scale * step
+        if project is not None:
+            candidate = project(candidate)
+        if scale * gain <= 2 * margin or np.array_equal(candidate, coef):
+            break
+        val = value(candidate)
+        if np.isfinite(val) and val > current + margin:
+            return candidate
+    return coef
+
+
 def _item_designs(design):
     """One item's logit and log-link design rows, one per group."""
     gbits = rlcm.core.bit_matrix(np.arange(design.n_groups), len(design.required)).astype(np.float64)
@@ -726,3 +751,13 @@ def reference_tmatrix_text(theta: ThetaMatrix, p, display_order: str) -> str:
         lines.append("# pattern,probability,dominance_probability")
         lines.extend(f"{r},{d!r},{m!r}" for r, d, m in zip(rows, dist, dominance))
     return "\n".join(lines) + "\n"
+
+
+def population_patterns(theta: ThetaMatrix, p, n_subjects: float):
+    """Population data of a model with J <= 10 items: every one of the 2**J
+    patterns, ``n_subjects`` times its probability ``response_distribution``,
+    and its ``[bits | 1]`` row, as ``inference._run_em`` takes them."""
+    assert theta.n_items <= 10
+    counts = n_subjects * rlcm.response_distribution(theta, p)
+    bits = rlcm.core.bit_matrix(np.arange(counts.size), theta.n_items)
+    return counts, np.hstack([bits, np.ones((counts.size, 1))])

@@ -313,6 +313,14 @@ class TestVerifyTransform:
         assert main(["verify-transform", "--j", j, "--k", k]) == 1
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("j, k", [("12", "15"), ("10", "17")])
+    def test_four_tables_past_the_cap_rejected_before_the_draw(self, capsys, j, k):
+        # one 2**J x 2**K table is 1 GiB here, and the check holds four
+        assert main(["verify-transform", "--j", j, "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestSimulateFitPipeline:
     def test_roundtrip_recovers_parameters(self, workdir, capsys):

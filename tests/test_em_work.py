@@ -4,20 +4,22 @@ Restarts run EM in lockstep blocks, and the LLM and RRUM items share one
 M-step: one damped-Newton call per EM iteration on the stack of every
 (restart, link item) row, each group taking its item's link
 (``helpers.reference_run_em`` is the loop one start and one item at a time,
-``helpers.one_vector_damped_newton`` the ascent of one row, and a row of a
-mixed stack is bit for bit the row of a one-family stack).  The ascent
-evaluates one candidate per row per ``value`` call, and ends a row without
-evaluating once its step can no longer gain
-(``helpers.relative_margin_damped_newton`` is the loop that tries every
-scale down to 2**-26 with the same acceptance margin, and
-``helpers.reference_damped_newton`` the one with the older absolute
-margin), and the expected counts come from one GEMM
+``helpers.one_newton_step`` the one damped Newton step of one row, and a
+row of a mixed stack is bit for bit the row of a one-family stack).  The
+step evaluates one candidate per row per ``value`` call, and keeps a row's
+point without evaluating once its step can no longer gain.  Repeated, it
+reaches the full ascent (``helpers.one_vector_damped_newton``, and
+``helpers.relative_margin_damped_newton``, the loop that tries every scale
+down to 2**-26 with the same acceptance margin; ``helpers.reference_damped_newton``
+is the one with the older absolute margin), and the expected counts come
+from one GEMM
 (``helpers.reference_expected_counts`` is the form through the posterior
 weights).  Each fast path must agree with its reference, and the M-step
 must not drift back to evaluating candidates that cannot be taken.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -30,9 +32,11 @@ from rlcm import inference, models
 from rlcm.core import bit_matrix
 from rlcm.models import FAMILIES, FAMILY, FamilyStack, ItemDesign
 
+import helpers
 from helpers import (
     _sigmoid as masked_sigmoid,
     draw_monotone_params,
+    one_newton_step,
     one_start_at_a_time,
     one_vector_damped_newton,
     random_proportions,
@@ -62,6 +66,16 @@ def _stacked_newton(value, grad_neghess, coef, project=None):
     return models._damped_newton(value, grad_neghess, coef[None], project)[0]
 
 
+def _repeated_steps(value, grad_neghess, coef, project=None):
+    """``_stacked_newton`` from its own result until its point stops moving."""
+    for _ in range(1000):
+        moved = _stacked_newton(value, grad_neghess, coef, project)
+        if np.array_equal(moved, coef):
+            return coef
+        coef = moved
+    raise AssertionError("no fixed point within 1000 steps")
+
+
 def _draw_update(rng, family, n_required):
     """A design with ``n_required`` attributes, expected counts with some empty
     groups, and a start far enough out that steps are halved."""
@@ -80,7 +94,7 @@ def _draw_update(rng, family, n_required):
 
 def test_ladder_matches_one_candidate_at_a_time(monkeypatch):
     rng = np.random.default_rng(2024)
-    halved = exhausted = 0
+    halved = capped = 0
     for draw in range(400):
         family = ("LLM", "RRUM")[draw % 2]
         value, grad, start, project = reference_newton_problem(
@@ -100,19 +114,22 @@ def test_ladder_matches_one_candidate_at_a_time(monkeypatch):
         monkeypatch.setattr(models, "MAX_STEPS", max_steps)
         newton = _stacked_newton(value, problem["grad_neghess"], problem["coef"],
                                  problem["project"])
-        loop = relative_margin_damped_newton(counted_value, grad_neghess, problem["coef"],
-                                             problem["project"], max_steps=max_steps)
+        loop = one_newton_step(counted_value, grad_neghess, problem["coef"],
+                               problem["project"], max_steps=max_steps)
         assert np.array_equal(newton, loop), (draw, family, max_steps)
-        # against the absolute 1e-12 margin, the objective loses only rounding
+        # against the absolute 1e-12 margin, the point that repeated steps
+        # reach loses only rounding
+        reached = _repeated_steps(value, problem["grad_neghess"], problem["coef"],
+                                  problem["project"])
         old = value(reference_damped_newton(value, problem["grad_neghess"], problem["coef"],
                                             problem["project"], max_steps=max_steps))
-        assert value(newton) >= old - 1e-15 * abs(old), (draw, family, max_steps)
-        # per Newton step, the candidates the loop tried
-        tried = [len(s) for s in "".join(events[1:]).split("g")[1:]]
-        halved += any(n > 1 for n in tried[:-1])
-        exhausted += sum(tried) == max_steps
-    # the draws reach accepted halvings and the candidate budget
-    assert halved > 100 and exhausted > 100
+        assert value(reached) >= old - 1e-15 * abs(old), (draw, family, max_steps)
+        # the candidates the step tried
+        tried = events.count("v") - 1
+        halved += tried > 1 and not np.array_equal(newton, problem["coef"])
+        capped += tried == max_steps
+    # the draws reach accepted halvings and the candidate cap
+    assert halved > 100 and capped > 100
 
 
 @pytest.mark.parametrize("max_steps", MAX_STEPS)
@@ -130,9 +147,23 @@ def test_ladder_matches_at_every_scale(monkeypatch, max_steps):
             return -2.0 * stretch * c, 2.0 * np.eye(c.size)
 
         newton = _stacked_newton(value, grad_neghess, start)
-        loop = relative_margin_damped_newton(value, grad_neghess, start, max_steps=max_steps)
+        loop = one_newton_step(value, grad_neghess, start, max_steps=max_steps)
         assert np.array_equal(newton, loop), k
         assert np.array_equal(newton, start) == (k > 26 or k >= max_steps), k
+
+
+def test_repeated_steps_reach_the_full_ascent():
+    # with no cap on the candidates, a row that takes one step per call
+    # ends where the ascent ends: generalized EM keeps the M-step's optimum
+    rng = np.random.default_rng(2024)
+    unbounded = 1 << 30
+    for draw in range(400):
+        family = ("LLM", "RRUM")[draw % 2]
+        problem = reference_newton_problem(family, *_draw_update(rng, family, 1 + draw % 5))
+        reached = _repeated_steps(*problem)
+        assert np.array_equal(reached, one_vector_damped_newton(*problem, max_steps=unbounded))
+        assert np.array_equal(reached, relative_margin_damped_newton(*problem,
+                                                                     max_steps=unbounded))
 
 
 def _counted_updates(monkeypatch, family, design, coefs, pos, tot):
@@ -175,11 +206,14 @@ def test_one_value_call_per_candidate_and_none_past_convergence(monkeypatch, fam
         pos = tot * reference_item_row(family, design, FAMILY[family].init(design, rng))
         [(events, coef)] = _counted_updates(monkeypatch, family, design,
                                             [FAMILY[family].init(design, rng)], pos, tot)
-        start, *steps = events.split("g")
-        # the start, one call per candidate, and none after the last step
-        assert start == "v" and len(steps) >= 2 and steps[-1] == "", (draw, events)
-        # restarted from its own result, the ascent costs only its start
-        [(events, again)] = _counted_updates(monkeypatch, family, design, [coef], pos, tot)
+        # the start, its derivatives, then one call per candidate
+        assert re.fullmatch("vgv+", events), (draw, events)
+        # repeated to its fixed point, a step there costs only its start
+        for _ in range(100):
+            [(events, again)] = _counted_updates(monkeypatch, family, design, [coef], pos, tot)
+            if np.array_equal(again, coef):
+                break
+            coef = again
         assert events == "vg" and np.array_equal(again, coef), (draw, events)
 
 
@@ -296,6 +330,8 @@ def _design_fit(design, config, run_em=None):
     with pytest.MonkeyPatch.context() as patch:
         if run_em is not None:
             patch.setattr(inference, "_run_em", run_em)
+            # the reference EM's link M-step: one Newton step, as the library's
+            patch.setattr(helpers, "one_vector_damped_newton", one_newton_step)
         return em_fit(data, q, families, config), (theta, p), data
 
 
@@ -469,7 +505,7 @@ def test_each_stacked_row_is_its_one_vector_ascent(seed, n_rows, max_steps):
         patch.setattr(models, "MAX_STEPS", max_steps)
         stacked = models._damped_newton(value, grad_neghess, starts, project)
     for row, (v, g, start, p), kind in zip(stacked, problems, kinds):
-        alone = one_vector_damped_newton(v, g, start, p, max_steps=max_steps)
+        alone = one_newton_step(v, g, start, p, max_steps=max_steps)
         assert np.array_equal(row[:start.size], alone), (kind, max_steps)
         assert not row[start.size:].any(), "a padded coordinate moved"
         if kind == "singular":

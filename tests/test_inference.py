@@ -31,10 +31,12 @@ from rlcm import (
     theta_from_params,
 )
 from rlcm import inference
-from rlcm.models import FamilyStack, ItemDesign
+from rlcm.models import FAMILIES, FamilyStack, ItemDesign, ItemLayout
 
 from helpers import (
     child_env,
+    draw_monotone_params,
+    population_patterns,
     random_proportions,
     random_theta,
     reference_group_sums,
@@ -307,6 +309,27 @@ class TestEmFit:
             fit = em_fit(data, q, [family] * 5,
                          EmConfig(max_iters=150, restarts=2, seed=11))
             assert (np.diff(fit.loglik_trace) >= -1e-8).all()
+
+    def test_truth_is_a_fixed_point_of_population_em(self):
+        # with every pattern seen N times its probability, the E-step's counts
+        # are the truth's own, so every M-step returns the truth
+        rng = np.random.default_rng(31)
+        n_subjects = 5000.0
+        for draw in range(200):
+            n_items, n_attributes = int(rng.integers(5, 11)), int(rng.integers(1, 4))
+            q = rng.integers(0, 2, size=(n_items, n_attributes))
+            q[q.sum(axis=1) == 0, rng.integers(0, n_attributes)] = 1
+            q = QMatrix(q)
+            families = [*rng.permutation(FAMILIES), *rng.choice(FAMILIES, n_items - 5)]
+            params = [draw_monotone_params(rng, fam, row) for fam, row in zip(families, q.entries)]
+            theta, p = theta_from_params(q, params), random_proportions(rng, n_attributes)
+            designs = [ItemDesign(row) for row in q.entries]
+            truth = [par.coef(design, j) for j, (par, design) in enumerate(zip(params, designs))]
+            [(_, _, coefs, p_hat)] = inference._run_em(
+                *population_patterns(theta, p, n_subjects), ItemLayout(designs, families),
+                [(truth, p.probs)], n_subjects, max_iters=1, tol=1e-300)
+            moved = max(np.abs(c - t).max() for c, t in zip(coefs, truth))
+            assert moved <= 1e-12 and np.abs(p_hat - p.probs).max() <= 1e-12, (draw, moved)
 
     def test_mixed_families(self):
         q, _, theta, p = _dina_setup()
