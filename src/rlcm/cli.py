@@ -247,7 +247,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify_transform(args) -> int:
     # before the draw: the check holds four 2**J x 2**K tables at once
-    core.check_table_size(args.j, args.k + 2)
+    core.check_table_size(args.j, args.k, tables=4)
     rng = np.random.default_rng(args.seed)
     theta = ThetaMatrix(rng.uniform(size=(args.j, 1 << args.k)))
     shift = rng.uniform(-1.0, 1.0, size=args.j)

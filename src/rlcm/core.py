@@ -96,13 +96,13 @@ def weight_graded_order(length: int) -> NDArray[np.int64]:
     return np.array(order, dtype=np.int64)
 
 
-def check_table_size(log2_rows: int, log2_cols: int) -> None:
-    """Enforce the dense-table byte cap for exhaustive operations."""
-    if 8 * (1 << (log2_rows + log2_cols)) > MAX_TABLE_BYTES:
-        raise SizeLimitError(
-            f"dense table 2^{log2_rows} x 2^{log2_cols} exceeds "
-            f"{MAX_TABLE_BYTES} bytes"
-        )
+def check_table_size(log2_rows: int, log2_cols: int, tables: int = 1) -> None:
+    """Enforce the dense-table byte cap for exhaustive operations, on the
+    ``tables`` tables of this shape that one operation holds at once."""
+    if 8 * tables * (1 << (log2_rows + log2_cols)) > MAX_TABLE_BYTES:
+        what = "dense table" if tables == 1 else f"{tables} dense tables"
+        verb = "exceeds" if tables == 1 else "exceed"
+        raise SizeLimitError(f"{what} 2^{log2_rows} x 2^{log2_cols} {verb} {MAX_TABLE_BYTES} bytes")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

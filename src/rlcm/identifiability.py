@@ -251,7 +251,7 @@ def verdict(q: QMatrix, theta: Optional[ThetaMatrix] = None) -> IdentifiabilityR
     )
 
 
-ParameterSet = Tuple[ThetaMatrix, ProportionVector]
+ParameterSet = tuple   # (ThetaMatrix, ProportionVector); typing caches a subscription
 
 GAP_TOL = 1e-10
 MIN_PARAMETER_DISTANCE = 1e-6

@@ -10,15 +10,15 @@ Under the Q-restriction an item's response probability depends on a
 profile only through its sub-pattern on the required attributes
 (``ItemDesign``), so the families differ only in how a coefficient vector
 maps onto those groups.  Each family is one frozen parameter dataclass in
-``FAMILY``: its fields and their checks, params <-> coefficients, random
-start, and the JSON fields from which its item schema, ``to_dict`` and
-``from_dict`` follow.  A new family is one such dataclass and one entry.
-A closed-form family also holds its theta row and EM M-step; a link
-family (LLM, RRUM) declares its link and coefficient caps, and
-``_Binomial`` forms the theta rows and runs the M-step of every link item
-of a test at once.  Theta rows and M-steps work on a ``FamilyStack``, every
-(restart, item) row at once; the parameters, their coefficients and the
-random start are per item.
+``FAMILY`` that derives from ``ItemParams``, the public item type: its
+fields and their checks, params <-> coefficients, random start, and the
+JSON fields from which its item schema, ``to_dict`` and ``from_dict``
+follow.  A new family is one such dataclass and one entry.  A closed-form
+family also holds its theta row and EM M-step; a link family (LLM, RRUM)
+declares its link and coefficient caps, and ``_Binomial`` forms the theta
+rows and runs the M-step of every link item of a test at once.  Theta rows
+and M-steps work on a ``FamilyStack``, every (restart, item) row at once;
+the parameters, their coefficients and the random start are per item.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numbers
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -361,9 +361,9 @@ _SUBSETS = JsonField(
 )
 
 
-class _Item:
-    """What every family shares: its JSON form, derived from the class's
-    ``family`` name and its declared ``fields``."""
+class ItemParams:
+    """The public item type, base of every family: its JSON form, derived
+    from the class's ``family`` name and its declared ``fields``."""
 
     family: str
     fields: Mapping[str, JsonField]
@@ -390,7 +390,7 @@ class _Item:
 
 
 @dataclass(frozen=True)
-class _TwoRate(_Item):
+class _TwoRate(ItemParams):
     """DINA and DINO: slip s and guess g with 1 - s > g; rate 1 - s on the
     profiles that ``mask`` names, g off them.  Coefficients: (1 - s, g)."""
 
@@ -460,7 +460,7 @@ class DinoParams(_TwoRate):
 
 
 @dataclass(frozen=True)
-class GdinaParams(_Item):
+class GdinaParams(ItemParams):
     """Additive-effects item: coefficients keyed by attribute subsets.
 
     ``beta`` maps frozensets of 0-based attribute indices to real
@@ -556,7 +556,7 @@ def _required(params, what: str, values: tuple, design: ItemDesign, item: int) -
 
 
 @dataclass(frozen=True)
-class LlmParams(_Item):
+class LlmParams(ItemParams):
     """Logit-link item: intercept and one slope per attribute.
 
     Slopes are consulted only where the item's Q-matrix row is 1; the
@@ -599,7 +599,7 @@ class LlmParams(_Item):
 
 
 @dataclass(frozen=True)
-class RrumParams(_Item):
+class RrumParams(ItemParams):
     """Log-link item: baseline probability and one penalty per attribute.
 
     ``pi`` is the positive-response probability of fully capable
@@ -645,8 +645,6 @@ class RrumParams(_Item):
         return cls(pi=float(np.clip(np.exp(coef[0]), tiny, 1.0)), r=tuple(penalties))
 
 
-ItemParams = Union[DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams]
-
 FAMILY = {cls.family: cls for cls in (DinaParams, DinoParams, GdinaParams, LlmParams, RrumParams)}
 
 FAMILIES = tuple(FAMILY)
@@ -680,7 +678,7 @@ def theta_from_params(q: QMatrix, params: Sequence[ItemParams]) -> ThetaMatrix:
     designs = [ItemDesign(row) for row in q.entries]
     coefs = []
     for j, item in enumerate(params):
-        if not isinstance(item, _Item):
+        if not isinstance(item, ItemParams):
             raise TypeError(f"unknown item parameter type {type(item).__name__}")
         coefs.append(item.coef(designs[j], j))
     layout = ItemLayout(designs, [item.family for item in params])

@@ -21,7 +21,7 @@ from rlcm import (
     response_distribution,
     weight_graded_order,
 )
-from rlcm import cli, fileio, inference
+from rlcm import cli, core, fileio, inference
 from rlcm.cli import _em_config, build_parser, main
 
 from helpers import (
@@ -319,7 +319,27 @@ class TestVerifyTransform:
         assert main(["verify-transform", "--j", j, "--k", k]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err == f"error: 4 dense tables 2^{j} x 2^{k} exceed 2147483648 bytes\n"
+
+    def test_the_cap_accepts_four_tables_within_the_byte_cap(self, monkeypatch, capsys):
+        # an accepted call stops at its draw, so no table is formed
+        class Drawn(Exception):
+            pass
+
+        def no_draw(seed):
+            raise Drawn
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        accepted = set()
+        for j in range(1, 13):
+            for k in range(1, 21):
+                try:
+                    assert main(["verify-transform", "--j", str(j), "--k", str(k)]) == 1
+                except Drawn:
+                    accepted.add((j, k))
+        capsys.readouterr()
+        assert accepted == {(j, k) for j in range(1, 13) for k in range(1, 21)
+                            if 32 << (j + k) <= core.MAX_TABLE_BYTES}
 
 
 class TestSimulateFitPipeline:

@@ -512,6 +512,36 @@ def test_each_stacked_row_is_its_one_vector_ascent(seed, n_rows, max_steps):
             assert np.array_equal(row[:start.size], start)
 
 
+
+def test_a_saturated_link_stack_takes_the_per_row_solve(monkeypatch):
+    """Row 1's baseline group is saturated: its weight and the 1e-10 ridge lie
+    below one ulp of its 1e7 group's Hessian entries, so in floating point
+    its system is singular and the batched solve raises.  Group totals of
+    1e7 are about 10**7 subjects.  Row 1 keeps its point, and row 2 is its
+    lone update bit for bit."""
+    llm = FAMILY["LLM"]
+    coef = np.array([[[-40.0, 40.0], [0.0, 0.0]]])
+    gpos, gtot = np.array([[0.0, 6e6, 30.0, 60.0]]), np.array([[5.0, 1e7, 100.0, 100.0]])
+    solve, failed = np.linalg.solve, []
+
+    def watched_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            failed.append(a.ndim)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", watched_solve)
+    stacked = models._Binomial.update(FamilyStack([ItemDesign([1])] * 2, [llm] * 2),
+                                      coef, gpos, gtot)
+    monkeypatch.undo()
+    lone = models._Binomial.update(FamilyStack([ItemDesign([1])], [llm]),
+                                   coef[:, 1:], gpos[:, 2:], gtot[:, 2:])
+    assert failed[0] == 3, "the batched solve did not raise"
+    assert np.array_equal(stacked[0, 0], coef[0, 0])
+    assert np.array_equal(stacked[0, 1], lone[0, 0])
+    assert not np.array_equal(lone[0, 0], coef[0, 1])
+
 def _link_start(rng, family, n_restarts, n_required):
     """Starts of one link item over the restarts, as ``_draw_update`` draws them."""
     if family == "LLM":

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from rlcm import (
     DinaParams,
     DinoParams,
+    EmConfig,
     GdinaParams,
     InvalidParameterError,
+    ItemParams,
     LlmParams,
     QMatrix,
     RrumParams,
@@ -143,6 +145,14 @@ class TestThetaFromParams:
         assert list(FAMILY.items()) == [("DINA", DinaParams), ("DINO", DinoParams),
                                         ("GDINA", GdinaParams), ("LLM", LlmParams),
                                         ("RRUM", RrumParams)]
+
+    def test_the_public_item_type_is_the_base_of_every_family(self):
+        # EmConfig and theta_from_params accept exactly the ItemParams instances
+        design, rng = ItemDesign([1]), np.random.default_rng(0)
+        for cls in FAMILY.values():
+            assert isinstance(cls.from_coef(design, cls.init(design, rng)), ItemParams)
+        with pytest.raises(TypeError):
+            EmConfig(init_params=(object(),))
 
 
 class TestThetaMemory:
