@@ -512,7 +512,6 @@ def test_each_stacked_row_is_its_one_vector_ascent(seed, n_rows, max_steps):
             assert np.array_equal(row[:start.size], start)
 
 
-
 def test_a_saturated_link_stack_takes_the_per_row_solve(monkeypatch):
     """Row 1's baseline group is saturated: its weight and the 1e-10 ridge lie
     below one ulp of its 1e7 group's Hessian entries, so in floating point
@@ -541,6 +540,7 @@ def test_a_saturated_link_stack_takes_the_per_row_solve(monkeypatch):
     assert np.array_equal(stacked[0, 0], coef[0, 0])
     assert np.array_equal(stacked[0, 1], lone[0, 0])
     assert not np.array_equal(lone[0, 0], coef[0, 1])
+
 
 def _link_start(rng, family, n_restarts, n_required):
     """Starts of one link item over the restarts, as ``_draw_update`` draws them."""
